@@ -21,7 +21,7 @@ from ..rankcs import (
     cs_tau_best,
     cs_tau_worst,
 )
-from ..ranking import TieRule, frank, frank_against, irank, irank_against
+from ..ranking import TieRule, irank, irank_against
 from ..rankreg import (
     RankRegressionModel,
     confint,
@@ -157,10 +157,10 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     if against is not None:
         reference = table.numeric(against)
         ivals = irank_against(values, reference, rule).values
-        fvals = frank_against(values, reference, rule).values
+        fvals = ivals / len(reference)
     else:
         ivals = irank(values, rule).values
-        fvals = frank(values, rule).values
+        fvals = ivals / len(values)
     labels = _label_values(table, label_col, len(values))
     results = {
         "column": column,
@@ -203,7 +203,11 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
         cov_raw = read_bytes(cov_path)
         sigma = read_covariance(decode(cov_raw), len(theta))
         digest = input_digest(raw, cov_raw)
-    est = EstimatesWithCovariance(theta, sigma, labels=tuple(labels))
+    try:
+        est = EstimatesWithCovariance(theta, sigma, labels=tuple(labels))
+    except ValueError as exc:
+        # the covariance file parsed but is unusable, e.g. not symmetric
+        raise DomainError(str(exc)) from exc
     return est, digest, labels
 
 
@@ -213,7 +217,7 @@ def _gaussian_options(fn):
     fn = click.option("--cov", "cov_path", default=None, help="CSV file with the full covariance matrix.")(fn)
     fn = click.option(
         "--draws",
-        type=click.IntRange(min=1),
+        type=click.IntRange(min=100),
         default=1000,
         show_default=True,
         help="Parametric bootstrap draws.",
@@ -306,6 +310,8 @@ def _tau_command(name, chooser, doc):
         est, digest, labels = _load_estimates(
             input_path, estimates_col, se_col, cov_path, label_col
         )
+        if tau > est.p:
+            raise click.UsageError(f"--tau {tau} exceeds the {est.p} populations")
         used_seed = _resolve_seed(seed)
         cfg = BootstrapConfig(draws=draws, coverage=coverage, seed=used_seed)
         result = chooser(est, cfg, tau)

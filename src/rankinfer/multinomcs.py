@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -68,7 +67,6 @@ class MultinomialCounts:
         return int(self.counts.sum())
 
 
-@lru_cache(maxsize=None)
 def _tail_pvalue(xk: int, s: int) -> float:
     if s == 0:
         return 1.0
@@ -100,15 +98,19 @@ class PairwisePValueTable:
     def from_counts(cls, data: MultinomialCounts) -> "PairwisePValueTable":
         p = data.p
         table = np.ones((p, p))
-        counts = data.counts
+        counts = data.counts.tolist()
+        # pairs with equal (x_k, x_k + x_l) share a p-value; the memo
+        # lives only as long as this table is being built
+        memo: dict[tuple[int, int], float] = {}
         for k in range(p):
+            xk = counts[k]
             for l in range(p):
                 if k != l:
-                    table[k, l] = pairwise_pvalue(int(counts[k]), int(counts[l]))
+                    key = (xk, xk + counts[l])
+                    if key not in memo:
+                        memo[key] = pairwise_pvalue(xk, counts[l])
+                    table[k, l] = memo[key]
         return cls(values=table)
-
-    def get(self, k: int, l: int) -> float:
-        return float(self.values[k, l])
 
 
 def adjust_pvalues(pvals: Sequence[float] | np.ndarray, method: Method) -> FloatArray:

@@ -1,9 +1,8 @@
 """Deterministic numeric kernels used by all statistical modules.
 
 Linear algebra (QR, normal-equation inverses, PSD Cholesky), seeded
-sampling with a platform-independent normal transform, log-space binomial
-tail sums, and the tie-grouped cumulative sums that power the
-linearithmic indicator-matrix products.
+sampling with a platform-independent normal transform, and log-space
+binomial tail sums.
 """
 from __future__ import annotations
 
@@ -171,8 +170,8 @@ class SeededRng:
     """Deterministic random stream: same (seed, stream) means bit-exact
     identical draws on every platform.
 
-    Substreams for parallel work are derived by seed-splitting: stream
-    index i uses SeedSequence(entropy=seed, spawn_key=(i,)).
+    Streams are derived by seed-splitting: stream index i uses
+    SeedSequence(entropy=seed, spawn_key=(i,)).
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -184,9 +183,6 @@ class SeededRng:
         self.stream = int(stream)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, index: int) -> "SeededRng":
-        return SeededRng(self.seed, stream=index)
 
     def uniforms(self, n: int) -> FloatArray:
         """n doubles uniform on the open interval (0, 1)."""
@@ -271,32 +267,3 @@ def log_binom_tail(x: int, s: int) -> float:
         ) - s * _LN2
     return min(0.0, anchor + math.log(rel))
 
-
-def grouped_cumsum(v: FloatArray, group_ids: np.ndarray, placement: str) -> FloatArray:
-    """Cumulative sum after collapsing each contiguous run of equal
-    group_ids onto its first or last position.
-
-    Within each run the run-sum is placed at the chosen end (zeros
-    elsewhere) and a global cumulative sum of the result is returned.
-    group_ids must be constant on contiguous runs.
-    """
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    g = np.asarray(group_ids)
-    if v.ndim != 1 or g.shape != v.shape:
-        raise ValueError("v and group_ids must be 1-D of equal length")
-    if placement not in ("first", "last"):
-        raise ValueError("placement must be 'first' or 'last'")
-    if v.size == 0:
-        return v.copy()
-    is_start = np.empty(v.size, dtype=bool)
-    is_start[0] = True
-    is_start[1:] = g[1:] != g[:-1]
-    starts = np.flatnonzero(is_start)
-    sums = np.add.reduceat(v, starts)
-    out = np.zeros_like(v)
-    if placement == "first":
-        out[starts] = sums
-    else:
-        ends = np.append(starts[1:] - 1, v.size - 1)
-        out[ends] = sums
-    return np.cumsum(out)

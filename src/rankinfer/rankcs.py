@@ -173,25 +173,6 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
     return mvn_sample(chol, SeededRng(cfg.seed), cfg.draws)
 
 
-def critical_value_marginal(est: EstimatesWithCovariance, j: int,
-                            cfg: BootstrapConfig) -> float:
-    """Bootstrap critical value for population j's marginal set: the
-    coverage-quantile of max_{k != j} |Z_j - Z_k| / se_jk."""
-    se = pairwise_se(est)
-    z = _bootstrap_normals(est, cfg)
-    return _upper_quantile(_per_index_max(z, se, j, signed=False), cfg.coverage)
-
-
-def critical_value_simultaneous(est: EstimatesWithCovariance,
-                                cfg: BootstrapConfig) -> float:
-    """Bootstrap critical value shared by all populations: the quantile
-    of the max over every pair."""
-    se = pairwise_se(est)
-    z = _bootstrap_normals(est, cfg)
-    maxima = _all_pairs_max(z, se, signed=False)
-    return _upper_quantile(maxima, cfg.coverage)
-
-
 def _all_pairs_max(z: DenseMatrix, se: DenseMatrix, signed: bool) -> FloatArray:
     p = se.shape[0]
     cols = map_ordered(lambda j: _per_index_max(z, se, j, signed), range(p))

@@ -5,6 +5,12 @@ the smallest rank shared by a tie group) and "number of weak predecessors"
 (omega=1, the largest). Direction selects whether larger or smaller values
 get better (smaller) ranks. Ranking one vector against a separate
 reference vector is supported for prediction-style use.
+
+Self-ranks come from the vector's tie runs, built once from its sorted
+values: a run's start and end are the strict and weak predecessor counts
+of its members, and the same runs serve the rank-regression indicator
+products. The `*_against` functions binary-search each query in the
+sorted reference instead, since queries need not be reference values.
 """
 from __future__ import annotations
 
@@ -66,18 +72,69 @@ def _as_finite_vector(x: Sequence[float] | np.ndarray, what: str) -> FloatArray:
     return arr
 
 
+def _blend(below: np.ndarray, at_or_below: np.ndarray, n: int, rule: TieRule) -> FloatArray:
+    """omega-blend of weak/strict predecessor counts, given each value's
+    count of reference values strictly below it and at or below it."""
+    w = rule.omega
+    if rule.direction == "increasing":
+        weak, strict = at_or_below, below
+    else:
+        weak, strict = n - below, n - at_or_below
+    return w * weak + (1.0 - w) * strict + (1.0 - w)
+
+
 def _counts_against(x: FloatArray, reference: FloatArray, rule: TieRule) -> FloatArray:
     """omega-blend of weak/strict predecessor counts of x within reference."""
     ordered = np.sort(reference)
     left = np.searchsorted(ordered, x, side="left")
     right = np.searchsorted(ordered, x, side="right")
-    n = reference.size
-    w = rule.omega
-    if rule.direction == "increasing":
-        weak, strict = right, left
-    else:
-        weak, strict = n - left, n - right
-    return w * weak + (1.0 - w) * strict + (1.0 - w)
+    return _blend(left, right, reference.size, rule)
+
+
+# Largest distinct-value count for which the tie codes come from binary
+# search into the sorted distinct values. That table then stays within
+# 1 MiB, so the search costs the same per element at any n and the build
+# scales linearly in n; beyond it one argsort scatter is cheaper.
+_SEARCH_TABLE_MAX = 1 << 17
+
+
+@dataclass(frozen=True, eq=False)
+class _TieRuns:
+    """Tie runs of a finite 1-D vector, built from its sorted values.
+
+    code[i] is the position of x[i] among the m sorted distinct values.
+    Run r covers sorted positions starts[r] .. ends[r] - 1, so starts[r]
+    elements lie strictly below that value and ends[r] at or below it.
+    """
+
+    code: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    n: int
+    m: int
+
+    @classmethod
+    def of(cls, x: FloatArray) -> "_TieRuns":
+        n = x.size
+        sorted_x = np.sort(x)
+        # edge[k] marks a run starting at sorted position k; edge[n] closes
+        # the last run
+        edge = np.ones(n + 1, dtype=bool)
+        np.not_equal(sorted_x[1:], sorted_x[:-1], out=edge[1:n])
+        bounds = np.flatnonzero(edge)
+        starts = bounds[:-1]
+        if starts.size <= _SEARCH_TABLE_MAX:
+            code = np.searchsorted(sorted_x[starts], x)
+        else:
+            run_id = np.cumsum(edge[:n])
+            run_id -= 1
+            code = np.empty(n, dtype=np.intp)
+            code[np.argsort(x)] = run_id
+        return cls(code=code, starts=starts, ends=bounds[1:], n=n, m=starts.size)
+
+    def ranks(self, rule: TieRule) -> FloatArray:
+        """Integer-scale ranks of the vector within itself."""
+        return _blend(self.starts.take(self.code), self.ends.take(self.code), self.n, rule)
 
 
 def irank_against(x, reference, rule: TieRule) -> RankVector:
@@ -94,7 +151,7 @@ def irank(theta, rule: TieRule) -> RankVector:
     tv = _as_finite_vector(theta, "values")
     if tv.size == 0:
         raise ValueError("values must be nonempty")
-    return RankVector(values=_counts_against(tv, tv, rule), kind="integer")
+    return RankVector(values=_TieRuns.of(tv).ranks(rule), kind="integer")
 
 
 def frank(theta, rule: TieRule) -> RankVector:

@@ -26,7 +26,7 @@ from ..errors import (
     NonFinite,
 )
 from ..numerics import FloatArray, QRFactorization, qr_decompose
-from ..ranking import TieRule, frank
+from ..ranking import TieRule, _TieRuns
 from .formula import parse_formula
 
 INTERCEPT_NAME = "(Intercept)"
@@ -96,15 +96,18 @@ class RankRegressionModel:
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Built design: the numeric matrix plus everything the variance
-    machinery needs to know about where ranks entered it."""
+    machinery needs to know about where ranks entered it, including the
+    tie runs of each ranked column."""
 
     z: FloatArray
     colnames: tuple[str, ...]
     y: FloatArray
     y_raw: FloatArray
     r_y: FloatArray | None
+    ties_y: _TieRuns | None
     x_raw: FloatArray | None
     r_x: FloatArray | None
+    ties_x: _TieRuns | None
     group_codes: np.ndarray | None
     group_levels: tuple[str, ...] | None
     x_cols: tuple[int, ...]
@@ -157,12 +160,14 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
                 raise InputError(f"column '{name}' has inconsistent length")
 
     rule = TieRule(omega=model.omega, direction="increasing")
-    r_y = frank(y_raw, rule).values if model.response_ranked else None
+    ties_y = _TieRuns.of(y_raw) if model.response_ranked else None
+    r_y = ties_y.ranks(rule) / n if ties_y is not None else None
     y = r_y if r_y is not None else y_raw
 
     x_name = model.ranked_regressor
     x_raw = columns[x_name] if x_name is not None else None
-    r_x = frank(x_raw, rule).values if x_raw is not None else None
+    ties_x = _TieRuns.of(x_raw) if x_raw is not None else None
+    r_x = ties_x.ranks(rule) / n if ties_x is not None else None
 
     # Base columns in canonical order: ranked regressor, covariates,
     # intercept last.
@@ -225,8 +230,10 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         y=y,
         y_raw=y_raw,
         r_y=r_y,
+        ties_y=ties_y,
         x_raw=x_raw,
         r_x=r_x,
+        ties_x=ties_x,
         group_codes=group_codes,
         group_levels=group_levels,
         x_cols=tuple(x_cols),

@@ -5,8 +5,9 @@ that the ranks were themselves estimated from the data. The corrected
 covariance assembles, per coefficient, three influence components:
 the direct residual term, the response-rank estimation term, and the
 regressor-rank estimation term. All inner sums are products of an
-indicator matrix with a vector and are evaluated in O(n log n) through
-sorted cumulative sums, never by materializing the matrix.
+indicator matrix with a vector; each is evaluated in O(n) from the tie
+runs that ranking the column already produced, never by materializing
+the matrix.
 """
 from __future__ import annotations
 
@@ -17,11 +18,8 @@ import numpy as np
 from .._parallel import map_ordered
 from ..errors import NonFinite
 from ..numerics import DenseMatrix, FloatArray, inverse_from_qr
+from ..ranking import _TieRuns
 from .model import RankRegressionFit
-
-# largest distinct-value count routed through the binary-search path;
-# the value table then stays within 1 MiB
-_SEARCH_TABLE_MAX = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,69 +34,25 @@ class CorrectedCovariance:
     h_columns: DenseMatrix | None = None
 
 
-class _SortedIndicator:
-    """Reusable indicator-matrix multiplier for a fixed value vector.
+def _apply_indicator(ties: _TieRuns, v: FloatArray, omega: float) -> FloatArray:
+    """I @ v for the indicator matrix of the vector behind `ties`.
 
-    The values are collapsed once to dense codes against their sorted
-    distinct values; each apply() then accumulates per-value masses and
-    reads two cumulative-mass tables sized by the number of distinct
-    values, not by n.
+    Accumulates per-value masses over the tie codes and reads one table
+    sized by the number of distinct values, not by n.
     """
-
-    def __init__(self, x: FloatArray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("x must be 1-D")
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("indicator values contain NaN or infinity")
-        self.n = x.size
-        sorted_x = np.sort(x)
-        boundary = np.empty(self.n, dtype=bool)
-        if self.n:
-            boundary[0] = True
-            np.not_equal(sorted_x[1:], sorted_x[:-1], out=boundary[1:])
-        values = sorted_x[boundary]
-        self.m = values.size
-        if self.m <= _SEARCH_TABLE_MAX:
-            # few distinct values: binary search into a cache-resident
-            # table costs the same per element at any n
-            self.code = np.searchsorted(values, x)
-        else:
-            # mostly distinct: one scatter from the sort order beats n
-            # binary searches into a table that has outgrown the cache
-            run_id = np.cumsum(boundary)
-            run_id -= 1
-            code = np.empty(self.n, dtype=np.intp)
-            code[np.argsort(x)] = run_id
-            self.code = code
-        self.code_hi = self.code + 1
-
-    def apply(self, v: FloatArray, omega: float) -> FloatArray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError("v must match the indicator vector length")
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("v contains NaN or infinity")
-        # below[r] = v-mass on values strictly below the r-th distinct
-        # value; row i then needs total - omega*below[code_i]
-        # - (1-omega)*below[code_i + 1].
-        mass = np.bincount(self.code, weights=v, minlength=self.m)
-        below = np.empty(self.m + 1)
-        below[0] = 0.0
-        np.cumsum(mass, out=below[1:])
-        total = below[self.m]
-        if omega == 1.0:
-            out = below.take(self.code)
-        elif omega == 0.0:
-            out = below.take(self.code_hi)
-        else:
-            out = below.take(self.code)
-            out *= omega
-            weak = below.take(self.code_hi)
-            weak *= 1.0 - omega
-            out += weak
-        np.subtract(total, out, out=out)
-        return out
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (ties.n,):
+        raise ValueError("v must match the indicator vector length")
+    if not np.all(np.isfinite(v)):
+        raise NonFinite("v contains NaN or infinity")
+    # below[r] = v-mass on values strictly below the r-th distinct
+    # value; row i then needs total - omega*below[code_i]
+    # - (1-omega)*below[code_i + 1].
+    mass = np.bincount(ties.code, weights=v, minlength=ties.m)
+    below = np.zeros(ties.m + 1)
+    np.cumsum(mass, out=below[1:])
+    blended = below[:-1] * omega + below[1:] * (1.0 - omega)
+    return below[-1] - blended.take(ties.code)
 
 
 def indicator_matvec(x: FloatArray, v: FloatArray, omega: float) -> FloatArray:
@@ -110,7 +64,9 @@ def indicator_matvec(x: FloatArray, v: FloatArray, omega: float) -> FloatArray:
         raise ValueError("x and v must be 1-D of equal length")
     if not 0.0 <= omega <= 1.0:
         raise ValueError("omega must lie in [0, 1]")
-    return _SortedIndicator(x).apply(v, omega)
+    if not np.all(np.isfinite(x)):
+        raise NonFinite("indicator values contain NaN or infinity")
+    return _apply_indicator(_TieRuns.of(x), v, omega)
 
 
 def projection_from_inverse(ztz_inv: DenseMatrix) -> DenseMatrix:
@@ -135,8 +91,8 @@ class _HContext:
     has_ranked_regressor: bool
     r_y: FloatArray | None
     r_x: FloatArray | None
-    op_y: _SortedIndicator | None
-    op_x: _SortedIndicator | None
+    ties_y: _TieRuns | None
+    ties_x: _TieRuns | None
     x_membership: FloatArray | None  # n x (#ranked columns), 0/1
     x_cols: tuple[int, ...]
     ranked_coef: FloatArray | None  # per-observation coefficient on the ranks
@@ -147,8 +103,6 @@ def _context(fit: RankRegressionFit) -> _HContext:
         return fit._caches["hcontext"]
     design = fit.design
     has_x = len(design.x_cols) > 0
-    op_y = _SortedIndicator(design.y_raw) if design.model.response_ranked else None
-    op_x = _SortedIndicator(design.x_raw) if has_x else None
     membership = None
     ranked_coef = None
     if has_x:
@@ -167,8 +121,8 @@ def _context(fit: RankRegressionFit) -> _HContext:
         has_ranked_regressor=has_x,
         r_y=design.r_y,
         r_x=design.r_x,
-        op_y=op_y,
-        op_x=op_x,
+        ties_y=design.ties_y,
+        ties_x=design.ties_x,
         x_membership=membership,
         x_cols=design.x_cols,
         ranked_coef=ranked_coef,
@@ -197,16 +151,18 @@ def h_terms(fit: RankRegressionFit, gammas: DenseMatrix,
     base = float(eps @ nu_j)
     h2_parts = np.full(n, base)
     if ctx.response_ranked:
-        h2_parts = h2_parts + (ctx.op_y.apply(nu_j, ctx.omega) - float(ctx.r_y @ nu_j))
+        h2_parts = h2_parts + (_apply_indicator(ctx.ties_y, nu_j, ctx.omega)
+                               - float(ctx.r_y @ nu_j))
     if ctx.has_ranked_regressor:
         weighted = ctx.ranked_coef * nu_j
-        h2_parts = h2_parts - (ctx.op_x.apply(weighted, ctx.omega) - float(ctx.r_x @ weighted))
+        h2_parts = h2_parts - (_apply_indicator(ctx.ties_x, weighted, ctx.omega)
+                               - float(ctx.r_x @ weighted))
     h2 = h2_parts / n
 
     if ctx.has_ranked_regressor:
         d_j = ctx.x_membership @ gammas[list(ctx.x_cols), j]
         weighted_eps = d_j * eps
-        h3 = (base + ctx.op_x.apply(weighted_eps, ctx.omega)
+        h3 = (base + _apply_indicator(ctx.ties_x, weighted_eps, ctx.omega)
               - float(weighted_eps @ ctx.r_x)) / n
         h3 = np.asarray(h3)
     else:

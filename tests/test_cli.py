@@ -263,12 +263,21 @@ class TestCsRanks:
         res = invoke_cli(["cs-ranks", "--estimates", "est"], stdin=ESTIMATES_CSV)
         assert res.code == 2
 
-    def test_nonpositive_se_rejected(self, invoke_cli):
+    def test_nonpositive_se_rejected(self, invoke_cli, tmp_path):
         res = invoke_cli(
             ["cs-ranks", "--estimates", "est", "--se", "se"],
             stdin="est,se\n1.0,0.1\n2.0,0.0\n",
         )
         assert res.code == 3
+        # an asymmetric covariance file is the same kind of unusable input
+        cov = tmp_path / "cov.csv"
+        cov.write_text("c1,c2,c3\n1,0.5,0\n0,1,0\n0,0,1\n")
+        res = invoke_cli(
+            ["cs-ranks", "--estimates", "est", "--cov", str(cov)],
+            stdin=ESTIMATES_CSV,
+        )
+        assert res.code == 3
+        assert "symmetric" in res.stderr
 
     def test_indices_subset(self, invoke_cli):
         res = invoke_cli(
@@ -290,11 +299,16 @@ class TestCsRanks:
         assert body["results"]["rank"] == [1, 3]
 
     def test_indices_out_of_range(self, invoke_cli):
-        res = invoke_cli(
-            ["cs-ranks", "--estimates", "est", "--se", "se", "--indices", "4"],
-            stdin=ESTIMATES_CSV,
-        )
-        assert res.code == 2
+        # flag values outside what the input or the bootstrap allows
+        for args in (
+            ["cs-ranks", "--indices", "4"],
+            ["cs-ranks", "--draws", "50"],
+            ["cs-taubest", "--tau", "4"],
+            ["cs-tauworst", "--tau", "4"],
+        ):
+            res = invoke_cli(args + ["--estimates", "est", "--se", "se"], stdin=ESTIMATES_CSV)
+            assert res.code == 2, args
+            assert "internal error" not in res.stderr
 
     def test_svg_chart(self, invoke_cli, tmp_path):
         chart = tmp_path / "chart.svg"

@@ -76,11 +76,6 @@ class TestPValueTable:
                         int(counts.counts[k]), int(counts.counts[l])
                     )
 
-    def test_get_accessor(self):
-        counts = MultinomialCounts(np.array([5, 1]))
-        table = PairwisePValueTable.from_counts(counts)
-        assert table.get(0, 1) == pairwise_pvalue(5, 1)
-
 
 class TestAdjustPValues:
     def test_bonferroni_formula(self):

@@ -9,7 +9,6 @@ from rankinfer.errors import NonFinite, NotPSD, RankDeficient
 from rankinfer.numerics import (
     SeededRng,
     cholesky_psd,
-    grouped_cumsum,
     inverse_from_qr,
     inverse_normal_cdf,
     log_binom_tail,
@@ -127,7 +126,6 @@ class TestSeededRng:
         base = SeededRng(9, stream=0).uniforms(100)
         other = SeededRng(9, stream=1).uniforms(100)
         assert not np.array_equal(base, other)
-        assert np.array_equal(other, SeededRng(9).substream(1).uniforms(100))
 
     def test_uniforms_open_interval(self):
         u = SeededRng(7).uniforms(100000)
@@ -217,35 +215,3 @@ class TestLogBinomTail:
         with pytest.raises(ValueError):
             log_binom_tail(6, 5)
 
-
-class TestGroupedCumsum:
-    def naive(self, v, g, placement):
-        v = np.asarray(v, dtype=float)
-        g = np.asarray(g)
-        starts = [0] + [i for i in range(1, v.size) if g[i] != g[i - 1]]
-        placed = np.zeros_like(v)
-        for si, start in enumerate(starts):
-            end = starts[si + 1] if si + 1 < len(starts) else v.size
-            total = v[start:end].sum()
-            placed[start if placement == "first" else end - 1] = total
-        return np.cumsum(placed)
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            n = int(rng.integers(1, 40))
-            v = rng.normal(size=n)
-            g = np.sort(rng.integers(0, 6, size=n))
-            for placement in ("first", "last"):
-                got = grouped_cumsum(v, g, placement)
-                assert np.allclose(got, self.naive(v, g, placement), atol=1e-12)
-
-    def test_empty(self):
-        out = grouped_cumsum(np.array([]), np.array([]), "first")
-        assert out.size == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            grouped_cumsum(np.ones(3), np.ones(2), "first")
-        with pytest.raises(ValueError):
-            grouped_cumsum(np.ones(3), np.ones(3), "middle")

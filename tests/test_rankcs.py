@@ -9,15 +9,13 @@ from rankinfer.rankcs import (
     EstimatesWithCovariance,
     RankConfidenceSet,
     TauBestSet,
-    critical_value_marginal,
-    critical_value_simultaneous,
     cs_ranks,
     cs_ranks_lower,
     cs_tau_best,
     cs_tau_worst,
     pairwise_se,
 )
-from rankinfer.rankcs import _upper_quantile
+from rankinfer.rankcs import _all_pairs_max, _bootstrap_normals, _per_index_max, _upper_quantile
 from rankinfer.ranking import irank
 
 
@@ -147,9 +145,13 @@ class TestCsRanks:
 
     def test_seed_changes_draws(self):
         est = diag_estimates([0.1, 0.4, 0.2], [0.3, 0.3, 0.3])
-        c1 = critical_value_simultaneous(est, BootstrapConfig(draws=500, seed=1))
-        c2 = critical_value_simultaneous(est, BootstrapConfig(draws=500, seed=2))
-        assert c1 != c2
+        se = pairwise_se(est)
+
+        def simultaneous_crit(seed):
+            z = _bootstrap_normals(est, BootstrapConfig(draws=500, seed=seed))
+            return _upper_quantile(_all_pairs_max(z, se, signed=False), 0.95)
+
+        assert simultaneous_crit(1) != simultaneous_crit(2)
 
     def test_indices_subset_matches_full(self):
         rng = np.random.default_rng(2)
@@ -175,9 +177,11 @@ class TestCsRanks:
 
     def test_marginal_critical_value_reused(self):
         est = diag_estimates([0.0, 0.5, 1.0], [0.3, 0.3, 0.3])
-        c0 = critical_value_marginal(est, 0, CFG)
+        se = pairwise_se(est)
+        z = _bootstrap_normals(est, CFG)
+        c0 = _upper_quantile(_per_index_max(z, se, 0, signed=False), CFG.coverage)
         assert c0 > 0.0
-        cm = critical_value_simultaneous(est, CFG)
+        cm = _upper_quantile(_all_pairs_max(z, se, signed=False), CFG.coverage)
         assert cm >= c0 - 1e-12
 
     def test_correlated_covariance_accepted(self):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankinfer import ranking as ranking_mod
 from rankinfer.errors import NonFinite
-from rankinfer.ranking import TieRule, frank, frank_against, irank, irank_against
+from rankinfer.ranking import TieRule, _TieRuns, frank, frank_against, irank, irank_against
+from rankinfer.rankreg import indicator_matvec
 
-from oracles import naive_rank
+from oracles import naive_indicator_matvec, naive_rank
 
 THETA_TABLE = np.array([3.0, 4.0, 7.0, 7.0, 10.0, 11.0, 15.0, 15.0, 15.0, 15.0])
 
@@ -61,6 +63,44 @@ def test_frank_in_unit_interval(theta, omega, direction):
     vals = frank(np.asarray(theta, dtype=float), TieRule(omega, direction)).values
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tied_or_distinct(draw):
+    """Float vectors of length 1-200, either mostly distinct or drawn
+    from a small pool so that long tie runs occur."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    if draw(st.booleans()):
+        pool = draw(st.lists(FINITE, min_size=1, max_size=8))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+
+
+@given(
+    theta=tied_or_distinct(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(deadline=None, max_examples=200)
+def test_tie_runs_match_search_and_naive_indicator(theta, seed):
+    # self-ranks from the tie runs equal the binary-search path bit for
+    # bit, and the same runs give the indicator product, whichever way
+    # the codes were found
+    v = np.random.default_rng(seed).normal(size=theta.size)
+    for table_max in (ranking_mod._SEARCH_TABLE_MAX, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking_mod, "_SEARCH_TABLE_MAX", table_max)
+            ties = _TieRuns.of(theta)
+            assert np.array_equal(ties.code, np.searchsorted(np.unique(theta), theta))
+            for omega in (0.0, 0.3, 0.5, 1.0):
+                for direction in ("increasing", "decreasing"):
+                    rule = TieRule(omega, direction)
+                    assert np.array_equal(irank(theta, rule).values,
+                                          irank_against(theta, theta, rule).values)
+                got = indicator_matvec(theta, v, omega)
+                assert np.abs(got - naive_indicator_matvec(theta, v, omega)).max() < 1e-12
 
 
 def test_frank_is_irank_over_n():

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from rankinfer import ranking as ranking_mod
 from rankinfer.errors import NonFinite
 from rankinfer.rankreg import (
     RankRegressionModel,
+    confint,
     corrected_vcov,
     fit,
     indicator_matvec,
     projection_coefficients,
     projection_from_inverse,
+    summarize,
 )
-from rankinfer.rankreg import variance as variance_mod
-from rankinfer.rankreg.variance import _SortedIndicator
+from rankinfer.ranking import _TieRuns
+from rankinfer.rankreg.variance import _apply_indicator
 
 from oracles import (
     hc0_sandwich,
@@ -57,7 +60,7 @@ class TestIndicatorMatvec:
 
     def test_scatter_code_path(self, monkeypatch):
         # force the mostly-distinct branch onto small inputs
-        monkeypatch.setattr(variance_mod, "_SEARCH_TABLE_MAX", 0)
+        monkeypatch.setattr(ranking_mod, "_SEARCH_TABLE_MAX", 0)
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(1, 80))
@@ -71,11 +74,13 @@ class TestIndicatorMatvec:
     def test_reusable_structure(self):
         rng = np.random.default_rng(3)
         x = tied_sample(rng, 50, 9)
-        op = _SortedIndicator(x)
+        ties = _TieRuns.of(x)
         for omega in (0.0, 0.25, 1.0):
             v = rng.normal(size=50)
             assert np.allclose(
-                op.apply(v, omega), naive_indicator_matvec(x, v, omega), atol=1e-12
+                _apply_indicator(ties, v, omega),
+                naive_indicator_matvec(x, v, omega),
+                atol=1e-12,
             )
 
     def test_validation(self):
@@ -85,11 +90,12 @@ class TestIndicatorMatvec:
             indicator_matvec(np.ones(3), np.ones(3), 1.5)
         with pytest.raises(NonFinite):
             indicator_matvec(np.array([1.0, np.nan]), np.ones(2), 0.5)
-        op = _SortedIndicator(np.ones(3))
         with pytest.raises(NonFinite):
-            op.apply(np.array([1.0, np.inf, 0.0]), 0.5)
+            indicator_matvec(np.ones(3), np.array([1.0, np.inf, 0.0]), 0.5)
         with pytest.raises(ValueError):
-            _SortedIndicator(np.ones((2, 2)))
+            indicator_matvec(np.ones((2, 2)), np.ones((2, 2)), 0.5)
+        with pytest.raises(ValueError):
+            _apply_indicator(_TieRuns.of(np.ones(3)), np.ones(2), 0.5)
 
 
 class TestProjection:
@@ -201,6 +207,40 @@ class TestCorrectedVcov:
         assert cov.h_columns is None
         with_h = corrected_vcov(result, keep_h=True)
         assert with_h.h_columns.shape == (40, 2)
+
+    @pytest.mark.parametrize(
+        "text,ranked_columns",
+        [
+            ("r(Y) ~ r(X) + W", 2),
+            ("Y ~ r(X)", 1),
+            ("r(Y) ~ X", 1),
+            ("r(Y) ~ (r(X) + W):G", 2),
+            ("Y ~ X + W", 0),
+        ],
+    )
+    def test_one_tie_structure_per_ranked_column(self, monkeypatch, text, ranked_columns):
+        rng = np.random.default_rng(13)
+        n = 60
+        data = {
+            "Y": tied_sample(rng, n, 20),
+            "X": tied_sample(rng, n, 20),
+            "W": rng.normal(size=n),
+            "G": rng.choice(["a", "b"], size=n),
+        }
+        built = []
+        original = _TieRuns.of.__func__
+
+        def counting(cls, x):
+            built.append(x)
+            return original(cls, x)
+
+        monkeypatch.setattr(_TieRuns, "of", classmethod(counting))
+        result = fit(model_from(text, omega=0.5), data)
+        summarize(result)
+        confint(result)
+        corrected_vcov(result)
+        corrected_vcov(result, keep_h=True)
+        assert len(built) == ranked_columns
 
     def test_threading_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(12)
