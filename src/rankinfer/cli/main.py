@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import DomainError, FormulaError, InputError, RankInferError
-from ..multinomcs import MultinomialCounts, cs_ranks_multinomial
+from ..multinomcs import MAX_TOTAL, MultinomialCounts, cs_ranks_multinomial
 from ..rankcs import (
     BootstrapConfig,
     EstimatesWithCovariance,
@@ -384,6 +384,9 @@ def cmd_csranks_multinom(
     counts = table.numeric(column)
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise DomainError(f"column {column!r} must hold nonnegative integer counts")
+    if np.any(counts > MAX_TOTAL):
+        # checked before the int64 cast, which would wrap larger values
+        raise DomainError(f"column {column!r} holds a count above 2**53 = {MAX_TOTAL}")
     labels = _label_values(table, label_col, len(counts))
     data = MultinomialCounts(counts.astype(np.int64), labels=tuple(labels))
     idx = _parse_indices(indices, data.p)

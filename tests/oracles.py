@@ -64,6 +64,55 @@ def exact_binom_tail(x, s):
     return Fraction(total, 2**s)
 
 
+def exact_binom_tails(s, xs):
+    """{x: P(Binomial(s, 1/2) >= x)} as exact Fractions for each x in xs,
+    from one downward pass over the binomial coefficients C(s, i)."""
+    wanted = set(xs)
+    out = {}
+    term = 1
+    total = 0
+    for i in range(s, -1, -1):
+        total += term
+        if i in wanted:
+            out[i] = Fraction(total, 2**s)
+        term = term * i // (s - i + 1)
+    return out
+
+
+def exact_rank_bounds(counts, coverage, mode, method):
+    """(L, U) of the multinomial rank sets for every category, with each
+    p-value an exact Fraction and each Holm/Bonferroni comparison made
+    in rational arithmetic against alpha = 1 - coverage (the float)."""
+    counts = [int(c) for c in counts]
+    p = len(counts)
+    alpha = Fraction(1.0 - coverage)
+
+    def rejected(family):
+        pv = [exact_binom_tail(counts[k], counts[k] + counts[l]) for k, l in family]
+        m = len(pv)
+        if method == "bonferroni":
+            return {h for h, v in zip(family, pv) if m * v <= alpha}
+        out = set()
+        for step, i in enumerate(sorted(range(m), key=lambda i: pv[i])):
+            if (m - step) * pv[i] > alpha:
+                break
+            out.add(family[i])
+        return out
+
+    shared = None
+    if mode == "simultaneous":
+        shared = rejected([(k, l) for k in range(p) for l in range(p) if k != l])
+    lower, upper = [], []
+    for j in range(p):
+        others = [k for k in range(p) if k != j]
+        rej = shared
+        if rej is None:
+            rej = rejected([(k, j) for k in others] + [(j, k) for k in others])
+        lower.append(1 + sum((k, j) in rej for k in others))
+        upper.append(p - sum((j, k) in rej for k in others))
+    return lower, upper
+
+
 def naive_holm(pvals):
     """Step-down adjustment straight from the definition."""
     pvals = list(pvals)

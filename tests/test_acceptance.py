@@ -1,4 +1,4 @@
-"""Release gate: twelve end-to-end checks, each printing one summary line.
+"""Release gate: thirteen end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -16,8 +16,7 @@ from oracles import (
     spearman_rho,
 )
 from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
-from rankinfer.numerics import inverse_from_qr, qr_decompose
-import rankinfer.numerics as numerics_mod
+from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
 from rankinfer.rankcs import BootstrapConfig, EstimatesWithCovariance, cs_ranks
 from rankinfer.ranking import TieRule, irank
 from rankinfer.rankreg.model import RankRegressionModel, fit
@@ -124,19 +123,17 @@ def test_c04_multinomial_coverage():
     )
 
 
-def test_c05_pvalue_closed_forms(monkeypatch):
+def test_c05_pvalue_closed_forms():
     t0 = time.perf_counter()
     for s in range(1, 61):
         assert pairwise_pvalue(0, s) == 1.0
         assert pairwise_pvalue(s, 0) == 2.0 ** (-s)
     assert pairwise_pvalue(3, 1) == 0.3125
-    # drive every s <= 30 through the large-sample branch and compare
-    # against exact rational arithmetic
-    monkeypatch.setattr(numerics_mod, "_EXACT_TAIL_MAX_S", -1)
+    # the tail kernel against exact rational arithmetic for every s <= 30
     worst_abs = worst_rel = 0.0
     for s in range(1, 31):
         for x in range(1, s + 1):
-            got = math.exp(numerics_mod.log_binom_tail(x, s))
+            got = float(binom_tail(x, s))
             want = float(exact_binom_tail(x, s))
             worst_abs = max(worst_abs, abs(got - want))
             worst_rel = max(worst_rel, abs(got - want) / want)
@@ -144,7 +141,7 @@ def test_c05_pvalue_closed_forms(monkeypatch):
     assert worst_rel <= 1e-14, worst_rel
     _report(
         "C05",
-        f"closed forms exact; log branch vs rational: abs {worst_abs:.1e}, rel {worst_rel:.1e}",
+        f"closed forms exact; tail kernel vs rational: abs {worst_abs:.1e}, rel {worst_rel:.1e}",
         time.perf_counter() - t0,
     )
 
@@ -357,3 +354,22 @@ def test_c12_cli_determinism(invoke_cli):
         assert first.stdout.endswith("\n")
     _report("C12", f"{len(invocations)} commands byte-identical across repeat runs",
             time.perf_counter() - t0)
+
+
+def test_c13_multinomial_p300_budget():
+    # Zipf(0.8) expected counts at n=1e5: integer parts plus a seeded
+    # multinomial draw of the remainder
+    p, n = 300, 100_000
+    probs = 1.0 / np.arange(1, p + 1) ** 0.8
+    probs /= probs.sum()
+    rng = np.random.default_rng(13)
+    counts = np.floor(n * probs).astype(np.int64)
+    counts += rng.multinomial(n - int(counts.sum()), probs)
+    data = MultinomialCounts(rng.permutation(counts))
+    t0 = time.perf_counter()
+    cs = cs_ranks_multinomial(data, coverage=0.95, mode="marginal", method="holm")
+    elapsed = time.perf_counter() - t0
+    assert np.all((cs.lower <= cs.rank) & (cs.rank <= cs.upper))
+    assert elapsed < 1.0, f"p=300 marginal Holm took {elapsed:.2f}s"
+    _report("C13", f"p=300, n=1e5 Zipf counts, marginal Holm in {elapsed * 1e3:.0f} ms",
+            elapsed)

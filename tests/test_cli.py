@@ -456,6 +456,13 @@ class TestCsMultinom:
         res = invoke_cli(["cs-multinom"], stdin="count\n5\n")
         assert res.code == 3
 
+    def test_counts_above_float_exact_range_rejected(self, invoke_cli):
+        # a total above 2**53, and a count the int64 cast would wrap
+        for counts in ("5\n9007199254740993", "1e300\n2"):
+            res = invoke_cli(["cs-multinom"], stdin=f"count\n{counts}\n")
+            assert res.code == 3, (counts, res.stderr)
+            assert "2**53" in res.stderr
+
 
 class TestRankReg:
     IDENT_CSV = "Y,X\n" + "".join(f"{v},{v}\n" for v in range(1, 13))

@@ -15,7 +15,9 @@ from rankinfer.multinomcs import (
     pairwise_pvalue,
 )
 
-from oracles import exact_binom_tail, naive_bonferroni, naive_holm
+import rankinfer.multinomcs as multinomcs
+
+from oracles import exact_binom_tail, exact_rank_bounds, naive_bonferroni, naive_holm
 
 
 class TestPairwisePValue:
@@ -38,14 +40,21 @@ class TestPairwisePValue:
                 got = pairwise_pvalue(xk, xl)
                 assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
 
-    def test_exact_and_log_paths_agree_at_boundary(self):
-        # totals just below and above the big-integer cutoff
+    def test_matches_exact_at_old_cutoff(self):
+        # totals around the former big-integer/log-space switch at 1000
         for s in (999, 1000, 1001, 1002):
             xk = s // 2 + 10
             xl = s - xk
             want = float(exact_binom_tail(xk, s))
             got = pairwise_pvalue(xk, xl)
-            assert math.isclose(got, want, rel_tol=1e-11)
+            assert math.isclose(got, want, rel_tol=1e-14)
+
+    def test_largest_total(self):
+        # every argument of the kernel is still an exact float64 here
+        assert pairwise_pvalue(5, 2**53 - 5) > 0.5
+        assert pairwise_pvalue(2**53 - 5, 5) < 1e-300
+        with pytest.raises(DomainError):
+            pairwise_pvalue(5, 2**53 - 4)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +165,15 @@ class TestMultinomialCounts:
         with pytest.raises(DomainError):
             MultinomialCounts(np.array([0, 0, 0]))
 
+    def test_total_above_two_to_53_rejected(self):
+        MultinomialCounts(np.array([5, 2**53 - 5]))
+        with pytest.raises(DomainError):
+            MultinomialCounts(np.array([5, 2**53]))
+        with pytest.raises(DomainError):
+            MultinomialCounts(np.array([2**62, 2**62, 2**62]))
+        with pytest.raises(DomainError):
+            MultinomialCounts(np.array([1e300, 2.0]))
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             MultinomialCounts(np.array([1, 2]), labels=("a",))
@@ -233,3 +251,71 @@ class TestConfidenceSets:
             cs_ranks_multinomial(counts, mode="global")
         with pytest.raises(ValueError):
             cs_ranks_multinomial(counts, method="fdr")
+
+
+COVERAGES = (0.5, 0.75, 0.8, 0.875, 0.9, 0.95, 0.96875, 0.99)
+
+
+class TestExactDecisions:
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=200), min_size=2, max_size=6),
+        coverage=st.sampled_from(COVERAGES),
+        mode=st.sampled_from(("marginal", "simultaneous")),
+        method=st.sampled_from(("holm", "bonferroni")),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_matches_rational_oracle(self, counts, coverage, mode, method):
+        if sum(counts) == 0:
+            counts[0] = 1
+        cs = cs_ranks_multinomial(MultinomialCounts(np.array(counts)), coverage,
+                                  mode=mode, method=method)
+        lower, upper = exact_rank_bounds(counts, coverage, mode, method)
+        assert cs.lower.tolist() == lower
+        assert cs.upper.tolist() == upper
+
+    # adjusted p-values equal to alpha exactly: [6, 0] has p-value 2**-6
+    # in a family of 2, [5, 0, 0] has two p-values 2**-5 in a family of 4
+    # (marginal) or 6 (simultaneous), [6, 1] has (1 + 7) / 2**7
+    KNIFE_EDGES = [
+        ([6, 0], 0.96875, "marginal", "holm"),
+        ([6, 0], 0.96875, "marginal", "bonferroni"),
+        ([6, 0], 0.96875, "simultaneous", "holm"),
+        ([6, 0], 0.96875, "simultaneous", "bonferroni"),
+        ([5, 0, 0], 0.875, "marginal", "holm"),
+        ([5, 0, 0], 0.875, "marginal", "bonferroni"),
+        ([5, 0, 0], 0.8125, "simultaneous", "bonferroni"),
+        ([6, 1], 0.875, "marginal", "holm"),
+    ]
+
+    @pytest.mark.parametrize("counts,coverage,mode,method", KNIFE_EDGES)
+    def test_knife_edge_settled_exactly(self, monkeypatch, counts, coverage, mode,
+                                        method):
+        settled = []
+        exact = multinomcs._exact_rejections
+
+        def spy(*args):
+            settled.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(multinomcs, "_exact_rejections", spy)
+        cs = cs_ranks_multinomial(MultinomialCounts(np.array(counts)), coverage,
+                                  mode=mode, method=method)
+        assert settled
+        lower, upper = exact_rank_bounds(counts, coverage, mode, method)
+        assert cs.lower.tolist() == lower
+        assert cs.upper.tolist() == upper
+
+    def test_equality_rejects(self):
+        # 2 * 2**-6 == alpha rejects; a slightly smaller alpha does not
+        counts = MultinomialCounts(np.array([6, 0]))
+        edge = cs_ranks_multinomial(counts, coverage=0.96875)
+        assert (edge.lower.tolist(), edge.upper.tolist()) == ([1, 2], [1, 2])
+        inside = cs_ranks_multinomial(counts, coverage=0.97)
+        assert (inside.lower.tolist(), inside.upper.tolist()) == ([1, 1], [2, 2])
+
+    def test_no_settle_away_from_alpha(self, monkeypatch):
+        monkeypatch.setattr(multinomcs, "_exact_rejections", None)
+        counts = MultinomialCounts(np.array([260, 240, 170, 160, 90, 80]))
+        for mode in ("marginal", "simultaneous"):
+            for method in ("holm", "bonferroni"):
+                cs_ranks_multinomial(counts, mode=mode, method=method)

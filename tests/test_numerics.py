@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-import rankinfer.numerics as numerics
 from rankinfer.errors import NonFinite, NotPSD, RankDeficient
 from rankinfer.numerics import (
     SeededRng,
+    binom_tail,
     cholesky_psd,
     inverse_from_qr,
     inverse_normal_cdf,
-    log_binom_tail,
     mvn_sample,
     qr_decompose,
 )
 
-from oracles import exact_binom_tail
+from oracles import exact_binom_tail, exact_binom_tails
 
 
 def random_design(rng, n, k):
@@ -169,49 +168,70 @@ class TestMvnSample:
             mvn_sample(np.eye(2), SeededRng(0), 0)
 
 
-class TestLogBinomTail:
+def _worst_rel_error(s, xs):
+    """Largest relative error of binom_tail(x, s) over the x in xs whose
+    exact tail is at least 1e-300."""
+    exact = exact_binom_tails(s, xs)
+    x = np.array(sorted(exact))
+    got = binom_tail(x, s)
+    worst = 0.0
+    for xi, g in zip(x.tolist(), got.tolist()):
+        want = float(exact[xi])
+        if want >= 1e-300:
+            worst = max(worst, abs(g - want) / want)
+    return worst
+
+
+class TestBinomTail:
     def test_exact_small_s(self):
         for s in range(0, 61):
             for x in range(0, s + 1):
                 want = exact_binom_tail(x, s)
-                got = log_binom_tail(x, s)
+                got = binom_tail(x, s)
                 if x == 0:
-                    assert got == 0.0
+                    assert got == 1.0
                 else:
-                    assert math.isclose(got, math.log(want), rel_tol=0, abs_tol=1e-12)
+                    assert math.isclose(got, float(want), rel_tol=1e-14, abs_tol=0.0)
 
-    def test_log_space_branch_matches_exact(self, monkeypatch):
-        # force the large-s code path onto small cases where the exact
-        # rational answer is available
-        monkeypatch.setattr(numerics, "_EXACT_TAIL_MAX_S", -1)
+    def test_broadcast_grid_matches_exact(self):
+        # every 1 <= x <= s <= 30 in one broadcast call
+        s = np.arange(1, 31)[:, None]
+        x = np.arange(1, 31)[None, :]
+        got = binom_tail(np.minimum(x, s), s)
         worst = 0.0
-        for s in range(1, 31):
-            for x in range(1, s + 1):
-                got = math.exp(log_binom_tail(x, s))
-                want = float(exact_binom_tail(x, s))
-                worst = max(worst, abs(got - want) / want)
+        for si in range(1, 31):
+            for xi in range(1, si + 1):
+                want = float(exact_binom_tail(xi, si))
+                worst = max(worst, abs(got[si - 1, xi - 1] - want) / want)
         assert worst < 1e-14
 
-    def test_threshold_crossing_consistent(self):
-        # both branches live near s=500; they must agree there
-        for s in (500, 501):
-            for x in (1, s // 4, s // 2, s // 2 + 20):
-                got = log_binom_tail(x, s)
-                total = sum(math.comb(s, i) for i in range(x, s + 1))
-                want = min(0.0, math.log(total) - s * math.log(2.0))
-                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    def test_every_x_at_old_cutoffs(self):
+        # the former exact/log-space switches sat at s = 500 and s = 1000
+        for s in (499, 500, 501, 999, 1000, 1001, 1002):
+            worst = _worst_rel_error(s, range(0, s + 1))
+            assert worst <= 1e-14, (s, worst)
+
+    def test_sampled_x_large_s(self):
+        for s in (2000, 5000, 20000, 65536):
+            half = s // 2
+            spread = np.linspace(-half, half, 101)
+            near = math.sqrt(s) / 2 * np.linspace(-40, 40, 81)
+            xs = {int(half + d) for d in np.concatenate([spread, near])}
+            worst = _worst_rel_error(s, {x for x in xs if 0 <= x <= s})
+            assert worst <= 1e-14, (s, worst)
 
     def test_monotone_in_x(self):
-        vals = [log_binom_tail(x, 40) for x in range(0, 41)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        vals = binom_tail(np.arange(0, 41), 40)
+        assert np.all(vals[:-1] >= vals[1:])
 
-    def test_clamped_nonpositive(self):
-        assert log_binom_tail(0, 10) == 0.0
-        assert log_binom_tail(1, 1) == math.log(0.5)
+    def test_probability_range(self):
+        assert binom_tail(0, 10) == 1.0
+        assert binom_tail(1, 1) == 0.5
+        vals = binom_tail(np.arange(0, 201), 200)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            log_binom_tail(-1, 5)
+            binom_tail(-1, 5)
         with pytest.raises(ValueError):
-            log_binom_tail(6, 5)
-
+            binom_tail(6, 5)
