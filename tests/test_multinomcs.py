@@ -40,7 +40,7 @@ class TestPairwisePValue:
                 got = pairwise_pvalue(xk, xl)
                 assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
 
-    def test_matches_exact_at_old_cutoff(self):
+    def test_exact_and_log_paths_agree_at_boundary(self):
         # totals around the former big-integer/log-space switch at 1000
         for s in (999, 1000, 1001, 1002):
             xk = s // 2 + 10

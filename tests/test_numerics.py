@@ -193,18 +193,6 @@ class TestBinomTail:
                 else:
                     assert math.isclose(got, float(want), rel_tol=1e-14, abs_tol=0.0)
 
-    def test_broadcast_grid_matches_exact(self):
-        # every 1 <= x <= s <= 30 in one broadcast call
-        s = np.arange(1, 31)[:, None]
-        x = np.arange(1, 31)[None, :]
-        got = binom_tail(np.minimum(x, s), s)
-        worst = 0.0
-        for si in range(1, 31):
-            for xi in range(1, si + 1):
-                want = float(exact_binom_tail(xi, si))
-                worst = max(worst, abs(got[si - 1, xi - 1] - want) / want)
-        assert worst < 1e-14
-
     def test_every_x_at_old_cutoffs(self):
         # the former exact/log-space switches sat at s = 500 and s = 1000
         for s in (499, 500, 501, 999, 1000, 1001, 1002):
@@ -220,18 +208,64 @@ class TestBinomTail:
             worst = _worst_rel_error(s, {x for x in xs if 0 <= x <= s})
             assert worst <= 1e-14, (s, worst)
 
-    def test_monotone_in_x(self):
-        vals = binom_tail(np.arange(0, 41), 40)
-        assert np.all(vals[:-1] >= vals[1:])
-
     def test_probability_range(self):
         assert binom_tail(0, 10) == 1.0
         assert binom_tail(1, 1) == 0.5
         vals = binom_tail(np.arange(0, 201), 200)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
+
+def _log_tail(x, s):
+    return np.log(binom_tail(x, s))
+
+
+class TestLogBinomTail:
+    """The log of the kernel as a log tail: exactly 0 at x = 0, never
+    positive, and within 1e-12 of the exact log."""
+
+    def test_exact_small_s(self):
+        for s in range(0, 61):
+            for x in range(0, s + 1):
+                want = exact_binom_tail(x, s)
+                got = _log_tail(x, s)
+                if x == 0:
+                    assert got == 0.0
+                else:
+                    assert math.isclose(got, math.log(want), rel_tol=0, abs_tol=1e-12)
+
+    def test_log_space_branch_matches_exact(self):
+        # every 1 <= x <= s <= 30, the small-s grid a log-space evaluation
+        # can be checked on exactly, in one broadcast call
+        s = np.arange(1, 31)[:, None]
+        x = np.arange(1, 31)[None, :]
+        got = np.exp(_log_tail(np.minimum(x, s), s))
+        worst = 0.0
+        for si in range(1, 31):
+            for xi in range(1, si + 1):
+                want = float(exact_binom_tail(xi, si))
+                worst = max(worst, abs(got[si - 1, xi - 1] - want) / want)
+        assert worst < 1e-14
+
+    def test_threshold_crossing_consistent(self):
+        # the former exact/log-space switch sat at s = 500
+        for s in (500, 501):
+            for x in (1, s // 4, s // 2, s // 2 + 20):
+                got = _log_tail(x, s)
+                total = sum(math.comb(s, i) for i in range(x, s + 1))
+                want = min(0.0, math.log(total) - s * math.log(2.0))
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_monotone_in_x(self):
+        vals = _log_tail(np.arange(0, 41), 40)
+        assert np.all(vals[:-1] >= vals[1:])
+
+    def test_clamped_nonpositive(self):
+        assert _log_tail(0, 10) == 0.0
+        assert _log_tail(1, 1) == math.log(0.5)
+        assert np.all(_log_tail(np.arange(0, 201), 200) <= 0.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
-            binom_tail(-1, 5)
+            _log_tail(-1, 5)
         with pytest.raises(ValueError):
-            binom_tail(6, 5)
+            _log_tail(6, 5)
