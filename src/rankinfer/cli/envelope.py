@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 
@@ -32,6 +33,8 @@ class OutputEnvelope:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
+        """The bytes of `json.dumps(body, indent=2, ensure_ascii=False)`
+        plus a newline."""
         body = {
             "procedure": self.procedure,
             "input_digest": self.input_digest,
@@ -40,10 +43,74 @@ class OutputEnvelope:
             "results": self.results,
             "warnings": list(self.warnings),
         }
-        return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+        chunks: list[str] = []
+        try:
+            _encode(body, 0, chunks)
+        except _Unsupported:
+            return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+        chunks.append("\n")
+        return "".join(chunks)
 
 
-def render_csv(header: list[str], rows: list[list[object]]) -> str:
+# Values the C encoder writes exactly as the indenting pure-Python encoder
+# does; subclasses (numpy scalars, enums) are left to json.dumps.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_INDENT = "  "
+
+
+class _Unsupported(Exception):
+    """A value `_encode` leaves to json.dumps."""
+
+
+def _encode(value, level: int, chunks: list[str]) -> None:
+    """Append the indent=2 JSON of `value` at nesting `level`.
+
+    json.dumps uses its pure-Python encoder whenever `indent` is set;
+    here every scalar and every flat list of scalars goes through the C
+    encoder instead, with the newline and indent of its level as the
+    item separator.
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        chunks.append(_flat_encoder(level).encode(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append("[]")
+        elif set(map(type, value)) <= _SCALARS:
+            inner = _flat_encoder(level + 1).encode(value)
+            chunks.append("[\n" + _INDENT * (level + 1) + inner[1:-1]
+                          + "\n" + _INDENT * level + "]")
+        else:
+            separator = "[\n" + _INDENT * (level + 1)
+            for item in value:
+                chunks.append(separator)
+                _encode(item, level + 1, chunks)
+                separator = ",\n" + _INDENT * (level + 1)
+            chunks.append("\n" + _INDENT * level + "]")
+    elif kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        separator = "{\n" + _INDENT * (level + 1)
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unsupported
+            chunks.append(separator + _flat_encoder(level).encode(key) + ": ")
+            _encode(item, level + 1, chunks)
+            separator = ",\n" + _INDENT * (level + 1)
+        chunks.append("\n" + _INDENT * level + "}")
+    else:
+        raise _Unsupported
+
+
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a new line at `level`."""
+    return json.JSONEncoder(
+        ensure_ascii=False, separators=(",\n" + _INDENT * level, ": ")
+    )
+
+
+def render_csv(header: list[str], rows: Iterable[Sequence[object]]) -> str:
     """Tabular view of the results; floats via repr so values round-trip."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,8 +1,17 @@
 """CSV ingestion and atomic file output for the command line.
 
 Dialect is fixed: comma separator, first row is the header, UTF-8,
-'.' decimal point. No locale handling, no quoting surprises beyond
-what the csv module does by default.
+'.' decimal point, '"' quoting as in the csv module's default dialect.
+There are no comment lines ('#' is data); blank lines are skipped.
+
+Text without lone carriage returns whose quotes, if any, only open
+fields and enclose no comma, newline or quote (the common case, R's
+write.csv included) is never split into per-row lists: `parse_table`
+checks the field count of every line in one pass over the encoded
+bytes, and `TableData.numeric` converts the requested columns in one
+`np.loadtxt` call. Any other text, and any column that call cannot
+convert exactly, goes through the csv module and `float()` cell by
+cell, which also words every error.
 """
 from __future__ import annotations
 
@@ -22,31 +31,79 @@ _MISSING = {"", "NA", "NaN", "nan"}
 
 
 class TableData:
-    """Rectangular table of raw string cells keyed by column name."""
+    """Header names, row count and cells of a CSV table.
 
-    def __init__(self, names: tuple[str, ...], rows: list[list[str]]):
+    Built from plain text (no quotes left, '\\n' line ends), the cells stay
+    in that text until a column is asked for; built by the csv module,
+    all arrive as `columns`.
+    """
+
+    def __init__(self, names: tuple[str, ...], n: int, text: str | None = None,
+                 columns: dict[str, list[str]] | None = None):
         self.names = names
-        self.n = len(rows)
-        self._columns = {
-            name: [row[i] for row in rows] for i, name in enumerate(names)
-        }
+        self.n = n
+        self._text = text
+        self._columns = {} if columns is None else columns
 
     def has(self, name: str) -> bool:
-        return name in self._columns
+        return name in self.names
 
     def _cells(self, name: str) -> list[str]:
-        try:
-            return self._columns[name]
-        except KeyError:
+        if name not in self.names:
             raise MissingColumn(
                 f"no column {name!r}; available: {', '.join(self.names)}"
-            ) from None
+            )
+        if name not in self._columns:
+            i = self.names.index(name)
+            lines = self._text.split("\n")[1:]
+            self._columns[name] = [line.split(",")[i] for line in lines if line]
+        return self._columns[name]
 
     def raw(self, name: str) -> np.ndarray:
         """Column as strings (categorical use: group labels, names)."""
         return np.asarray(self._cells(name), dtype=object)
 
-    def numeric(self, name: str) -> np.ndarray:
+    def numeric(self, name: str, *more: str) -> np.ndarray:
+        """Float64 values of one column, shape (n,); given several names,
+        a (len(names), n) array whose rows are those columns in order.
+
+        Errors are those of converting the columns one after another, so
+        the first bad column in `names` order is the one reported.
+        """
+        names = (name, *more)
+        values = self._loadtxt(names)
+        if values is None:
+            values = np.stack([self._numeric_cells(name) for name in names])
+        return values[0] if not more else values
+
+    def _loadtxt(self, names: tuple[str, ...]) -> np.ndarray | None:
+        """All requested columns in one C-level pass, or None to leave
+        them to `_numeric_cells`: csv-module text, a missing column, a cell
+        numpy does not parse (e.g. '1_0', which float() accepts, or 'NA'),
+        a non-finite value whose error the per-cell path words, or rows
+        that numpy splits differently from the csv module."""
+        if self._text is None or not all(name in self.names for name in names):
+            return None
+        if self.n == 0:
+            return np.empty((len(names), 0))
+        try:
+            values = np.loadtxt(
+                io.StringIO(self._text),
+                dtype=np.float64,
+                delimiter=",",
+                comments=None,
+                skiprows=1,
+                usecols=[self.names.index(name) for name in names],
+                ndmin=2,
+            )
+        except ValueError:
+            return None
+        if values.shape[0] != self.n or not np.isfinite(values).all():
+            return None
+        return np.ascontiguousarray(values.T)
+
+    def _numeric_cells(self, name: str) -> np.ndarray:
+        """Reference conversion, one `float()` per cell."""
         cells = self._cells(name)
         out = np.empty(len(cells))
         for i, cell in enumerate(cells):
@@ -70,13 +127,8 @@ class TableData:
         return out
 
 
-def parse_table(text: str) -> TableData:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("empty input: expected a header row") from None
-    names = tuple(h.strip() for h in header)
+def _header(cells: list[str]) -> tuple[str, ...]:
+    names = tuple(h.strip() for h in cells)
     if not names or all(name == "" for name in names):
         raise CsvFormatError("empty input: expected a header row")
     seen = set()
@@ -84,16 +136,81 @@ def parse_table(text: str) -> TableData:
         if name in seen:
             raise CsvFormatError(f"duplicate column name {name!r} in header")
         seen.add(name)
-    rows: list[list[str]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line, e.g. trailing newline
-        if len(row) != len(names):
-            raise CsvFormatError(
-                f"row {lineno} has {len(row)} fields, expected {len(names)}"
-            )
-        rows.append(row)
-    return TableData(names, rows)
+    return names
+
+
+def _wrong_width(lineno: int, fields: int, width: int) -> CsvFormatError:
+    return CsvFormatError(f"row {lineno} has {fields} fields, expected {width}")
+
+
+def parse_table(text: str) -> TableData:
+    """Check the header and the field count of every row; cells are
+    converted later, per column, by `TableData`."""
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
+    if "\r" in plain:
+        return _parse_with_csv(text)
+    data = np.frombuffer(plain.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if ends.size == 0 or ends[-1] != data.size - 1:
+        ends = np.append(ends, data.size)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if int(lengths.max()) > csv.field_size_limit():
+        return _parse_with_csv(text)  # let the csv module refuse the field
+    commas = np.flatnonzero(data == ord(","))
+    if '"' in plain:
+        if not _wrapping_quotes_only(data, commas, ends):
+            return _parse_with_csv(text)
+        plain = plain.replace('"', "")
+    names = _header(plain.split("\n", 1)[0].split(","))
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    rows = lengths > 0  # blank lines are skipped
+    rows[0] = False
+    bad = np.flatnonzero(rows & (fields != len(names)))
+    if bad.size:
+        raise _wrong_width(int(bad[0]) + 1, int(fields[bad[0]]), len(names))
+    return TableData(names, int(np.count_nonzero(rows)), text=plain)
+
+
+def _wrapping_quotes_only(data: np.ndarray, commas: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether the quotes in the UTF-8 bytes `data` pair up so that each
+    pair opens a field and encloses no comma, newline or quote, as in R's
+    write.csv, and no line is just '""'. Dropping them then leaves exactly
+    the cells the csv module reads (it keeps what follows a closing quote
+    as plain text), and moves no field or row boundary (a '""' line would
+    turn from a row into a blank line)."""
+    quotes = np.flatnonzero(data == ord('"'))
+    if quotes.size % 2:
+        return False
+    opens, closes = quotes[0::2], quotes[1::2]
+    last = data.size - 1
+    before = data[np.maximum(opens - 1, 0)]
+    line_start = (opens == 0) | (before == ord("\n"))
+    field_start = line_start | (before == ord(","))
+    line_end = (closes == last) | (data[np.minimum(closes + 1, last)] == ord("\n"))
+    blank_after = line_start & line_end & (closes == opens + 1)
+    no_comma = np.searchsorted(commas, opens) == np.searchsorted(commas, closes)
+    no_newline = np.searchsorted(ends, opens) == np.searchsorted(ends, closes)
+    return bool(np.all(field_start & no_comma & no_newline & ~blank_after))
+
+
+def _parse_with_csv(text: str) -> TableData:
+    """Text with quoted commas, newlines or quotes, or with lone carriage
+    returns: the csv module splits the rows, and the cells are kept per
+    column."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        names = _header(next(reader, []))
+        rows: list[list[str]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line, e.g. trailing newline
+            if len(row) != len(names):
+                raise _wrong_width(lineno, len(row), len(names))
+            rows.append(row)
+    except csv.Error as exc:
+        raise CsvFormatError(f"malformed CSV: {exc}") from None
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return TableData(names, len(rows), columns=columns)
 
 
 def read_bytes(path: str) -> bytes:
@@ -123,8 +240,7 @@ def read_covariance(text: str, p: int) -> np.ndarray:
             f"covariance file must be {p}x{p} to match the estimates, "
             f"got {table.n}x{len(table.names)}"
         )
-    cols = [table.numeric(name) for name in table.names]
-    return np.column_stack(cols)
+    return np.ascontiguousarray(np.atleast_2d(table.numeric(*table.names)).T)
 
 
 def write_text(path: str | None, text: str) -> None:

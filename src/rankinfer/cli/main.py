@@ -94,6 +94,8 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
             raise click.UsageError(f"--indices must be integers, got {part!r}")
         if not 1 <= k <= p:
             raise click.UsageError(f"--indices entry {k} outside 1..{p}")
+        if k - 1 in out:
+            raise click.UsageError(f"--indices entry {k} is repeated")
         out.append(k - 1)
     if not out:
         raise click.UsageError("--indices is empty")
@@ -102,8 +104,8 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
 
 def _label_values(table, label_col: str | None, p: int) -> list[str]:
     if label_col is None:
-        return [str(k + 1) for k in range(p)]
-    values = [str(v) for v in table.raw(label_col)]
+        return list(map(str, range(1, p + 1)))
+    values = table.raw(label_col).tolist()
     if len(values) != p:
         raise InputError(
             f"label column {label_col!r} has {len(values)} rows, expected {p}"
@@ -111,13 +113,50 @@ def _label_values(table, label_col: str | None, p: int) -> list[str]:
     return values
 
 
-def _emit(envelope, out_format, output_path, csv_header, csv_rows):
+def _interval_columns(cs, labels: list[str]) -> dict:
+    """The `results` entries shared by the rank confidence-set commands."""
+    shown = [int(i) for i in cs.indices]
+    return {
+        "indices": [i + 1 for i in shown],
+        "labels": [labels[i] for i in shown],
+        "L": cs.lower.astype(np.int64).tolist(),
+        "rank": cs.rank.astype(np.int64).tolist(),
+        "U": cs.upper.astype(np.int64).tolist(),
+    }
+
+
+def _interval_table(results: dict) -> dict:
+    return {
+        "index": results["indices"],
+        "label": results["labels"],
+        "L": results["L"],
+        "rank": results["rank"],
+        "U": results["U"],
+    }
+
+
+def _emit(envelope, out_format, output_path, csv_columns):
+    """Write the envelope, or with --format csv a table whose header is
+    the keys of `csv_columns` and whose rows zip their values."""
     if out_format == "json":
         write_text(output_path, envelope.to_json())
         return
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    write_text(output_path, render_csv(csv_header, csv_rows))
+    write_text(output_path, render_csv(list(csv_columns), zip(*csv_columns.values())))
+
+
+def _above_max_total(table, column: str, counts: np.ndarray) -> bool:
+    """Whether a count exceeds MAX_TOTAL. Near 2**53 a float64 rounds
+    (9007199254740993 parses to MAX_TOTAL), so every count that parsed to
+    MAX_TOTAL or more is compared exactly from its cell."""
+    big = np.flatnonzero(counts >= MAX_TOTAL)
+    if big.size == 0:
+        return False
+    from decimal import Decimal  # only inputs at the bound pay the import
+
+    cells = table.raw(column)[big]
+    return any(Decimal(cell.strip()) > MAX_TOTAL for cell in cells)
 
 
 @click.group(name="rankinfer")
@@ -152,13 +191,13 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     """Integer and fractional ranks of one column."""
     raw = read_bytes(input_path)
     table = parse_table(decode(raw))
-    values = table.numeric(column)
     rule = TieRule(omega, "increasing" if increasing else "decreasing")
     if against is not None:
-        reference = table.numeric(against)
+        values, reference = table.numeric(column, against)
         ivals = irank_against(values, reference, rule).values
         fvals = ivals / len(reference)
     else:
+        values = table.numeric(column)
         ivals = irank(values, rule).values
         fvals = ivals / len(values)
     labels = _label_values(table, label_col, len(values))
@@ -167,9 +206,9 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         "omega": omega,
         "direction": "increasing" if increasing else "decreasing",
         "labels": labels,
-        "values": [float(v) for v in values],
-        "irank": [float(v) for v in ivals],
-        "frank": [float(v) for v in fvals],
+        "values": values.tolist(),
+        "irank": ivals.tolist(),
+        "frank": fvals.tolist(),
     }
     envelope = OutputEnvelope(
         procedure="ranks",
@@ -178,11 +217,13 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         coverage=None,
         results=results,
     )
-    rows = [
-        [k + 1, labels[k], float(values[k]), float(ivals[k]), float(fvals[k])]
-        for k in range(len(values))
-    ]
-    _emit(envelope, out_format, output_path, ["index", "label", "value", "irank", "frank"], rows)
+    _emit(envelope, out_format, output_path, {
+        "index": range(1, len(labels) + 1),
+        "label": labels,
+        "value": results["values"],
+        "irank": results["irank"],
+        "frank": results["frank"],
+    })
 
 
 def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
@@ -260,15 +301,7 @@ def cmd_csranks(
     cfg = BootstrapConfig(draws=draws, coverage=coverage, seed=used_seed)
     idx = _parse_indices(indices, est.p)
     cs = cs_ranks(est, cfg, mode="simultaneous" if simul else "marginal", indices=idx)
-    shown = [int(i) for i in cs.indices]
-    results = {
-        "mode": cs.mode,
-        "indices": [i + 1 for i in shown],
-        "labels": [labels[i] for i in shown],
-        "L": [int(v) for v in cs.lower],
-        "rank": [int(v) for v in cs.rank],
-        "U": [int(v) for v in cs.upper],
-    }
+    results = {"mode": cs.mode, **_interval_columns(cs, labels)}
     envelope = OutputEnvelope(
         procedure="cs-ranks",
         input_digest=digest,
@@ -281,11 +314,7 @@ def cmd_csranks(
             svg_path,
             interval_chart(results["labels"], results["L"], results["rank"], results["U"]),
         )
-    rows = [
-        [i + 1, labels[i], results["L"][k], results["rank"][k], results["U"][k]]
-        for k, i in enumerate(shown)
-    ]
-    _emit(envelope, out_format, output_path, ["index", "label", "L", "rank", "U"], rows)
+    _emit(envelope, out_format, output_path, _interval_table(results))
 
 
 def _tau_command(name, chooser, doc):
@@ -328,8 +357,8 @@ def _tau_command(name, chooser, doc):
             coverage=coverage,
             results=results,
         )
-        rows = [[j + 1, labels[j]] for j in members]
-        _emit(envelope, out_format, output_path, ["index", "label"], rows)
+        _emit(envelope, out_format, output_path,
+              {"index": results["members"], "label": results["labels"]})
 
     return _cmd
 
@@ -384,7 +413,7 @@ def cmd_csranks_multinom(
     counts = table.numeric(column)
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise DomainError(f"column {column!r} must hold nonnegative integer counts")
-    if np.any(counts > MAX_TOTAL):
+    if _above_max_total(table, column, counts):
         # checked before the int64 cast, which would wrap larger values
         raise DomainError(f"column {column!r} holds a count above 2**53 = {MAX_TOTAL}")
     labels = _label_values(table, label_col, len(counts))
@@ -397,16 +426,7 @@ def cmd_csranks_multinom(
         method=multcorr,
         indices=idx,
     )
-    shown = [int(i) for i in cs.indices]
-    results = {
-        "mode": cs.mode,
-        "method": multcorr,
-        "indices": [i + 1 for i in shown],
-        "labels": [labels[i] for i in shown],
-        "L": [int(v) for v in cs.lower],
-        "rank": [int(v) for v in cs.rank],
-        "U": [int(v) for v in cs.upper],
-    }
+    results = {"mode": cs.mode, "method": multcorr, **_interval_columns(cs, labels)}
     envelope = OutputEnvelope(
         procedure="cs-multinom",
         input_digest=input_digest(raw),
@@ -414,11 +434,7 @@ def cmd_csranks_multinom(
         coverage=coverage,
         results=results,
     )
-    rows = [
-        [i + 1, labels[i], results["L"][k], results["rank"][k], results["U"][k]]
-        for k, i in enumerate(shown)
-    ]
-    _emit(envelope, out_format, output_path, ["index", "label", "L", "rank", "U"], rows)
+    _emit(envelope, out_format, output_path, _interval_table(results))
 
 
 @cli.command("rank-reg")
@@ -444,39 +460,30 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         model = RankRegressionModel.from_formula(formula, omega=omega)
     except FormulaError as exc:
         raise FormulaError(format_formula_error(formula, exc), exc.position) from exc
-    data = {model.response: table.numeric(model.response)}
-    for name, _ranked in model.regressors:
-        data.setdefault(name, table.numeric(name))
+    numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
+    data = dict(zip(numeric_names, np.atleast_2d(table.numeric(*numeric_names))))
     if model.group is not None:
         data[model.group] = table.raw(model.group)
     fit_result = fit(model, data)
     summary = summarize(fit_result)
     intervals = confint(fit_result, level=coverage)
     vcov = corrected_vcov(fit_result).matrix
-    names = list(summary.names)
+    table_columns = {
+        "name": list(summary.names),
+        "estimate": summary.estimates.tolist(),
+        "se": summary.std_errors.tolist(),
+        "z": summary.z_values.tolist(),
+        "p": summary.p_values.tolist(),
+        "lower": intervals[:, 0].tolist(),
+        "upper": intervals[:, 1].tolist(),
+    }
     results = {
         "formula": formula,
         "omega": omega,
         "n": int(len(fit_result.residuals)),
-        "coefficients": [
-            {
-                "name": names[k],
-                "estimate": float(summary.estimates[k]),
-                "se": float(summary.std_errors[k]),
-                "z": float(summary.z_values[k]),
-                "p": float(summary.p_values[k]),
-            }
-            for k in range(len(names))
-        ],
-        "vcov": [[float(v) for v in row] for row in vcov],
-        "confint": [
-            {
-                "name": names[k],
-                "lower": float(intervals[k, 0]),
-                "upper": float(intervals[k, 1]),
-            }
-            for k in range(len(names))
-        ],
+        "coefficients": _records(table_columns, ["name", "estimate", "se", "z", "p"]),
+        "vcov": vcov.tolist(),
+        "confint": _records(table_columns, ["name", "lower", "upper"]),
     }
     envelope = OutputEnvelope(
         procedure="rank-reg",
@@ -486,25 +493,12 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         results=results,
         warnings=tuple(summary.warnings),
     )
-    rows = [
-        [
-            names[k],
-            float(summary.estimates[k]),
-            float(summary.std_errors[k]),
-            float(summary.z_values[k]),
-            float(summary.p_values[k]),
-            float(intervals[k, 0]),
-            float(intervals[k, 1]),
-        ]
-        for k in range(len(names))
-    ]
-    _emit(
-        envelope,
-        out_format,
-        output_path,
-        ["name", "estimate", "se", "z", "p", "lower", "upper"],
-        rows,
-    )
+    _emit(envelope, out_format, output_path, table_columns)
+
+
+def _records(columns: dict, keys: list[str]) -> list[dict]:
+    """Row-wise dicts over the chosen `columns`, keys in the given order."""
+    return [dict(zip(keys, row)) for row in zip(*(columns[key] for key in keys))]
 
 
 def main(argv=None) -> int:

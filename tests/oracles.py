@@ -201,3 +201,63 @@ def spearman_rho(x, y):
     rx[np.argsort(x)] = np.arange(1, x.size + 1)
     ry[np.argsort(y)] = np.arange(1, y.size + 1)
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+_CSV_MISSING = {"", "NA", "NaN", "nan"}
+
+
+def csv_columns(text, names):
+    """Per-cell reading of a CSV text, the CLI dialect spelled out: the
+    csv module's default dialect, the first row is the header, blank rows
+    are skipped, one `float()` per cell of each requested column in
+    order.
+
+    Returns ("ok", header names, row count, {name: float64 array},
+    {name: cells}) or ("error", exception class name, message).
+    """
+    import csv
+    import io
+
+    def error(kind, message):
+        return ("error", kind, message)
+
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return error("CsvFormatError", f"malformed CSV: {exc}")
+    header = tuple(cell.strip() for cell in rows[0]) if rows else ()
+    if not header or all(name == "" for name in header):
+        return error("CsvFormatError", "empty input: expected a header row")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            return error("CsvFormatError", f"duplicate column name {name!r} in header")
+    body = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            return error("CsvFormatError",
+                         f"row {lineno} has {len(row)} fields, expected {len(header)}")
+        body.append(row)
+    cells = {name: [row[i] for row in body] for i, name in enumerate(header)}
+    values = {}
+    for name in names:
+        if name not in cells:
+            return error("MissingColumn",
+                         f"no column {name!r}; available: {', '.join(header)}")
+        column = []
+        for i, cell in enumerate(cells[name]):
+            token = cell.strip()
+            if token in _CSV_MISSING:
+                return error("MissingValues",
+                             f"column {name!r} has a missing value at row {i + 2}")
+            try:
+                column.append(float(token))
+            except ValueError:
+                return error("CsvFormatError",
+                             f"column {name!r} has a non-numeric cell {cell!r} at row {i + 2}")
+        for i, v in enumerate(column):
+            if not math.isfinite(v):
+                return error("NonFinite", f"column {name!r} has a non-finite value at row {i + 2}")
+        values[name] = np.array(column, dtype=np.float64)
+    return ("ok", header, len(body), values, cells)

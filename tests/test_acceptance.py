@@ -15,6 +15,7 @@ from oracles import (
     naive_indicator_matvec,
     spearman_rho,
 )
+from rankinfer.cli.io import parse_table
 from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
 from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
 from rankinfer.rankcs import BootstrapConfig, EstimatesWithCovariance, cs_ranks
@@ -373,3 +374,21 @@ def test_c13_multinomial_p300_budget():
     assert elapsed < 1.0, f"p=300 marginal Holm took {elapsed:.2f}s"
     _report("C13", f"p=300, n=1e5 Zipf counts, marginal Holm in {elapsed * 1e3:.0f} ms",
             elapsed)
+
+
+def test_c14_csv_parse_budget():
+    # 2e5 rows of three distinct %.12g columns, as in the panel benchmark
+    rng = np.random.default_rng(14)
+    n = 200_000
+    values = rng.normal(size=(n, 3))
+    text = "Y,X,W\n" + "".join("%.12g,%.12g,%.12g\n" % tuple(row) for row in values.tolist())
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        table = parse_table(text)
+        columns = table.numeric("Y", "X", "W")
+        best = min(best, time.perf_counter() - t0)
+    assert table.n == n and columns.shape == (3, n)
+    assert np.allclose(columns, values.T, rtol=1e-11, atol=0.0)
+    assert best <= 0.3, f"parse + numeric of 2e5 x 3 took {best:.2f}s"
+    _report("C14", f"parse_table + numeric of a 2e5 x 3 CSV in {best * 1e3:.0f} ms", best)

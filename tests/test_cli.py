@@ -142,6 +142,7 @@ class TestCsvErrors:
             ("", 2, "empty input"),
             ("a\nNA\n", 3, "missing value"),
             ("a\ninf\n", 3, "non-finite"),
+            ("a,b\n1\r2,3\n", 2, "malformed CSV"),
         ],
     )
     def test_error_taxonomy(self, invoke_cli, payload, code, fragment):
@@ -309,6 +310,14 @@ class TestCsRanks:
             res = invoke_cli(args + ["--estimates", "est", "--se", "se"], stdin=ESTIMATES_CSV)
             assert res.code == 2, args
             assert "internal error" not in res.stderr
+        for args, payload in (
+            (["cs-ranks", "--indices", "1,1", "--estimates", "est", "--se", "se"], ESTIMATES_CSV),
+            (["cs-multinom", "--indices", "2,2"], "count\n5\n3\n1\n"),
+        ):
+            res = invoke_cli(args, stdin=payload)
+            assert res.code == 2, args
+            assert "internal error" not in res.stderr
+            assert "repeated" in res.stderr
 
     def test_svg_chart(self, invoke_cli, tmp_path):
         chart = tmp_path / "chart.svg"
@@ -457,8 +466,9 @@ class TestCsMultinom:
         assert res.code == 3
 
     def test_counts_above_float_exact_range_rejected(self, invoke_cli):
-        # a total above 2**53, and a count the int64 cast would wrap
-        for counts in ("5\n9007199254740993", "1e300\n2"):
+        # a total above 2**53, a count the int64 cast would wrap, and a
+        # count that float64 rounds down to 2**53
+        for counts in ("5\n9007199254740993", "1e300\n2", "9007199254740993\n0"):
             res = invoke_cli(["cs-multinom"], stdin=f"count\n{counts}\n")
             assert res.code == 3, (counts, res.stderr)
             assert "2**53" in res.stderr
