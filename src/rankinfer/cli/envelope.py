@@ -44,22 +44,16 @@ class OutputEnvelope:
             "warnings": list(self.warnings),
         }
         chunks: list[str] = []
-        try:
-            _encode(body, 0, chunks)
-        except _Unsupported:
-            return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+        _encode(body, 0, chunks)
         chunks.append("\n")
         return "".join(chunks)
 
 
 # Values the C encoder writes exactly as the indenting pure-Python encoder
-# does; subclasses (numpy scalars, enums) are left to json.dumps.
+# does. Commands build results from these alone (`tolist()`, `int()`,
+# `str`); anything else, numpy scalars included, is a TypeError.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
-
-
-class _Unsupported(Exception):
-    """A value `_encode` leaves to json.dumps."""
 
 
 def _encode(value, level: int, chunks: list[str]) -> None:
@@ -94,13 +88,13 @@ def _encode(value, level: int, chunks: list[str]) -> None:
         separator = "{\n" + _INDENT * (level + 1)
         for key, item in value.items():
             if type(key) is not str:
-                raise _Unsupported
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             chunks.append(separator + _flat_encoder(level).encode(key) + ": ")
             _encode(item, level + 1, chunks)
             separator = ",\n" + _INDENT * (level + 1)
         chunks.append("\n" + _INDENT * level + "}")
     else:
-        raise _Unsupported
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _flat_encoder(level: int) -> json.JSONEncoder:

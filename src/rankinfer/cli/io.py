@@ -4,14 +4,12 @@ Dialect is fixed: comma separator, first row is the header, UTF-8,
 '.' decimal point, '"' quoting as in the csv module's default dialect.
 There are no comment lines ('#' is data); blank lines are skipped.
 
-Text without lone carriage returns whose quotes, if any, only open
-fields and enclose no comma, newline or quote (the common case, R's
-write.csv included) is never split into per-row lists: `parse_table`
-checks the field count of every line in one pass over the encoded
-bytes, and `TableData.numeric` converts the requested columns in one
-`np.loadtxt` call. Any other text, and any column that call cannot
-convert exactly, goes through the csv module and `float()` cell by
-cell, which also words every error.
+Text without quotes or lone carriage returns is never split into
+per-row lists: `parse_table` checks the field count of every line in
+one pass over the encoded bytes, and `TableData.numeric` converts the
+requested columns in one `np.loadtxt` call. Any other text, and any
+column that call cannot convert exactly, goes through the csv module
+and `float()` cell by cell, which also words every error.
 """
 from __future__ import annotations
 
@@ -20,6 +18,7 @@ import io
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ _MISSING = {"", "NA", "NaN", "nan"}
 class TableData:
     """Header names, row count and cells of a CSV table.
 
-    Built from plain text (no quotes left, '\\n' line ends), the cells stay
+    Built from plain text (no quotes, '\\n' line ends), the cells stay
     in that text until a column is asked for; built by the csv module,
     all arrive as `columns`.
     """
@@ -63,18 +62,19 @@ class TableData:
         """Column as strings (categorical use: group labels, names)."""
         return np.asarray(self._cells(name), dtype=object)
 
-    def numeric(self, name: str, *more: str) -> np.ndarray:
-        """Float64 values of one column, shape (n,); given several names,
-        a (len(names), n) array whose rows are those columns in order.
+    def numeric(self, names: str | Sequence[str]) -> np.ndarray:
+        """Float64 values of one column, shape (n,); given a list of
+        names, a (len(names), n) array whose rows are those columns in
+        order.
 
         Errors are those of converting the columns one after another, so
         the first bad column in `names` order is the one reported.
         """
-        names = (name, *more)
-        values = self._loadtxt(names)
+        columns = (names,) if isinstance(names, str) else tuple(names)
+        values = self._loadtxt(columns)
         if values is None:
-            values = np.stack([self._numeric_cells(name) for name in names])
-        return values[0] if not more else values
+            values = np.stack([self._numeric_cells(name) for name in columns])
+        return values[0] if isinstance(names, str) else values
 
     def _loadtxt(self, names: tuple[str, ...]) -> np.ndarray | None:
         """All requested columns in one C-level pass, or None to leave
@@ -147,7 +147,7 @@ def parse_table(text: str) -> TableData:
     """Check the header and the field count of every row; cells are
     converted later, per column, by `TableData`."""
     plain = text.replace("\r\n", "\n") if "\r" in text else text
-    if "\r" in plain:
+    if '"' in plain or "\r" in plain:
         return _parse_with_csv(text)
     data = np.frombuffer(plain.encode("utf-8"), dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
@@ -157,10 +157,6 @@ def parse_table(text: str) -> TableData:
     if int(lengths.max()) > csv.field_size_limit():
         return _parse_with_csv(text)  # let the csv module refuse the field
     commas = np.flatnonzero(data == ord(","))
-    if '"' in plain:
-        if not _wrapping_quotes_only(data, commas, ends):
-            return _parse_with_csv(text)
-        plain = plain.replace('"', "")
     names = _header(plain.split("\n", 1)[0].split(","))
     fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
     rows = lengths > 0  # blank lines are skipped
@@ -171,32 +167,9 @@ def parse_table(text: str) -> TableData:
     return TableData(names, int(np.count_nonzero(rows)), text=plain)
 
 
-def _wrapping_quotes_only(data: np.ndarray, commas: np.ndarray, ends: np.ndarray) -> bool:
-    """Whether the quotes in the UTF-8 bytes `data` pair up so that each
-    pair opens a field and encloses no comma, newline or quote, as in R's
-    write.csv, and no line is just '""'. Dropping them then leaves exactly
-    the cells the csv module reads (it keeps what follows a closing quote
-    as plain text), and moves no field or row boundary (a '""' line would
-    turn from a row into a blank line)."""
-    quotes = np.flatnonzero(data == ord('"'))
-    if quotes.size % 2:
-        return False
-    opens, closes = quotes[0::2], quotes[1::2]
-    last = data.size - 1
-    before = data[np.maximum(opens - 1, 0)]
-    line_start = (opens == 0) | (before == ord("\n"))
-    field_start = line_start | (before == ord(","))
-    line_end = (closes == last) | (data[np.minimum(closes + 1, last)] == ord("\n"))
-    blank_after = line_start & line_end & (closes == opens + 1)
-    no_comma = np.searchsorted(commas, opens) == np.searchsorted(commas, closes)
-    no_newline = np.searchsorted(ends, opens) == np.searchsorted(ends, closes)
-    return bool(np.all(field_start & no_comma & no_newline & ~blank_after))
-
-
 def _parse_with_csv(text: str) -> TableData:
-    """Text with quoted commas, newlines or quotes, or with lone carriage
-    returns: the csv module splits the rows, and the cells are kept per
-    column."""
+    """Text with quotes or lone carriage returns: the csv module splits
+    the rows, and the cells are kept per column."""
     reader = csv.reader(io.StringIO(text))
     try:
         names = _header(next(reader, []))
@@ -240,7 +213,7 @@ def read_covariance(text: str, p: int) -> np.ndarray:
             f"covariance file must be {p}x{p} to match the estimates, "
             f"got {table.n}x{len(table.names)}"
         )
-    return np.ascontiguousarray(np.atleast_2d(table.numeric(*table.names)).T)
+    return np.ascontiguousarray(table.numeric(table.names).T)
 
 
 def write_text(path: str | None, text: str) -> None:

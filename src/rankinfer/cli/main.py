@@ -193,7 +193,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     table = parse_table(decode(raw))
     rule = TieRule(omega, "increasing" if increasing else "decreasing")
     if against is not None:
-        values, reference = table.numeric(column, against)
+        values, reference = table.numeric([column, against])
         ivals = irank_against(values, reference, rule).values
         fvals = ivals / len(reference)
     else:
@@ -461,7 +461,7 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
     except FormulaError as exc:
         raise FormulaError(format_formula_error(formula, exc), exc.position) from exc
     numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
-    data = dict(zip(numeric_names, np.atleast_2d(table.numeric(*numeric_names))))
+    data = dict(zip(numeric_names, table.numeric(numeric_names)))
     if model.group is not None:
         data[model.group] = table.raw(model.group)
     fit_result = fit(model, data)
