@@ -146,17 +146,25 @@ def _emit(envelope, out_format, output_path, csv_columns):
     write_text(output_path, render_csv(list(csv_columns), zip(*csv_columns.values())))
 
 
-def _above_max_total(table, column: str, counts: np.ndarray) -> bool:
-    """Whether a count exceeds MAX_TOTAL. Near 2**53 a float64 rounds
-    (9007199254740993 parses to MAX_TOTAL), so every count that parsed to
-    MAX_TOTAL or more is compared exactly from its cell."""
-    big = np.flatnonzero(counts >= MAX_TOTAL)
-    if big.size == 0:
-        return False
-    from decimal import Decimal  # only inputs at the bound pay the import
+def _integer_counts(table, column: str) -> np.ndarray:
+    """The count column as int64, checked exactly. A float64 rounds
+    '3.0000000000000001' to 3 and '9007199254740993' to MAX_TOTAL, so
+    every cell that is not plain digits below MAX_TOTAL is read again as
+    a Decimal for the integer and bound checks."""
+    counts = table.numeric(column)
+    tokens = (cell.strip() for cell in table.raw(column))
+    inexact = [token for token, value in zip(tokens, counts.tolist())
+               if value >= MAX_TOTAL or not (token.isascii() and token.isdigit())]
+    if inexact:
+        from decimal import Decimal  # only cells that are not plain digits pay the import
 
-    cells = table.raw(column)[big]
-    return any(Decimal(cell.strip()) > MAX_TOTAL for cell in cells)
+        values = [Decimal(token) for token in inexact]
+        if any(v < 0 or v != v.to_integral_value() for v in values):
+            raise DomainError(f"column {column!r} must hold nonnegative integer counts")
+        if any(v > MAX_TOTAL for v in values):
+            # checked before the int64 cast, which would wrap larger values
+            raise DomainError(f"column {column!r} holds a count above 2**53 = {MAX_TOTAL}")
+    return counts.astype(np.int64)
 
 
 @click.group(name="rankinfer")
@@ -410,14 +418,9 @@ def cmd_csranks_multinom(
                 "--column is required when the input has several columns"
             )
         column = numeric_names[0]
-    counts = table.numeric(column)
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise DomainError(f"column {column!r} must hold nonnegative integer counts")
-    if _above_max_total(table, column, counts):
-        # checked before the int64 cast, which would wrap larger values
-        raise DomainError(f"column {column!r} holds a count above 2**53 = {MAX_TOTAL}")
+    counts = _integer_counts(table, column)
     labels = _label_values(table, label_col, len(counts))
-    data = MultinomialCounts(counts.astype(np.int64), labels=tuple(labels))
+    data = MultinomialCounts(counts, labels=tuple(labels))
     idx = _parse_indices(indices, data.p)
     cs = cs_ranks_multinomial(
         data,

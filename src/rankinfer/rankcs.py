@@ -6,6 +6,7 @@ simulated by a parametric bootstrap from N(0, sigma_hat). Marginal sets
 cover one population's rank, simultaneous sets cover all ranks jointly,
 one-sided sets give simultaneous lower bounds, and the tau-best /
 tau-worst sets are projections of the one-sided sets.
+All of them read per-draw maxima of |Z_k - Z_j| / se_jk (`_pair_maxima`).
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .errors import DegeneratePair, InsufficientCategories, NotPSD
 from .numerics import DenseMatrix, FloatArray, SeededRng, cholesky_psd, mvn_sample
 from .ranking import TieRule, irank
@@ -130,9 +130,12 @@ class TauBestSet:
 
 def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     """Standard errors of all pairwise differences:
-    se_jk = sqrt(var_j + var_k - 2 cov_jk), zero on the diagonal."""
-    d = np.diag(est.sigma_hat)
-    se2 = d[:, None] + d[None, :] - 2.0 * est.sigma_hat
+    se_jk = sqrt(var_j + var_k - 2 cov_jk), zero on the diagonal. Taking
+    cov_jk + cov_kj for 2 cov_jk keeps the bits of a symmetric sigma_hat
+    and makes se exactly symmetric for one symmetric within tolerance."""
+    sigma = est.sigma_hat
+    d = np.diag(sigma)
+    se2 = d[:, None] + d[None, :] - (sigma + sigma.T)
     low = float(se2.min())
     if low < -_SE_FLOOR:
         raise NotPSD(f"negative pairwise variance {low:.3e}; covariance is not PSD")
@@ -148,24 +151,14 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     return se
 
 
-def _upper_quantile(samples: FloatArray, coverage: float) -> float:
-    """Smallest order statistic with 1-based index >= ceil(m * coverage).
+def _upper_quantile(samples: FloatArray, coverage: float):
+    """Smallest order statistic with 1-based index >= ceil(m * coverage),
+    of a 1-D sample or of each column of an m x k array.
     The tiny nudge guards against float slop in the product."""
-    m = samples.size
+    m = samples.shape[0]
     k = math.ceil(m * coverage - 1e-9)
     k = min(max(k, 1), m)
-    return float(np.partition(samples, k - 1)[k - 1])
-
-
-def _per_index_max(z: DenseMatrix, se: DenseMatrix, j: int, signed: bool) -> FloatArray:
-    """Per-draw max over k != j of (Z_k - Z_j)/se_jk (signed) or of the
-    absolute studentized difference."""
-    diff = z - z[:, [j]]
-    if not signed:
-        diff = np.abs(diff)
-    denom = se[j].copy()
-    denom[j] = np.inf
-    return (diff / denom).max(axis=1)
+    return np.partition(samples, k - 1, axis=0)[k - 1]
 
 
 def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> DenseMatrix:
@@ -173,23 +166,55 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
     return mvn_sample(chol, SeededRng(cfg.seed), cfg.draws)
 
 
-def _all_pairs_max(z: DenseMatrix, se: DenseMatrix, signed: bool) -> FloatArray:
+def _pair_maxima(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int]) -> DenseMatrix:
+    """m x len(rows): per draw (row of z), the max over k != j of
+    |Z_k - Z_j| / se_jk for each population j in `rows`. With `rows` put
+    first, each pair with a requested member is studentized once, in one
+    upper-triangle block that updates the columns of both; pairs of two
+    unrequested populations are never formed. `se` must be symmetric."""
+    rows = list(rows)
     p = se.shape[0]
-    cols = map_ordered(lambda j: _per_index_max(z, se, j, signed), range(p))
-    return np.max(np.column_stack(cols), axis=1)
+    k = len(rows)
+    order = np.concatenate([rows, np.setdiff1d(np.arange(p), rows)])
+    zt = z.T[order]  # populations x draws, contiguous per population
+    se = se[np.ix_(order, order)]
+    out = np.zeros((k, zt.shape[1]))
+    buf = np.empty((p - 1, zt.shape[1]))
+    for i in range(min(k, p - 1)):
+        block = buf[: p - 1 - i]
+        np.subtract(zt[i + 1:], zt[i], out=block)
+        np.abs(block, out=block)
+        np.divide(block, se[i, i + 1:, None], out=block)
+        np.maximum(out[i], block.max(axis=0), out=out[i])
+        np.maximum(out[i + 1:], block[: k - 1 - i], out=out[i + 1:])
+    return out.T
 
 
-def _bounds_for_index(theta: FloatArray, se: DenseMatrix, j: int, c: float) -> tuple[int, int]:
-    """Count significant pairwise differences: intervals entirely below
-    zero push the lower rank bound up, entirely above zero pull the
-    upper bound down. Touching zero never rejects."""
-    p = theta.size
-    diff = theta[j] - theta
-    half = se[j] * c
-    mask = np.arange(p) != j
-    n_minus = int(np.count_nonzero((diff + half < 0.0) & mask))
-    n_plus = int(np.count_nonzero((diff - half > 0.0) & mask))
-    return n_minus + 1, p - n_plus
+def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
+                 crit: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank bounds of the populations in `rows` at critical values `crit`
+    (one per row, or one shared). Intervals for theta_j - theta_k entirely
+    below zero push the lower bound up, entirely above zero pull the upper
+    bound down; touching zero never rejects, so the self-pair never does."""
+    rows = list(rows)
+    diff = theta[rows, None] - theta
+    half = se[rows] * np.reshape(crit, (-1, 1))
+    lower = np.count_nonzero(diff + half < 0.0, axis=1) + 1
+    upper = theta.size - np.count_nonzero(diff - half > 0.0, axis=1)
+    return lower, upper
+
+
+def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: Mode,
+                      wanted: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rank bounds of `wanted`, each at the quantile of its own pair maxima
+    (marginal) or all at the quantile of their max over every population."""
+    se = pairwise_se(est)
+    z = _bootstrap_normals(est, cfg)
+    if mode == "marginal":
+        crit = _upper_quantile(_pair_maxima(z, se, wanted), cfg.coverage)
+    else:
+        crit = _upper_quantile(_pair_maxima(z, se, range(est.p)).max(axis=1), cfg.coverage)
+    return _rank_bounds(est.theta_hat, se, wanted, crit)
 
 
 def _normalize_indices(indices: Sequence[int] | None, p: int) -> tuple[int, ...]:
@@ -226,22 +251,8 @@ def cs_ranks(est: EstimatesWithCovariance, cfg: BootstrapConfig,
     if mode not in ("marginal", "simultaneous"):
         raise ValueError("mode must be 'marginal' or 'simultaneous'")
     wanted = _normalize_indices(indices, est.p)
-    se = pairwise_se(est)
-    z = _bootstrap_normals(est, cfg)
-    if mode == "simultaneous":
-        c_shared = _upper_quantile(_all_pairs_max(z, se, signed=False), cfg.coverage)
-        crit = {j: c_shared for j in wanted}
-    else:
-        per_index = map_ordered(
-            lambda j: _upper_quantile(_per_index_max(z, se, j, signed=False), cfg.coverage),
-            wanted,
-        )
-        crit = dict(zip(wanted, per_index))
+    lower, upper = _bootstrap_bounds(est, cfg, mode, wanted)
     ranks = irank(est.theta_hat, REPORT_RULE).values
-    lower = np.empty(len(wanted), dtype=np.int64)
-    upper = np.empty(len(wanted), dtype=np.int64)
-    for pos, j in enumerate(wanted):
-        lower[pos], upper[pos] = _bounds_for_index(est.theta_hat, se, j, crit[j])
     return RankConfidenceSet(
         indices=wanted,
         lower=lower,
@@ -259,22 +270,16 @@ def cs_ranks_lower(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> RankCo
     """Simultaneous lower confidence bounds on all ranks.
 
     One-sided intervals for the pairwise differences stretch to minus
-    infinity, so upper rank bounds are always p; the critical value is
-    the quantile of the signed max over ordered pairs.
+    infinity, so upper rank bounds are always p. The max over ordered
+    pairs of (Z_k - Z_j) / se_jk is the two-sided max over unordered
+    pairs, so the lower bounds equal the simultaneous ones.
     """
-    se = pairwise_se(est)
-    z = _bootstrap_normals(est, cfg)
-    c_upper = _upper_quantile(_all_pairs_max(z, se, signed=True), cfg.coverage)
     p = est.p
+    everyone = tuple(range(p))
+    lower, _ = _bootstrap_bounds(est, cfg, "simultaneous", everyone)
     ranks = irank(est.theta_hat, REPORT_RULE).values
-    lower = np.empty(p, dtype=np.int64)
-    for j in range(p):
-        diff = est.theta_hat[j] - est.theta_hat
-        upper_end = diff + se[j] * c_upper
-        mask = np.arange(p) != j
-        lower[j] = int(np.count_nonzero((upper_end < 0.0) & mask)) + 1
     return RankConfidenceSet(
-        indices=tuple(range(p)),
+        indices=everyone,
         lower=lower,
         rank=ranks,
         upper=np.full(p, p, dtype=np.int64),

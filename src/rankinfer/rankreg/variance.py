@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._parallel import map_ordered
 from ..errors import NonFinite
 from ..numerics import DenseMatrix, FloatArray, inverse_from_qr
 from ..ranking import _TieRuns
@@ -191,7 +190,7 @@ def corrected_vcov(fit: RankRegressionFit, keep_h: bool = False) -> CorrectedCov
         h1, h2, h3 = h_terms(fit, gammas, j)
         return h1 + h2 + h3
 
-    h = np.column_stack(map_ordered(influence, range(p_cols)))
+    h = np.column_stack([influence(j) for j in range(p_cols)])
     cross = (h.T @ h) / n
     sigma = cross / np.outer(sigma_nu2, sigma_nu2)
     matrix = sigma / n

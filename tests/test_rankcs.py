@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankinfer.errors import DegeneratePair, InsufficientCategories, NotPSD
 from rankinfer.numerics import SeededRng, cholesky_psd, mvn_sample
@@ -15,7 +17,7 @@ from rankinfer.rankcs import (
     cs_tau_worst,
     pairwise_se,
 )
-from rankinfer.rankcs import _all_pairs_max, _bootstrap_normals, _per_index_max, _upper_quantile
+from rankinfer.rankcs import _bootstrap_normals, _pair_maxima, _rank_bounds, _upper_quantile
 from rankinfer.ranking import irank
 
 
@@ -76,6 +78,63 @@ class TestPairwiseSe:
         est = EstimatesWithCovariance(np.array([0.0, 1.0]), sigma)
         with pytest.raises(NotPSD):
             pairwise_se(est)
+
+    def test_exactly_symmetric_for_tolerated_asymmetry(self):
+        rng = np.random.default_rng(8)
+        factor = rng.normal(size=(6, 6))
+        sigma = factor @ factor.T / 6.0 + np.eye(6)
+        sigma = sigma + np.triu(rng.uniform(-5e-11, 5e-11, (6, 6)), 1)
+        assert not np.array_equal(sigma, sigma.T)
+        se = pairwise_se(EstimatesWithCovariance(np.zeros(6), sigma))
+        assert np.array_equal(se, se.T)
+
+
+def _naive_pair_maxima(z, se, rows):
+    out = np.zeros((z.shape[0], len(rows)))
+    for draw in range(z.shape[0]):
+        for col, j in enumerate(rows):
+            out[draw, col] = max(
+                abs(z[draw, k] - z[draw, j]) / se[j, k]
+                for k in range(z.shape[1]) if k != j
+            )
+    return out
+
+
+def _naive_rank_bounds(theta, se, rows, crit):
+    lower, upper = [], []
+    for j, c in zip(rows, crit):
+        others = [k for k in range(theta.size) if k != j]
+        lower.append(1 + sum(theta[j] - theta[k] + se[j, k] * c < 0.0 for k in others))
+        upper.append(theta.size - sum(theta[j] - theta[k] - se[j, k] * c > 0.0 for k in others))
+    return lower, upper
+
+
+class TestPairMaxima:
+    @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.booleans(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_naive_loop(self, p, draws, seed, dense, data):
+        rng = np.random.default_rng(seed)
+        if dense:
+            factor = rng.normal(size=(p, 3))
+            sigma = factor @ factor.T + np.diag(rng.uniform(0.05, 1.0, p))
+            sigma = (sigma + sigma.T) / 2.0
+        else:
+            sigma = np.diag(rng.uniform(0.01, 1.0, p))
+        se = pairwise_se(EstimatesWithCovariance(np.zeros(p), sigma))
+        z = rng.normal(size=(draws, p))
+        rows = data.draw(st.permutations(range(p)).flatmap(
+            lambda perm: st.integers(1, p).map(lambda k: perm[:k])))
+        got = _pair_maxima(z, se, rows)
+        assert got.shape == (draws, len(rows))
+        assert np.array_equal(got, _naive_pair_maxima(z, se, rows))
+
+        theta = np.round(rng.normal(size=p), 1)  # rounding makes ties
+        crit = rng.uniform(0.0, 3.0, len(rows))
+        lower, upper = _rank_bounds(theta, se, rows, crit)
+        want_lower, want_upper = _naive_rank_bounds(theta, se, rows, crit)
+        assert lower.tolist() == want_lower
+        assert upper.tolist() == want_upper
 
 
 class TestQuantile:
@@ -149,7 +208,7 @@ class TestCsRanks:
 
         def simultaneous_crit(seed):
             z = _bootstrap_normals(est, BootstrapConfig(draws=500, seed=seed))
-            return _upper_quantile(_all_pairs_max(z, se, signed=False), 0.95)
+            return _upper_quantile(_pair_maxima(z, se, range(3)).max(axis=1), 0.95)
 
         assert simultaneous_crit(1) != simultaneous_crit(2)
 
@@ -163,6 +222,14 @@ class TestCsRanks:
         assert sub.labels == ("e", "b")
         assert sub.lower[0] == full.lower[4]
         assert sub.upper[1] == full.upper[1]
+
+    def test_simultaneous_subset_uses_every_pair(self):
+        theta = np.linspace(0.0, 2.5, 12)
+        est = diag_estimates(theta, np.full(12, 0.3))
+        full = cs_ranks(est, CFG, mode="simultaneous")
+        sub = cs_ranks(est, CFG, mode="simultaneous", indices=[0, 11, 5])
+        assert np.array_equal(sub.lower, full.lower[[0, 11, 5]])
+        assert np.array_equal(sub.upper, full.upper[[0, 11, 5]])
 
     def test_indices_validation(self):
         est = diag_estimates([0.0, 1.0], [0.1, 0.1])
@@ -179,9 +246,9 @@ class TestCsRanks:
         est = diag_estimates([0.0, 0.5, 1.0], [0.3, 0.3, 0.3])
         se = pairwise_se(est)
         z = _bootstrap_normals(est, CFG)
-        c0 = _upper_quantile(_per_index_max(z, se, 0, signed=False), CFG.coverage)
+        c0 = _upper_quantile(_pair_maxima(z, se, [0])[:, 0], CFG.coverage)
         assert c0 > 0.0
-        cm = _upper_quantile(_all_pairs_max(z, se, signed=False), CFG.coverage)
+        cm = _upper_quantile(_pair_maxima(z, se, range(3)).max(axis=1), CFG.coverage)
         assert cm >= c0 - 1e-12
 
     def test_correlated_covariance_accepted(self):
@@ -217,6 +284,15 @@ class TestOneSided:
         one = cs_ranks_lower(est, CFG)
         two = cs_ranks(est, CFG, mode="simultaneous")
         assert np.all(one.lower >= two.lower)
+
+    def test_lower_bounds_equal_simultaneous(self):
+        rng = np.random.default_rng(5)
+        factor = rng.normal(0.0, 0.2, size=(8, 3))
+        cov = factor @ factor.T + np.diag(rng.uniform(0.02, 0.08, 8))
+        est = EstimatesWithCovariance(rng.normal(size=8), (cov + cov.T) / 2.0)
+        one = cs_ranks_lower(est, CFG)
+        two = cs_ranks(est, CFG, mode="simultaneous")
+        assert np.array_equal(one.lower, two.lower)
 
 
 class TestTauSets:

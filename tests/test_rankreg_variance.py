@@ -241,18 +241,3 @@ class TestCorrectedVcov:
         corrected_vcov(result)
         corrected_vcov(result, keep_h=True)
         assert len(built) == ranked_columns
-
-    def test_threading_does_not_change_results(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        n = 80
-        data = {
-            "Y": tied_sample(rng, n, 25),
-            "X": tied_sample(rng, n, 25),
-            "W": rng.normal(size=n),
-        }
-        model = model_from("r(Y) ~ r(X) + W", omega=0.5)
-        monkeypatch.delenv("RANKINFER_THREADS", raising=False)
-        serial = corrected_vcov(fit(model, data)).matrix
-        monkeypatch.setenv("RANKINFER_THREADS", "4")
-        threaded = corrected_vcov(fit(model, data)).matrix
-        assert np.array_equal(serial, threaded)
