@@ -98,9 +98,10 @@ def _encode(value, level: int, chunks: list[str]) -> None:
 
 
 def _flat_encoder(level: int) -> json.JSONEncoder:
-    """C encoder whose item separator starts a new line at `level`."""
+    """C encoder whose item separator starts a new line at `level`; NaN
+    and infinities, which are not JSON, raise ValueError."""
     return json.JSONEncoder(
-        ensure_ascii=False, separators=(",\n" + _INDENT * level, ": ")
+        ensure_ascii=False, allow_nan=False, separators=(",\n" + _INDENT * level, ": ")
     )
 
 

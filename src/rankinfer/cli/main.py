@@ -25,7 +25,6 @@ from ..ranking import TieRule, irank, irank_against
 from ..rankreg import (
     RankRegressionModel,
     confint,
-    corrected_vcov,
     fit,
     format_formula_error,
     summarize,
@@ -469,8 +468,7 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         data[model.group] = table.raw(model.group)
     fit_result = fit(model, data)
     summary = summarize(fit_result)
-    intervals = confint(fit_result, level=coverage)
-    vcov = corrected_vcov(fit_result).matrix
+    intervals = confint(summary, level=coverage)
     table_columns = {
         "name": list(summary.names),
         "estimate": summary.estimates.tolist(),
@@ -485,7 +483,7 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         "omega": omega,
         "n": int(len(fit_result.residuals)),
         "coefficients": _records(table_columns, ["name", "estimate", "se", "z", "p"]),
-        "vcov": vcov.tolist(),
+        "vcov": summary.vcov.tolist(),
         "confint": _records(table_columns, ["name", "lower", "upper"]),
     }
     envelope = OutputEnvelope(

@@ -35,6 +35,10 @@ class DegeneratePair(DomainError):
     """A pairwise standard error is numerically zero."""
 
 
+class DegenerateCovariance(DomainError):
+    """A corrected covariance has a zero standard error or overflows."""
+
+
 class InsufficientCategories(DomainError):
     """Fewer than two populations/categories to rank."""
 

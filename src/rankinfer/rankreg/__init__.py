@@ -15,9 +15,7 @@ from .model import (
 from .variance import (
     CorrectedCovariance,
     corrected_vcov,
-    h_terms,
     indicator_matvec,
-    projection_coefficients,
     projection_from_inverse,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "summarize",
     "CorrectedCovariance",
     "corrected_vcov",
-    "h_terms",
     "indicator_matvec",
-    "projection_coefficients",
     "projection_from_inverse",
 ]

@@ -10,7 +10,7 @@ while the ranks themselves stay pooled over the whole sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import erfc, ndtri
 
 from ..errors import (
+    DegenerateCovariance,
     EmptyGroup,
     FormulaError,
     InputError,
@@ -25,7 +26,7 @@ from ..errors import (
     MissingValues,
     NonFinite,
 )
-from ..numerics import FloatArray, QRFactorization, qr_decompose
+from ..numerics import DenseMatrix, FloatArray, QRFactorization, qr_decompose
 from ..ranking import TieRule, _TieRuns
 from .formula import parse_formula
 
@@ -254,27 +255,10 @@ class RankRegressionFit:
     coefficients: FloatArray
     residuals: FloatArray
     warnings: tuple[str, ...]
-    _caches: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def z(self) -> FloatArray:
-        return self.design.z
-
-    @property
-    def n(self) -> int:
-        return self.design.n
 
     @property
     def colnames(self) -> tuple[str, ...]:
         return self.design.colnames
-
-    @property
-    def r_x(self) -> FloatArray | None:
-        return self.design.r_x
-
-    @property
-    def r_y(self) -> FloatArray | None:
-        return self.design.r_y
 
 
 def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressionFit:
@@ -296,7 +280,8 @@ def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressio
 @dataclass(frozen=True, eq=False)
 class CoefficientSummary:
     """Per-coefficient table: estimates, corrected standard errors,
-    z-values, two-sided normal p-values, significance stars."""
+    z-values, two-sided normal p-values, significance stars, plus the
+    corrected covariance matrix the standard errors come from."""
 
     names: tuple[str, ...]
     estimates: FloatArray
@@ -304,6 +289,7 @@ class CoefficientSummary:
     z_values: FloatArray
     p_values: FloatArray
     stars: tuple[str, ...]
+    vcov: DenseMatrix
     warnings: tuple[str, ...]
 
     def rows(self) -> list[dict]:
@@ -335,23 +321,22 @@ def _stars(p: float) -> str:
 def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     """Coefficient table with corrected standard errors.
 
-    A zero standard error (degenerate perfect fit) is reported with an
-    infinite z sentinel and p-value 0.
+    Raises DegenerateCovariance when the covariance is not finite or a
+    z-value is not (a zero standard error, as for a constant response).
     """
     from .variance import corrected_vcov
 
-    cov = corrected_vcov(fit_result)
-    se = np.sqrt(np.clip(np.diag(cov.matrix), 0.0, None))
     est = fit_result.coefficients
-    z = np.empty_like(est)
-    p = np.empty_like(est)
-    for i in range(est.size):
-        if se[i] == 0.0:
-            z[i] = math.inf if est[i] >= 0 else -math.inf
-            p[i] = 0.0
-        else:
-            z[i] = est[i] / se[i]
-            p[i] = float(erfc(abs(z[i]) / math.sqrt(2.0)))
+    with np.errstate(all="ignore"):  # a non-finite result is rejected below
+        cov = corrected_vcov(fit_result)
+        se = np.sqrt(np.diag(cov.matrix))
+        z = est / se
+    if not (np.all(np.isfinite(cov.matrix)) and np.all(np.isfinite(z))):
+        raise DegenerateCovariance(
+            "the corrected covariance is degenerate (a zero standard error, "
+            "e.g. from a constant response, or values that overflow)"
+        )
+    p = erfc(np.abs(z) / math.sqrt(2.0))
     return CoefficientSummary(
         names=fit_result.colnames,
         estimates=est.copy(),
@@ -359,19 +344,16 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
         z_values=z,
         p_values=p,
         stars=tuple(_stars(float(v)) for v in p),
+        vcov=cov.matrix,
         warnings=fit_result.warnings + (INFERENCE_WARNING,),
     )
 
 
-def confint(fit_result: RankRegressionFit, level: float = 0.95) -> FloatArray:
+def confint(summary: CoefficientSummary, level: float = 0.95) -> FloatArray:
     """Per-coefficient normal-quantile intervals, one [low, high] row
     per coefficient in design order."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    from .variance import corrected_vcov
-
-    cov = corrected_vcov(fit_result)
-    se = np.sqrt(np.clip(np.diag(cov.matrix), 0.0, None))
     zq = float(ndtri((1.0 + level) / 2.0))
-    est = fit_result.coefficients
+    est, se = summary.estimates, summary.std_errors
     return np.column_stack([est - zq * se, est + zq * se])

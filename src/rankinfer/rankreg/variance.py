@@ -24,13 +24,11 @@ from .model import RankRegressionFit
 @dataclass(frozen=True, eq=False)
 class CorrectedCovariance:
     """Covariance of the coefficient vector (already divided by the
-    sample size), the per-coefficient projection residual variances,
-    and optionally the per-coefficient influence columns."""
+    sample size) and the per-coefficient projection residual variances."""
 
     matrix: DenseMatrix
     sigma_nu2: FloatArray
     names: tuple[str, ...]
-    h_columns: DenseMatrix | None = None
 
 
 def _apply_indicator(ties: _TieRuns, v: FloatArray, omega: float) -> FloatArray:
@@ -75,101 +73,45 @@ def projection_from_inverse(ztz_inv: DenseMatrix) -> DenseMatrix:
     return ztz_inv / np.diag(ztz_inv)[None, :]
 
 
-def projection_coefficients(fit: RankRegressionFit) -> DenseMatrix:
-    """All column-on-other-columns projection coefficients in one shot."""
-    if "projection" not in fit._caches:
-        fit._caches["projection"] = projection_from_inverse(inverse_from_qr(fit.qr))
-    return fit._caches["projection"]
-
-
-@dataclass(frozen=True, eq=False)
-class _HContext:
-    eps: FloatArray
-    omega: float
-    response_ranked: bool
-    has_ranked_regressor: bool
-    r_y: FloatArray | None
-    r_x: FloatArray | None
-    ties_y: _TieRuns | None
-    ties_x: _TieRuns | None
-    x_membership: FloatArray | None  # n x (#ranked columns), 0/1
-    x_cols: tuple[int, ...]
-    ranked_coef: FloatArray | None  # per-observation coefficient on the ranks
-
-
-def _context(fit: RankRegressionFit) -> _HContext:
-    if "hcontext" in fit._caches:
-        return fit._caches["hcontext"]
-    design = fit.design
-    has_x = len(design.x_cols) > 0
-    membership = None
-    ranked_coef = None
-    if has_x:
-        n = design.n
-        membership = np.empty((n, len(design.x_cols)))
-        for idx, code in enumerate(design.x_col_group):
-            if code < 0:
-                membership[:, idx] = 1.0
-            else:
-                membership[:, idx] = design.group_codes == code
-        ranked_coef = membership @ fit.coefficients[list(design.x_cols)]
-    ctx = _HContext(
-        eps=fit.residuals,
-        omega=design.model.omega,
-        response_ranked=design.model.response_ranked,
-        has_ranked_regressor=has_x,
-        r_y=design.r_y,
-        r_x=design.r_x,
-        ties_y=design.ties_y,
-        ties_x=design.ties_x,
-        x_membership=membership,
-        x_cols=design.x_cols,
-        ranked_coef=ranked_coef,
-    )
-    fit._caches["hcontext"] = ctx
-    return ctx
-
-
-def h_terms(fit: RankRegressionFit, gammas: DenseMatrix,
-            j: int) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """The three per-observation influence components for coefficient j.
+def _influence(fit: RankRegressionFit, gamma_j: FloatArray, membership: DenseMatrix,
+               ranked_coef: FloatArray) -> FloatArray:
+    """Per-observation influence H1 + H2 + H3 of the coefficient whose
+    projection column is `gamma_j`.
 
     H1 is the residual-times-projection-residual term; H2 carries the
     effect of having estimated the response ranks; H3 the effect of
     having estimated the regressor ranks. Rank-estimation terms enter by
     swapping each fractional rank for the matching indicator comparison,
     which turns every inner sum into an indicator-matrix product.
+    `ranked_coef` is each row's coefficient on the regressor ranks.
     """
-    ctx = _context(fit)
-    n = fit.n
-    nu_j = fit.z @ gammas[:, j]
-    eps = ctx.eps
+    design = fit.design
+    omega = design.model.omega
+    n = design.n
+    eps = fit.residuals
+    nu_j = design.z @ gamma_j
 
     h1 = eps * nu_j
 
     base = float(eps @ nu_j)
-    h2_parts = np.full(n, base)
-    if ctx.response_ranked:
-        h2_parts = h2_parts + (_apply_indicator(ctx.ties_y, nu_j, ctx.omega)
-                               - float(ctx.r_y @ nu_j))
-    if ctx.has_ranked_regressor:
-        weighted = ctx.ranked_coef * nu_j
-        h2_parts = h2_parts - (_apply_indicator(ctx.ties_x, weighted, ctx.omega)
-                               - float(ctx.r_x @ weighted))
-    h2 = h2_parts / n
-
-    if ctx.has_ranked_regressor:
-        d_j = ctx.x_membership @ gammas[list(ctx.x_cols), j]
+    h2 = np.full(n, base)
+    if design.ties_y is not None:
+        h2 = h2 + (_apply_indicator(design.ties_y, nu_j, omega)
+                   - float(design.r_y @ nu_j))
+    if design.ties_x is not None:
+        weighted = ranked_coef * nu_j
+        h2 = h2 - (_apply_indicator(design.ties_x, weighted, omega)
+                   - float(design.r_x @ weighted))
+        d_j = membership @ gamma_j[list(design.x_cols)]
         weighted_eps = d_j * eps
-        h3 = (base + _apply_indicator(ctx.ties_x, weighted_eps, ctx.omega)
-              - float(weighted_eps @ ctx.r_x)) / n
-        h3 = np.asarray(h3)
+        h3 = (base + _apply_indicator(design.ties_x, weighted_eps, omega)
+              - float(weighted_eps @ design.r_x)) / n
     else:
         h3 = np.full(n, base / n)
-    return h1, h2, h3
+    return h1 + h2 / n + h3
 
 
-def corrected_vcov(fit: RankRegressionFit, keep_h: bool = False) -> CorrectedCovariance:
+def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
     """Full corrected covariance of the coefficient vector.
 
     Per coefficient j, the influence column is H1 + H2 + H3; entry (j, k)
@@ -177,29 +119,20 @@ def corrected_vcov(fit: RankRegressionFit, keep_h: bool = False) -> CorrectedCov
     columns normalized by both projection residual variances, and the
     returned matrix is that divided by n (coefficient scale).
     """
-    cache_key = "vcov_h" if keep_h else "vcov"
-    if cache_key in fit._caches:
-        return fit._caches[cache_key]
-    gammas = projection_coefficients(fit)
-    nu = fit.z @ gammas
-    n = fit.n
+    design = fit.design
+    gammas = projection_from_inverse(inverse_from_qr(fit.qr))
+    nu = design.z @ gammas
+    n = design.n
     sigma_nu2 = np.mean(nu * nu, axis=0)
-    p_cols = fit.z.shape[1]
-
-    def influence(j: int) -> FloatArray:
-        h1, h2, h3 = h_terms(fit, gammas, j)
-        return h1 + h2 + h3
-
-    h = np.column_stack([influence(j) for j in range(p_cols)])
+    # 0/1 rows covered by each ranked design column (all, unless grouped)
+    membership = np.empty((n, len(design.x_cols)))
+    for idx, code in enumerate(design.x_col_group):
+        membership[:, idx] = 1.0 if code < 0 else design.group_codes == code
+    ranked_coef = membership @ fit.coefficients[list(design.x_cols)]
+    h = np.column_stack([_influence(fit, gammas[:, j], membership, ranked_coef)
+                         for j in range(gammas.shape[1])])
     cross = (h.T @ h) / n
     sigma = cross / np.outer(sigma_nu2, sigma_nu2)
     matrix = sigma / n
     matrix = (matrix + matrix.T) / 2.0
-    result = CorrectedCovariance(
-        matrix=matrix,
-        sigma_nu2=sigma_nu2,
-        names=fit.colnames,
-        h_columns=h if keep_h else None,
-    )
-    fit._caches[cache_key] = result
-    return result
+    return CorrectedCovariance(matrix=matrix, sigma_nu2=sigma_nu2, names=design.colnames)

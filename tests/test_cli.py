@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rankinfer.cli.envelope import input_digest, render_csv
+from rankinfer.cli.envelope import OutputEnvelope, input_digest, render_csv
+from rankinfer.rankreg import variance as variance_mod
 
 COUNTRY_CSV = (
     "country,math_score\n"
@@ -56,6 +57,14 @@ class TestEnvelope:
         body = json.loads(res.stdout)
         again = json.dumps(body, indent=2, ensure_ascii=False) + "\n"
         assert again == res.stdout
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -float("inf")]])
+    def test_non_finite_floats_raise(self, value):
+        envelope = OutputEnvelope(
+            procedure="p", input_digest="d", seed=None, coverage=None, results={"x": value}
+        )
+        with pytest.raises(ValueError):
+            envelope.to_json()
 
     def test_render_csv_float_repr(self):
         out = render_csv(["a", "b"], [[1, 0.1], ["x", 2.5]])
@@ -551,6 +560,53 @@ class TestRankReg:
         assert lines[1].startswith("r(X),")
         # structured warnings move to stderr in csv mode
         assert "asymptotic" in res.stderr
+
+    @pytest.mark.parametrize(
+        "csv,formula",
+        [
+            ("Y,X\n0,1\n0,2\n0,3\n0,4\n", "Y ~ X"),
+            ("Y,X\n5,1\n5,2\n5,3\n5,4\n", "r(Y) ~ r(X)"),
+            ("Y,X\n1e200,2\n-1e200,3\n1e200,1\n4,5\n2,2\n", "Y ~ r(X)"),
+            ("Y,X\n1e308,2\n-1e308,3\n1e308,1\n4,5\n2,2\n", "Y ~ X"),
+        ],
+        ids=["constant", "constant-ranked", "overflow", "overflow-nan"],
+    )
+    @pytest.mark.parametrize("out_format", ["json", "csv"])
+    def test_degenerate_covariance_exit_code(self, invoke_cli, csv, formula, out_format):
+        res = invoke_cli(
+            ["rank-reg", "--formula", formula, "--format", out_format], stdin=csv
+        )
+        assert res.code == 3
+        assert res.stdout == ""
+        assert "degenerate" in res.stderr
+
+    @pytest.mark.parametrize("formula", ["r(Y) ~ r(X)", "r(Y) ~ (r(X) + W):G"])
+    def test_one_covariance_per_call(self, invoke_cli, monkeypatch, formula):
+        inversions = []
+        influences = []
+        inverse_from_qr = variance_mod.inverse_from_qr
+        influence = variance_mod._influence
+
+        def counting_inverse(factor):
+            inversions.append(factor)
+            return inverse_from_qr(factor)
+
+        def counting_influence(*args):
+            influences.append(args)
+            return influence(*args)
+
+        monkeypatch.setattr(variance_mod, "inverse_from_qr", counting_inverse)
+        monkeypatch.setattr(variance_mod, "_influence", counting_influence)
+        rng = np.random.default_rng(1)
+        lines = ["Y,X,W,G"] + [
+            f"{rng.normal():.6f},{rng.normal():.6f},{rng.normal():.6f},{'uv'[i % 2]}"
+            for i in range(30)
+        ]
+        res = invoke_cli(["rank-reg", "--formula", formula], stdin="\n".join(lines) + "\n")
+        assert res.code == 0
+        coefficients = len(parse_envelope(res.stdout)["results"]["coefficients"])
+        assert len(inversions) == 1
+        assert len(influences) == coefficients
 
 
 class TestMisc:

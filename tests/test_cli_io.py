@@ -189,18 +189,24 @@ class TestEncoderOracle:
             "results": env.results,
             "warnings": list(env.warnings),
         }
-        return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(body, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
     @given(st.dictionaries(st.text(max_size=6), _values, max_size=6),
            st.lists(st.text(max_size=10), max_size=3))
     @settings(deadline=None, max_examples=400)
     def test_matches_json_dumps(self, results, warnings):
         env = self._envelope(results, warnings)
-        assert env.to_json() == self._reference(env)
+        try:
+            want = self._reference(env)
+        except ValueError:  # NaN or an infinity, which JSON cannot hold
+            with pytest.raises(ValueError):
+                env.to_json()
+        else:
+            assert env.to_json() == want
 
     def test_long_flat_lists_and_nesting(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=1000).tolist() + [-0.0, math.nan, math.inf, -math.inf]
+        values = rng.normal(size=1000).tolist() + [-0.0, 1e308, 5e-324]
         results = {
             "values": values,
             "labels": [str(k) for k in range(50)] + ["ü", ""],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from rankinfer.errors import (
     EmptyGroup,
@@ -223,21 +224,39 @@ def test_summarize_table():
     assert rows[0]["estimate"] == pytest.approx(slope)
 
 
+def test_summary_matches_per_coefficient_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(20, 80))
+        data = {
+            "Y": rng.normal(size=n),
+            "X": rng.normal(size=n),
+            "W": rng.normal(size=n),
+            "G": rng.choice(["a", "b", "c"], size=n),
+        }
+        summary = summarize(fit(model_from("r(Y) ~ (r(X) + W):G"), data))
+        for est, se, z, p in zip(summary.estimates, summary.std_errors,
+                                 summary.z_values, summary.p_values):
+            assert z == est / se
+            assert p == float(erfc(abs(z) / math.sqrt(2.0)))
+
+
 def test_confint_width_scales_with_level():
     rng = np.random.default_rng(6)
     n = 100
     x = rng.normal(size=n)
     y = 0.5 * x + rng.normal(size=n)
     result = fit(model_from("r(Y) ~ r(X)"), {"Y": y, "X": x})
-    narrow = confint(result, level=0.5)
-    wide = confint(result, level=0.99)
+    summary = summarize(result)
+    narrow = confint(summary, level=0.5)
+    wide = confint(summary, level=0.99)
     assert np.all(wide[:, 0] <= narrow[:, 0])
     assert np.all(wide[:, 1] >= narrow[:, 1])
     est = result.coefficients
     assert np.all(narrow[:, 0] <= est)
     assert np.all(est <= narrow[:, 1])
     with pytest.raises(ValueError):
-        confint(result, level=1.0)
+        confint(summary, level=1.0)
 
 
 def test_confint_matches_normal_quantile():
@@ -247,7 +266,7 @@ def test_confint_matches_normal_quantile():
     y = x + rng.normal(size=n)
     result = fit(model_from("r(Y) ~ r(X)"), {"Y": y, "X": x})
     summary = summarize(result)
-    ci = confint(result, level=0.95)
+    ci = confint(summary, level=0.95)
     half = 1.959963984540054 * summary.std_errors
-    assert np.allclose(ci[:, 0], summary.estimates - half, atol=1e-10)
-    assert np.allclose(ci[:, 1], summary.estimates + half, atol=1e-10)
+    assert np.array_equal(ci[:, 0], summary.estimates - half)
+    assert np.array_equal(ci[:, 1], summary.estimates + half)

@@ -9,7 +9,6 @@ from rankinfer.rankreg import (
     corrected_vcov,
     fit,
     indicator_matvec,
-    projection_coefficients,
     projection_from_inverse,
     summarize,
 )
@@ -116,13 +115,6 @@ class TestProjection:
                 want[others] = -gamma
                 assert np.abs(proj[:, j] - want).max() < 1e-10
 
-    def test_cached_on_fit(self):
-        rng = np.random.default_rng(5)
-        data = {"Y": rng.normal(size=30), "X": rng.normal(size=30)}
-        result = fit(model_from("r(Y) ~ r(X)"), data)
-        first = projection_coefficients(result)
-        assert projection_coefficients(result) is first
-
 
 class TestCorrectedVcov:
     def configs(self):
@@ -195,7 +187,7 @@ class TestCorrectedVcov:
         rho = spearman_rho(x, y)
         assert abs(result.coefficients[0] - rho) < 1e-12
 
-    def test_symmetric_and_cached(self):
+    def test_symmetric_nonnegative_diagonal(self):
         rng = np.random.default_rng(11)
         data = {"Y": rng.normal(size=40), "X": rng.normal(size=40)}
         result = fit(model_from("r(Y) ~ r(X)"), data)
@@ -203,10 +195,21 @@ class TestCorrectedVcov:
         assert np.array_equal(cov.matrix, cov.matrix.T)
         assert np.all(np.diag(cov.matrix) >= 0.0)
         assert np.all(cov.sigma_nu2 > 0.0)
-        assert corrected_vcov(result) is cov
-        assert cov.h_columns is None
-        with_h = corrected_vcov(result, keep_h=True)
-        assert with_h.h_columns.shape == (40, 2)
+
+    @pytest.mark.parametrize("text", ["r(Y) ~ r(X) + W", "r(Y) ~ (r(X) + W):G", "Y ~ X"])
+    def test_summary_carries_the_covariance(self, text):
+        rng = np.random.default_rng(12)
+        n = 50
+        data = {
+            "Y": tied_sample(rng, n, 15),
+            "X": rng.normal(size=n),
+            "W": rng.normal(size=n),
+            "G": rng.choice(["a", "b"], size=n),
+        }
+        result = fit(model_from(text, omega=0.5), data)
+        summary = summarize(result)
+        assert np.array_equal(summary.vcov, corrected_vcov(result).matrix)
+        assert np.array_equal(summary.std_errors, np.sqrt(np.diag(summary.vcov)))
 
     @pytest.mark.parametrize(
         "text,ranked_columns",
@@ -236,8 +239,6 @@ class TestCorrectedVcov:
 
         monkeypatch.setattr(_TieRuns, "of", classmethod(counting))
         result = fit(model_from(text, omega=0.5), data)
-        summarize(result)
-        confint(result)
+        confint(summarize(result))
         corrected_vcov(result)
-        corrected_vcov(result, keep_h=True)
         assert len(built) == ranked_columns
