@@ -7,6 +7,7 @@ binomial sign-test tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,12 +36,13 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 class QRFactorization:
     """Thin QR factorization of a full-column-rank matrix Z = QR.
 
-    q has orthonormal columns (n x k), r is upper-triangular (k x k).
-    R'R reconstructs Z'Z, i.e. R is a Cholesky factor of the normal
-    equations up to row signs.
+    r is upper-triangular (k x k) and R'R reconstructs Z'Z, i.e. R is a
+    Cholesky factor of the normal equations up to row signs. q has
+    orthonormal columns (n x k), or is None for a factor assembled block
+    by block, where no dense Q is kept.
     """
 
-    q: FloatArray
+    q: FloatArray | None
     r: FloatArray
 
     @property
@@ -48,12 +50,10 @@ class QRFactorization:
         return self.r.shape[1]
 
 
-def qr_decompose(z: DenseMatrix) -> QRFactorization:
-    """Reduced QR of z with a collinearity check.
+_DEFICIENT = "design matrix is numerically rank-deficient"
 
-    Raises RankDeficient when the smallest |R| diagonal entry falls below
-    1e-10 times the largest (or when z has more columns than rows).
-    """
+
+def _require_design(z: DenseMatrix) -> DenseMatrix:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("z must be a 2-D matrix")
@@ -63,11 +63,62 @@ def qr_decompose(z: DenseMatrix) -> QRFactorization:
         raise ValueError("z must have at least one column")
     if n < k:
         raise RankDeficient(f"design has more columns ({k}) than rows ({n})")
-    q, r = np.linalg.qr(z, mode="reduced")
+    return z
+
+
+def _require_full_rank(r: FloatArray) -> None:
     d = np.abs(np.diag(r))
     if d.min() <= _RANK_TOL * d.max() or d.max() == 0.0:
-        raise RankDeficient("design matrix is numerically rank-deficient")
+        raise RankDeficient(_DEFICIENT)
+
+
+def qr_decompose(z: DenseMatrix) -> QRFactorization:
+    """Reduced QR of z with a collinearity check.
+
+    Raises RankDeficient when the smallest |R| diagonal entry falls below
+    1e-10 times the largest (or when z has more columns than rows).
+    """
+    z = _require_design(z)
+    q, r = np.linalg.qr(z, mode="reduced")
+    _require_full_rank(r)
     return QRFactorization(q=q, r=r)
+
+
+def block_least_squares(
+    z: DenseMatrix, y: FloatArray, blocks: Sequence[tuple[slice | np.ndarray, slice]]
+) -> tuple[QRFactorization, FloatArray, FloatArray]:
+    """Least squares of y on a z that is zero outside its blocks.
+
+    `blocks` lists (rows, cols) pairs: rows a slice or an index array,
+    cols a slice. Together they cover every row once and every column
+    once. Each block is factored by its own QR, and its R is placed at
+    (cols, cols) of the k x k factor; with the columns of each block in
+    increasing order, that factor is upper-triangular and R'R = Z'Z. One
+    block holding every row and column is a plain QR of z. Q is not kept.
+
+    The collinearity check is global: the smallest |R| diagonal entry over
+    all blocks against the largest. A block with fewer rows than columns
+    is rank-deficient. Returns the factor (q None), the coefficients and
+    the residuals.
+    """
+    z = _require_design(z)
+    n, k = z.shape
+    r = np.zeros((k, k))
+    qty = np.empty(k)
+    for rows, cols in blocks:
+        z_b = z[rows, cols]
+        if z_b.shape[0] < z_b.shape[1]:
+            raise RankDeficient(_DEFICIENT)
+        factor = qr_decompose(z_b)
+        r[cols, cols] = factor.r
+        qty[cols] = factor.q.T @ y[rows]
+    _require_full_rank(r)
+    coefficients = np.empty(k)
+    residuals = np.empty(n)
+    for rows, cols in blocks:
+        coefficients[cols] = solve_triangular(r[cols, cols], qty[cols], lower=False)
+        residuals[rows] = y[rows] - z[rows, cols] @ coefficients[cols]
+    return QRFactorization(q=None, r=r), coefficients, residuals
 
 
 def inverse_from_qr(f: QRFactorization) -> DenseMatrix:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import erfc, ndtri
 
 from ..errors import (
@@ -26,7 +25,7 @@ from ..errors import (
     MissingValues,
     NonFinite,
 )
-from ..numerics import DenseMatrix, FloatArray, QRFactorization, qr_decompose
+from ..numerics import DenseMatrix, FloatArray, QRFactorization, block_least_squares
 from ..ranking import TieRule, _TieRuns
 from .formula import parse_formula
 
@@ -98,7 +97,13 @@ class RankRegressionModel:
 class DesignMatrix:
     """Built design: the numeric matrix plus everything the variance
     machinery needs to know about where ranks entered it, including the
-    tie runs of each ranked column."""
+    tie runs of each ranked column.
+
+    `blocks` lists the (rows, cols) pairs outside which z is zero: one
+    per group level (its rows, and its columns as a strided slice), or a
+    single block of every row and column when ungrouped. `x_cols` holds
+    the ranked regressor's column in each block, in block order.
+    """
 
     z: FloatArray
     colnames: tuple[str, ...]
@@ -113,6 +118,7 @@ class DesignMatrix:
     group_levels: tuple[str, ...] | None
     x_cols: tuple[int, ...]
     x_col_group: tuple[int, ...]
+    blocks: tuple[tuple[slice | np.ndarray, slice], ...]
     model: RankRegressionModel
     warnings: tuple[str, ...]
 
@@ -190,7 +196,8 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         if raw_group.size != n:
             raise InputError(f"column '{model.group}' has inconsistent length")
         levels, codes = np.unique(raw_group, return_inverse=True)
-        for lvl, count in zip(levels, np.bincount(codes)):
+        counts = np.bincount(codes)
+        for lvl, count in zip(levels, counts):
             if count < 2:
                 raise EmptyGroup(
                     f"group level '{lvl}' has {count} row(s); at least 2 required"
@@ -205,26 +212,33 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
             group_levels = tuple(str(lvl) for lvl in levels)
 
     names: list[str] = []
-    cols: list[FloatArray] = []
     x_cols: list[int] = []
     x_col_group: list[int] = []
     if group_codes is None:
         for name, values, is_x in base:
             if is_x:
-                x_cols.append(len(cols))
+                x_cols.append(len(names))
                 x_col_group.append(-1)
             names.append(name)
-            cols.append(values)
+        z = np.column_stack([values for _, values, _ in base])
+        blocks = ((slice(None), slice(None)),)
     else:
-        for name, values, is_x in base:
+        # column b*G + g holds base column b on the rows of level g
+        n_levels = len(group_levels)
+        z = np.zeros((n, len(base) * n_levels))
+        every_row = np.arange(n)
+        for b, (name, values, is_x) in enumerate(base):
+            z[every_row, b * n_levels + group_codes] = values
             for code, level in enumerate(group_levels):
                 if is_x:
-                    x_cols.append(len(cols))
+                    x_cols.append(len(names))
                     x_col_group.append(code)
                 names.append(f"{name}:{level}")
-                cols.append(values * (group_codes == code))
+        order = np.argsort(group_codes, kind="stable")
+        ends = np.cumsum(counts)
+        blocks = tuple((order[end - count:end], slice(code, None, n_levels))
+                       for code, (count, end) in enumerate(zip(counts, ends)))
 
-    z = np.column_stack(cols)
     return DesignMatrix(
         z=z,
         colnames=tuple(names),
@@ -239,6 +253,7 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         group_levels=group_levels,
         x_cols=tuple(x_cols),
         x_col_group=tuple(x_col_group),
+        blocks=blocks,
         model=model,
         warnings=tuple(warnings),
     )
@@ -247,7 +262,8 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
 @dataclass(eq=False)
 class RankRegressionFit:
     """Fitted model: OLS coefficients on the (rank-transformed) design,
-    residuals, and the QR factorization reused by the variance code."""
+    residuals, and the triangular QR factor R reused by the variance
+    code (assembled block by block; no Q is kept)."""
 
     model: RankRegressionModel
     design: DesignMatrix
@@ -262,11 +278,10 @@ class RankRegressionFit:
 
 
 def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressionFit:
-    """OLS fit of the rank-transformed design via QR."""
+    """OLS fit of the rank-transformed design via one QR per design block
+    (per group level when grouped, else a single QR of the whole design)."""
     design = build_design(model, data)
-    factor = qr_decompose(design.z)
-    coefficients = solve_triangular(factor.r, factor.q.T @ design.y, lower=False)
-    residuals = design.y - design.z @ coefficients
+    factor, coefficients, residuals = block_least_squares(design.z, design.y, design.blocks)
     return RankRegressionFit(
         model=model,
         design=design,
@@ -321,20 +336,21 @@ def _stars(p: float) -> str:
 def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     """Coefficient table with corrected standard errors.
 
-    Raises DegenerateCovariance when the covariance is not finite or a
-    z-value is not (a zero standard error, as for a constant response).
+    Raises DegenerateCovariance when the covariance is not finite (from
+    `corrected_vcov`) or a z-value is not (a zero standard error, as for a
+    constant response).
     """
     from .variance import corrected_vcov
 
     est = fit_result.coefficients
-    with np.errstate(all="ignore"):  # a non-finite result is rejected below
-        cov = corrected_vcov(fit_result)
-        se = np.sqrt(np.diag(cov.matrix))
+    cov = corrected_vcov(fit_result)
+    se = np.sqrt(np.diag(cov.matrix))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rejected below
         z = est / se
-    if not (np.all(np.isfinite(cov.matrix)) and np.all(np.isfinite(z))):
+    if not np.all(np.isfinite(z)):
         raise DegenerateCovariance(
             "the corrected covariance is degenerate (a zero standard error, "
-            "e.g. from a constant response, or values that overflow)"
+            "e.g. from a constant response)"
         )
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return CoefficientSummary(

@@ -1,10 +1,11 @@
-"""Release gate: thirteen end-to-end checks, each printing one summary line.
+"""Release gate: sixteen end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
 """
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -392,3 +393,46 @@ def test_c14_csv_parse_budget():
     assert np.allclose(columns, values.T, rtol=1e-11, atol=0.0)
     assert best <= 0.3, f"parse + numeric of 2e5 x 3 took {best:.2f}s"
     _report("C14", f"parse_table + numeric of a 2e5 x 3 CSV in {best * 1e3:.0f} ms", best)
+
+
+def _grouped_panel(n, groups, seed):
+    # 5,000 distinct X, Y rounded to 0.01, as in the panel benchmark's tied file
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=5000)[rng.integers(0, 5000, n)]
+    data = {
+        "Y": np.round(0.6 * x + 0.8 * rng.normal(size=n), 2),
+        "X": x,
+        "W": rng.normal(size=n),
+        "G": rng.integers(0, groups, n),
+    }
+    return RankRegressionModel.from_formula("r(Y) ~ (r(X) + W):G"), data
+
+
+def test_c15_grouped_fit_budget():
+    model, data = _grouped_panel(100_000, 100, seed=15)
+    best = math.inf
+    for _ in range(2):
+        t0 = time.perf_counter()
+        f = fit(model, data)
+        cov = corrected_vcov(f)
+        best = min(best, time.perf_counter() - t0)
+    assert cov.matrix.shape == (300, 300)
+    assert best < 3.0, f"grouped fit + corrected_vcov at n=1e5, G=100 took {best:.2f}s"
+    _report("C15", f"grouped fit + corrected vcov, n=1e5 and G=100, in {best:.2f}s", best)
+
+
+def test_c16_grouped_vcov_memory():
+    model, data = _grouped_panel(100_000, 20, seed=16)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        f = fit(model, data)
+        corrected_vcov(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, p = f.design.z.shape
+    ratio = peak / (n * p * 8)
+    assert ratio <= 2.5, f"peak {ratio:.2f} x n*P doubles"
+    _report("C16", f"grouped fit + corrected vcov peak {ratio:.2f} x n*P doubles (n=1e5, P={p})",
+            time.perf_counter() - t0)

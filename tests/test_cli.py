@@ -550,6 +550,24 @@ class TestRankReg:
         res = invoke_cli(["rank-reg", "--formula", "Y ~ X + W"], stdin=csv)
         assert res.code == 3
 
+    @pytest.mark.parametrize(
+        "csv",
+        [
+            # group b has 2 rows for its 3 columns
+            "Y,X,W,G\n1,2,0.5,a\n4,1,0.1,a\n2,5,0.7,a\n3,3,0.2,a\n5,4,0.9,a\n"
+            "6,6,0.3,a\n2.5,1.5,0.4,b\n7,7,0.8,b\n",
+            # W is constant within group b, so it repeats b's intercept
+            "Y,X,W,G\n1,2,0.5,a\n4,1,0.1,a\n2,5,0.7,a\n3,3,0.2,a\n5,4,0.9,a\n"
+            "6,6,1,b\n2.5,1.5,1,b\n7,7,1,b\n8,3,1,b\n",
+        ],
+        ids=["group-shorter-than-block", "constant-within-group"],
+    )
+    def test_collinear_group_block_exit_code(self, invoke_cli, csv):
+        res = invoke_cli(["rank-reg", "--formula", "r(Y) ~ (r(X) + W):G"], stdin=csv)
+        assert res.code == 3
+        assert res.stdout == ""
+        assert res.stderr == "error: design matrix is numerically rank-deficient\n"
+
     def test_csv_format(self, invoke_cli):
         res = invoke_cli(
             ["rank-reg", "--formula", "r(Y) ~ r(X)", "--format", "csv"],
@@ -568,8 +586,10 @@ class TestRankReg:
             ("Y,X\n5,1\n5,2\n5,3\n5,4\n", "r(Y) ~ r(X)"),
             ("Y,X\n1e200,2\n-1e200,3\n1e200,1\n4,5\n2,2\n", "Y ~ r(X)"),
             ("Y,X\n1e308,2\n-1e308,3\n1e308,1\n4,5\n2,2\n", "Y ~ X"),
+            ("Y,X,G\n1e200,2,a\n-1e200,3,a\n1e200,1,a\n4,5,a\n1,2,b\n2,3,b\n3,1,b\n5,6,b\n",
+             "Y ~ (X):G"),
         ],
-        ids=["constant", "constant-ranked", "overflow", "overflow-nan"],
+        ids=["constant", "constant-ranked", "overflow", "overflow-nan", "overflow-grouped"],
     )
     @pytest.mark.parametrize("out_format", ["json", "csv"])
     def test_degenerate_covariance_exit_code(self, invoke_cli, csv, formula, out_format):

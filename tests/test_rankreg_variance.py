@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankinfer import ranking as ranking_mod
-from rankinfer.errors import NonFinite
+from rankinfer.errors import DegenerateCovariance, NonFinite, RankDeficient
 from rankinfer.rankreg import (
     RankRegressionModel,
     confint,
@@ -187,6 +191,15 @@ class TestCorrectedVcov:
         rho = spearman_rho(x, y)
         assert abs(result.coefficients[0] - rho) < 1e-12
 
+    def test_overflow_raises_without_warnings(self):
+        data = {"Y": np.array([1e200, -1e200, 1e200, 4.0, 2.0]),
+                "X": np.array([2.0, 3.0, 1.0, 5.0, 2.0])}
+        result = fit(model_from("Y ~ r(X)"), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCovariance):
+                corrected_vcov(result)
+
     def test_symmetric_nonnegative_diagonal(self):
         rng = np.random.default_rng(11)
         data = {"Y": rng.normal(size=40), "X": rng.normal(size=40)}
@@ -242,3 +255,48 @@ class TestCorrectedVcov:
         confint(summarize(result))
         corrected_vcov(result)
         assert len(built) == ranked_columns
+
+
+@st.composite
+def block_designs(draw):
+    """A model and data whose design has 1 to 4 blocks of unequal size,
+    with heavy ties in X and Y when the pools are small."""
+    sizes = draw(st.lists(st.integers(6, 30), min_size=1, max_size=4))
+    response, terms = draw(st.sampled_from(
+        [("r(Y)", "r(X)"), ("r(Y)", "r(X) + W"), ("Y", "r(X) + W"), ("r(Y)", "X + W")]
+    ))
+    x_pool, y_pool = draw(st.sampled_from([2, 3, 8, None])), draw(st.sampled_from([2, 4, None]))
+    omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    x = tied_sample(rng, n, x_pool) if x_pool else rng.normal(size=n)
+    noise = tied_sample(rng, n, y_pool) if y_pool else rng.normal(size=n)
+    data = {
+        "Y": 0.5 * x + noise,
+        "X": x,
+        "W": rng.normal(size=n),
+        "G": rng.permutation(np.repeat([f"g{k}" for k in range(len(sizes))], sizes)),
+    }
+    text = f"{response} ~ ({terms}):G" if len(sizes) > 1 else f"{response} ~ {terms}"
+    return model_from(text, omega=omega), data
+
+
+@given(block_designs())
+@settings(deadline=None, max_examples=150)
+def test_block_fit_and_vcov_match_dense_oracles(case):
+    model, data = case
+    try:
+        result = fit(model, data)
+    except RankDeficient:
+        assume(False)
+    design = result.design
+    want, *_ = np.linalg.lstsq(design.z, design.y, rcond=None)
+    got = result.coefficients
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.allclose(result.residuals, design.y - design.z @ want, rtol=0.0, atol=1e-12)
+    want = naive_corrected_vcov(result)
+    # a perfect fit, or a tie level on one row, leaves a covariance of
+    # rounding noise with no digits to compare (the data are O(1))
+    assume(np.abs(want).max() > 1e-12)
+    got = corrected_vcov(result).matrix
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
