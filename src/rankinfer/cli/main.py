@@ -245,7 +245,11 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
         se = table.numeric(se_col)
         if np.any(se <= 0):
             raise DomainError(f"column {se_col!r} must be positive standard errors")
-        sigma = np.diag(se**2)
+        with np.errstate(over="ignore"):
+            var = se**2
+        if not np.all(np.isfinite(var)):
+            raise DomainError(f"column {se_col!r} has a standard error whose square overflows")
+        sigma = np.diag(var)
         digest = input_digest(raw)
     else:
         cov_raw = read_bytes(cov_path)

@@ -207,6 +207,10 @@ def inverse_normal_cdf(u: FloatArray) -> FloatArray:
     return out
 
 
+# Values per block when filling normal draws.
+_NORMAL_BLOCK = 1 << 16
+
+
 class SeededRng:
     """Deterministic random stream: same (seed, stream) means bit-exact
     identical draws on every platform.
@@ -231,13 +235,18 @@ class SeededRng:
         return (k.astype(np.float64) + 0.5) * 2.0**-53
 
     def standard_normals(self, shape: int | tuple[int, ...]) -> FloatArray:
-        """Standard normal draws via inversion of the uniform stream."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        count = 1
-        for dim in shape:
-            count *= int(dim)
-        return inverse_normal_cdf(self.uniforms(count)).reshape(shape)
+        """Standard normal draws via inversion of the uniform stream.
+
+        The output is filled in blocks of _NORMAL_BLOCK values; each value
+        takes one integer from the stream, so the draws are those of one
+        call over the whole array, and the transform's temporaries stay
+        block-sized."""
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        for a in range(0, flat.size, _NORMAL_BLOCK):
+            b = min(a + _NORMAL_BLOCK, flat.size)
+            flat[a:b] = inverse_normal_cdf(self.uniforms(b - a))
+        return out
 
 
 def mvn_sample(l: DenseMatrix, rng: SeededRng, m: int) -> DenseMatrix:

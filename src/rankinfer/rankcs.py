@@ -11,12 +11,14 @@ All of them read per-draw maxima of |Z_k - Z_j| / se_jk (`_pair_maxima`).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePair, InsufficientCategories, NotPSD
+from .errors import DegeneratePair, InsufficientCategories, NonFinite, NotPSD
 from .numerics import DenseMatrix, FloatArray, SeededRng, cholesky_psd, mvn_sample
 from .ranking import TieRule, irank
 
@@ -135,7 +137,10 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     and makes se exactly symmetric for one symmetric within tolerance."""
     sigma = est.sigma_hat
     d = np.diag(sigma)
-    se2 = d[:, None] + d[None, :] - (sigma + sigma.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se2 = d[:, None] + d[None, :] - (sigma + sigma.T)
+    if not np.all(np.isfinite(se2)):
+        raise NonFinite("a pairwise variance overflows; rescale the estimates")
     low = float(se2.min())
     if low < -_SE_FLOOR:
         raise NotPSD(f"negative pairwise variance {low:.3e}; covariance is not PSD")
@@ -166,28 +171,102 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
     return mvn_sample(chol, SeededRng(cfg.seed), cfg.draws)
 
 
-def _pair_maxima(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int]) -> DenseMatrix:
-    """m x len(rows): per draw (row of z), the max over k != j of
-    |Z_k - Z_j| / se_jk for each population j in `rows`. With `rows` put
-    first, each pair with a requested member is studentized once, in one
-    upper-triangle block that updates the columns of both; pairs of two
-    unrequested populations are never formed. `se` must be symmetric."""
-    rows = list(rows)
+# Draws per chunk of the pair pass are this many doubles over p. At 2^17
+# (1 MiB) a chunk's populations x draws copy and its difference block fit
+# a 2 MiB L2 cache together. On a 2-vCPU Xeon it was the fastest of 2^14
+# to 2^20 at p=300 and 1000 draws, and tied with 2^18 at p=1000.
+_CHUNK_CELLS = 1 << 17
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, e.g. macOS
+        return os.cpu_count() or 1
+
+
+def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
+                 rows: Sequence[int] | None) -> FloatArray:
+    """Per draw (row of z), the max over k != j of |Z_k - Z_j| / se_jk.
+
+    Given `rows`, an m x len(rows) array with one column per population j
+    in `rows`. With `rows` None, the length-m max over every pair, which
+    is the max of that array's columns for all populations, and needs no
+    per-population maxima. `se` must be symmetric.
+
+    With `rows` put first, each pair with a requested member is
+    studentized once, in one upper-triangle block that updates the
+    columns of both; pairs of two unrequested populations are never
+    formed. The draws are split into one contiguous range per CPU (but
+    no more ranges than chunks), each cut into chunks of at most
+    _CHUNK_CELLS // p draws; the calling thread takes the first range.
+    Every element still takes the same subtract, abs, divide and max, so
+    the result does not depend on the chunking or the number of threads.
+    """
+    m, p = z.shape
+    if rows is None:
+        order = np.arange(p)
+        out = np.zeros((1, m))
+    else:
+        rows = list(rows)
+        order = np.concatenate([rows, np.setdiff1d(np.arange(p), rows)])
+        se = se[np.ix_(order, order)]
+        out = np.zeros((len(rows), m))
+    width = max(1, _CHUNK_CELLS // p)
+    workers = min(_cpu_count(), -(-m // width))
+    cuts = [m * w // workers for w in range(workers + 1)]
+    errors: list[BaseException] = []
+
+    def run(start: int, stop: int) -> None:
+        try:
+            _pair_chunks(z, se, order, out, rows is not None, start, stop, width)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(cuts[w], cuts[w + 1]))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(cuts[0], cuts[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out.T if rows is not None else out[0]
+
+
+def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseMatrix,
+                 columns: bool, start: int, stop: int, width: int) -> None:
+    """The pair pass over draws [start, stop), cut into equal chunks of
+    at most `width` draws, into out[:, start:stop] (`se` already in
+    `order`). `columns` False keeps only the running max over all pairs,
+    in out[0]. A chunk holding every draw accumulates in `out` itself;
+    any other chunk in a contiguous buffer that is copied back, because
+    the column updates on a slice of out's rows made a marginal pass at
+    p=300 and 1000 draws 5-10% slower."""
     p = se.shape[0]
-    k = len(rows)
-    order = np.concatenate([rows, np.setdiff1d(np.arange(p), rows)])
-    zt = z.T[order]  # populations x draws, contiguous per population
-    se = se[np.ix_(order, order)]
-    out = np.zeros((k, zt.shape[1]))
-    buf = np.empty((p - 1, zt.shape[1]))
-    for i in range(min(k, p - 1)):
-        block = buf[: p - 1 - i]
-        np.subtract(zt[i + 1:], zt[i], out=block)
-        np.abs(block, out=block)
-        np.divide(block, se[i, i + 1:, None], out=block)
-        np.maximum(out[i], block.max(axis=0), out=out[i])
-        np.maximum(out[i + 1:], block[: k - 1 - i], out=out[i + 1:])
-    return out.T
+    k = out.shape[0]
+    span = stop - start
+    chunks = -(-span // width)
+    cuts = [start + span * c // chunks for c in range(chunks + 1)]
+    buf = np.empty((p - 1) * -(-span // chunks))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        w = b - a
+        whole = w == out.shape[1]
+        acc = out if whole else np.zeros((k, w))
+        zt = z[a:b].T[order]  # populations x draws, contiguous per population
+        for i in range(min(k, p - 1) if columns else p - 1):
+            block = buf[: (p - 1 - i) * w].reshape(p - 1 - i, w)
+            np.subtract(zt[i + 1:], zt[i], out=block)
+            np.abs(block, out=block)
+            np.divide(block, se[i, i + 1:, None], out=block)
+            row = acc[i] if columns else acc[0]
+            np.maximum(row, block.max(axis=0), out=row)
+            if columns:
+                np.maximum(acc[i + 1:], block[: k - 1 - i], out=acc[i + 1:])
+        if not whole:
+            out[:, a:b] = acc
 
 
 def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
@@ -195,12 +274,15 @@ def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
     """Rank bounds of the populations in `rows` at critical values `crit`
     (one per row, or one shared). Intervals for theta_j - theta_k entirely
     below zero push the lower bound up, entirely above zero pull the upper
-    bound down; touching zero never rejects, so the self-pair never does."""
+    bound down; touching zero never rejects, so the self-pair never does.
+    A sum or difference that overflows keeps its sign as an infinity, so
+    it decides each comparison as the exact value would."""
     rows = list(rows)
-    diff = theta[rows, None] - theta
-    half = se[rows] * np.reshape(crit, (-1, 1))
-    lower = np.count_nonzero(diff + half < 0.0, axis=1) + 1
-    upper = theta.size - np.count_nonzero(diff - half > 0.0, axis=1)
+    with np.errstate(over="ignore"):
+        diff = theta[rows, None] - theta
+        half = se[rows] * np.reshape(crit, (-1, 1))
+        lower = np.count_nonzero(diff + half < 0.0, axis=1) + 1
+        upper = theta.size - np.count_nonzero(diff - half > 0.0, axis=1)
     return lower, upper
 
 
@@ -213,7 +295,7 @@ def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: 
     if mode == "marginal":
         crit = _upper_quantile(_pair_maxima(z, se, wanted), cfg.coverage)
     else:
-        crit = _upper_quantile(_pair_maxima(z, se, range(est.p)).max(axis=1), cfg.coverage)
+        crit = _upper_quantile(_pair_maxima(z, se, None), cfg.coverage)
     return _rank_bounds(est.theta_hat, se, wanted, crit)
 
 

@@ -145,6 +145,21 @@ def _numeric_column(data: Mapping[str, object], name: str) -> FloatArray:
     return arr
 
 
+def _group_codes(raw: np.ndarray) -> tuple[Sequence[object], np.ndarray]:
+    """Sorted distinct group labels and each row's index into them.
+
+    An object array (the CLI's labels) is coded from the set of its
+    labels, sorted with Python's `<` as `np.unique` sorts such an array,
+    so the sort costs the levels rather than the rows."""
+    if raw.dtype != object:
+        return np.unique(raw, return_inverse=True)
+    labels = raw.tolist()
+    levels = sorted(set(labels))
+    index = {level: code for code, level in enumerate(levels)}
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    return levels, codes
+
+
 def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> DesignMatrix:
     """Assemble the design matrix for a model.
 
@@ -195,14 +210,14 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         raw_group = np.asarray(data[model.group])
         if raw_group.size != n:
             raise InputError(f"column '{model.group}' has inconsistent length")
-        levels, codes = np.unique(raw_group, return_inverse=True)
+        levels, codes = _group_codes(raw_group)
         counts = np.bincount(codes)
         for lvl, count in zip(levels, counts):
             if count < 2:
                 raise EmptyGroup(
                     f"group level '{lvl}' has {count} row(s); at least 2 required"
                 )
-        if levels.size == 1:
+        if len(levels) == 1:
             warnings.append(
                 f"group column '{model.group}' has a single level; "
                 "fitting the ungrouped model"

@@ -1,4 +1,4 @@
-"""Release gate: sixteen end-to-end checks, each printing one summary line.
+"""Release gate: seventeen end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -435,4 +435,27 @@ def test_c16_grouped_vcov_memory():
     ratio = peak / (n * p * 8)
     assert ratio <= 2.5, f"peak {ratio:.2f} x n*P doubles"
     _report("C16", f"grouped fit + corrected vcov peak {ratio:.2f} x n*P doubles (n=1e5, P={p})",
+            time.perf_counter() - t0)
+
+
+def test_c17_gaussian_draws_memory():
+    # the normal draws are generated block by block, and the pair pass
+    # holds draw chunks, so neither needs several draws x p temporaries
+    p, draws = 1000, 4000
+    rng = np.random.default_rng(17)
+    factor = rng.normal(size=(p, 4))
+    sigma = 0.01 * (factor @ factor.T) + np.diag(rng.uniform(0.01, 0.02, p))
+    est = EstimatesWithCovariance(rng.normal(size=p), (sigma + sigma.T) / 2.0)
+    cfg = BootstrapConfig(draws=draws, coverage=0.95, seed=17)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        cs = cs_ranks(est, cfg, indices=range(0, p, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(cs.lower <= cs.upper)
+    ratio = peak / (draws * p * 8)
+    assert ratio <= 5.0, f"peak {ratio:.2f} x draws*p doubles"
+    _report("C17", f"cs_ranks peak {ratio:.2f} x draws*p doubles (p=1000, 4000 draws)",
             time.perf_counter() - t0)

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -377,6 +378,45 @@ class TestCsRanks:
         lines = res.stdout.splitlines()
         assert lines[0] == "index,label,L,rank,U"
         assert lines[1] == "1,1,3,3,3"
+
+
+class TestOverflowInputs:
+    """Extreme but finite inputs keep the exit-code contract and put no
+    numpy RuntimeWarning on stderr."""
+
+    def run_quiet(self, invoke_cli, args, stdin):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke_cli(args, stdin=stdin)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in res.stderr
+        return res
+
+    def test_overflowing_estimate_differences(self, invoke_cli):
+        # 1e308 - (-1e308) overflows to inf, which keeps its sign
+        res = self.run_quiet(
+            invoke_cli,
+            ["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1", "--draws", "200"],
+            "est,se\n1e308,1\n-1e308,1\n0,1\n",
+        )
+        assert res.code == 0
+        out = parse_envelope(res.stdout)["results"]
+        assert out["L"] == [1, 3, 2]
+        assert out["U"] == [1, 3, 2]
+
+    @pytest.mark.parametrize("se,fragment", [
+        ("1e200", "square overflows"),
+        ("1.5e154", "square overflows"),
+        ("1e154", "pairwise variance overflows"),  # 1e308 + 1e308
+    ])
+    def test_standard_errors_that_overflow(self, invoke_cli, se, fragment):
+        res = self.run_quiet(
+            invoke_cli,
+            ["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1"],
+            f"est,se\n1,{se}\n2,{se}\n3,1\n",
+        )
+        assert res.code == 3
+        assert fragment in res.stderr
 
 
 class TestTauCommands:

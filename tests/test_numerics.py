@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from rankinfer import numerics
 from rankinfer.errors import NonFinite, NotPSD, RankDeficient
 from rankinfer.numerics import (
     SeededRng,
@@ -120,6 +121,15 @@ class TestSeededRng:
         x = SeededRng(123).standard_normals((10, 7))
         y = SeededRng(123).standard_normals((10, 7))
         assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+    def test_blocked_normals_match_one_transform(self, monkeypatch, block):
+        # filled block by block, the draws are those of one transform of
+        # the whole uniform stream
+        monkeypatch.setattr(numerics, "_NORMAL_BLOCK", block)
+        got = SeededRng(5).standard_normals((37, 11))
+        want = inverse_normal_cdf(SeededRng(5).uniforms(37 * 11)).reshape(37, 11)
+        assert np.array_equal(got, want)
 
     def test_streams_differ(self):
         base = SeededRng(9, stream=0).uniforms(100)

@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankinfer.errors import DegeneratePair, InsufficientCategories, NotPSD
+from rankinfer import rankcs
+from rankinfer.errors import DegeneratePair, InsufficientCategories, NonFinite, NotPSD
 from rankinfer.numerics import SeededRng, cholesky_psd, mvn_sample
 from rankinfer.rankcs import (
     REPORT_RULE,
@@ -79,6 +83,11 @@ class TestPairwiseSe:
         with pytest.raises(NotPSD):
             pairwise_se(est)
 
+    def test_overflowing_pairwise_variance(self):
+        est = EstimatesWithCovariance(np.zeros(3), np.diag([1e308, 1e308, 1.0]))
+        with pytest.raises(NonFinite, match="overflows"):
+            pairwise_se(est)
+
     def test_exactly_symmetric_for_tolerated_asymmetry(self):
         rng = np.random.default_rng(8)
         factor = rng.normal(size=(6, 6))
@@ -110,10 +119,10 @@ def _naive_rank_bounds(theta, se, rows, crit):
 
 
 class TestPairMaxima:
-    @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
-           st.booleans(), st.data())
-    @settings(deadline=None, max_examples=200)
-    def test_matches_naive_loop(self, p, draws, seed, dense, data):
+    @given(st.integers(2, 12), st.integers(1, 40), st.integers(1, 60), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_naive_loop(self, p, draws, cells, cpus, seed, dense, data):
         rng = np.random.default_rng(seed)
         if dense:
             factor = rng.normal(size=(p, 3))
@@ -125,9 +134,20 @@ class TestPairMaxima:
         z = rng.normal(size=(draws, p))
         rows = data.draw(st.permutations(range(p)).flatmap(
             lambda perm: st.integers(1, p).map(lambda k: perm[:k])))
-        got = _pair_maxima(z, se, rows)
+        naive = _naive_pair_maxima(z, se, range(p))
+        # a budget of `cells` doubles gives chunks of cells // p draws (at
+        # least one): mostly several chunks, split over `cpus` workers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rankcs, "_CHUNK_CELLS", cells)
+            mp.setattr(rankcs, "_cpu_count", lambda: cpus)
+            got = _pair_maxima(z, se, rows)
+            joint = _pair_maxima(z, se, None)
         assert got.shape == (draws, len(rows))
-        assert np.array_equal(got, _naive_pair_maxima(z, se, rows))
+        assert np.array_equal(got, naive[:, rows])
+        # the all-population call skips the column updates; its per-draw
+        # max is still the max over every pair
+        assert joint.shape == (draws,)
+        assert np.array_equal(joint, naive.max(axis=1))
 
         theta = np.round(rng.normal(size=p), 1)  # rounding makes ties
         crit = rng.uniform(0.0, 3.0, len(rows))
@@ -135,6 +155,48 @@ class TestPairMaxima:
         want_lower, want_upper = _naive_rank_bounds(theta, se, rows, crit)
         assert lower.tolist() == want_lower
         assert upper.tolist() == want_upper
+
+
+class TestChunkedPass:
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # workers write disjoint slices of one output; a lost or misplaced
+        # write would show as a difference from the naive loop
+        rng = np.random.default_rng(11)
+        p, draws = 12, 400
+        se = pairwise_se(diag_estimates(np.zeros(p), rng.uniform(0.1, 1.0, p)))
+        z = rng.normal(size=(draws, p))
+        naive = _naive_pair_maxima(z, se, range(p))
+        monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 5 * p)
+        monkeypatch.setattr(rankcs, "_cpu_count", lambda: 8)
+        running = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(_pair_maxima(z, se, range(p)), naive)
+                assert np.array_equal(_pair_maxima(z, se, None), naive.max(axis=1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == running  # every worker joined
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        rng = np.random.default_rng(0)
+        se = pairwise_se(diag_estimates(np.zeros(10), np.full(10, 0.5)))
+        _pair_maxima(rng.normal(size=(1000, 10)), se, range(10))
+        assert started == []
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def fail(*args):
+            raise MemoryError("chunk")
+
+        monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 8)
+        monkeypatch.setattr(rankcs, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(rankcs, "_pair_chunks", fail)
+        se = pairwise_se(diag_estimates(np.zeros(4), np.ones(4)))
+        with pytest.raises(MemoryError):
+            _pair_maxima(np.zeros((10, 4)), se, None)
 
 
 class TestQuantile:

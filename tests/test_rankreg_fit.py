@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from rankinfer.errors import (
@@ -22,7 +25,7 @@ from rankinfer.rankreg import (
     fit,
     summarize,
 )
-from rankinfer.rankreg.model import INTERCEPT_NAME
+from rankinfer.rankreg.model import INTERCEPT_NAME, _group_codes
 
 
 def model_from(text, omega=1.0):
@@ -144,6 +147,53 @@ def test_single_level_group_warns_and_pools():
     result = fit(model_from("r(Y) ~ r(X):G"), data)
     assert any("single level" in w for w in result.warnings)
     assert result.design.colnames == ("r(X)", INTERCEPT_NAME)
+
+
+def _object_codes(labels):
+    levels, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    return [str(lvl) for lvl in levels], codes.tolist()
+
+
+@pytest.mark.parametrize("labels", [
+    ["b", "a", "b", "c", "a"],
+    ["a", "a\x00", "a", "a\x00"],  # differ only by a trailing NUL
+    ["x\x00y", "x", "", "é", "x\x00y"],
+    [3, 1, 3, 2],
+    ["1", 1, "1", 1.5],  # unorderable mix: the object path raises as before
+])
+def test_group_codes_match_object_path(labels):
+    raw = np.asarray(labels, dtype=object)
+    try:
+        want = _object_codes(labels)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _group_codes(raw)
+        return
+    levels, codes = _group_codes(raw)
+    assert ([str(lvl) for lvl in levels], codes.tolist()) == want
+
+
+@given(st.lists(st.text(alphabet="ab\x00é", max_size=3), min_size=1, max_size=30))
+@settings(deadline=None, max_examples=200)
+def test_group_codes_match_object_path_random(labels):
+    levels, codes = _group_codes(np.asarray(labels, dtype=object))
+    assert ([str(lvl) for lvl in levels], codes.tolist()) == _object_codes(labels)
+
+
+def test_group_codes_memory_independent_of_label_length():
+    # one 4096-character label among 1000 rows: a fixed-width copy of the
+    # labels would take 1000 x 4096 x 4 bytes (16 MiB)
+    labels = ["g" * 4096] + ["a", "b"] * 500
+    raw = np.asarray(labels, dtype=object)
+    tracemalloc.start()
+    try:
+        levels, codes = _group_codes(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(levels) == ["a", "b", "g" * 4096]
+    assert codes.tolist() == [2] + [0, 1] * 500
+    assert peak < 1 << 20
 
 
 def test_tiny_group_rejected():
