@@ -1,115 +1,3 @@
 """Confidence sets for ranks and regressions on ranked variables."""
 
-from .errors import (
-    CsvFormatError,
-    DegenerateCovariance,
-    DegeneratePair,
-    DomainError,
-    EmptyGroup,
-    FormulaError,
-    InputError,
-    InsufficientCategories,
-    MissingColumn,
-    MissingValues,
-    NonFinite,
-    NotPSD,
-    RankDeficient,
-    RankInferError,
-)
-from .multinomcs import (
-    MultinomialCounts,
-    PairwisePValueTable,
-    adjust_pvalues,
-    cs_ranks_multinomial,
-    pairwise_pvalue,
-)
-from .numerics import (
-    QRFactorization,
-    SeededRng,
-    cholesky_psd,
-    inverse_from_qr,
-    mvn_sample,
-    qr_decompose,
-)
-from .rankcs import (
-    BootstrapConfig,
-    EstimatesWithCovariance,
-    RankConfidenceSet,
-    TauBestSet,
-    cs_ranks,
-    cs_tau_best,
-    cs_tau_worst,
-    pairwise_se,
-)
-from .ranking import RankVector, TieRule, frank, frank_against, irank, irank_against
-from .rankreg import (
-    INFERENCE_WARNING,
-    CoefficientSummary,
-    CorrectedCovariance,
-    RankRegressionFit,
-    RankRegressionModel,
-    build_design,
-    confint,
-    corrected_vcov,
-    fit,
-    indicator_matvec,
-    parse_formula,
-    summarize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CsvFormatError",
-    "DegenerateCovariance",
-    "DegeneratePair",
-    "DomainError",
-    "EmptyGroup",
-    "FormulaError",
-    "InputError",
-    "InsufficientCategories",
-    "MissingColumn",
-    "MissingValues",
-    "NonFinite",
-    "NotPSD",
-    "RankDeficient",
-    "RankInferError",
-    "MultinomialCounts",
-    "PairwisePValueTable",
-    "adjust_pvalues",
-    "cs_ranks_multinomial",
-    "pairwise_pvalue",
-    "QRFactorization",
-    "SeededRng",
-    "cholesky_psd",
-    "inverse_from_qr",
-    "mvn_sample",
-    "qr_decompose",
-    "BootstrapConfig",
-    "EstimatesWithCovariance",
-    "RankConfidenceSet",
-    "TauBestSet",
-    "cs_ranks",
-    "cs_tau_best",
-    "cs_tau_worst",
-    "pairwise_se",
-    "RankVector",
-    "TieRule",
-    "frank",
-    "frank_against",
-    "irank",
-    "irank_against",
-    "INFERENCE_WARNING",
-    "CoefficientSummary",
-    "CorrectedCovariance",
-    "RankRegressionFit",
-    "RankRegressionModel",
-    "build_design",
-    "confint",
-    "corrected_vcov",
-    "fit",
-    "indicator_matvec",
-    "parse_formula",
-    "summarize",
-    "__version__",
-]

@@ -1,7 +1,1 @@
 """Command-line surface: CSV in, JSON/CSV envelope out, SVG charts."""
-
-from .envelope import OutputEnvelope, input_digest
-from .io import TableData, parse_table
-from .main import main
-
-__all__ = ["OutputEnvelope", "TableData", "input_digest", "main", "parse_table"]

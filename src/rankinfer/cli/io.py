@@ -44,9 +44,6 @@ class TableData:
         self._text = text
         self._columns = {} if columns is None else columns
 
-    def has(self, name: str) -> bool:
-        return name in self.names
-
     def _cells(self, name: str) -> list[str]:
         if name not in self.names:
             raise MissingColumn(

@@ -22,13 +22,8 @@ from ..rankcs import (
     cs_tau_worst,
 )
 from ..ranking import TieRule, irank, irank_against
-from ..rankreg import (
-    RankRegressionModel,
-    confint,
-    fit,
-    format_formula_error,
-    summarize,
-)
+from ..rankreg.formula import format_formula_error
+from ..rankreg.model import RankRegressionModel, confint, fit, summarize
 from .envelope import OutputEnvelope, input_digest, render_csv
 from .io import decode, parse_table, read_bytes, read_covariance, write_text
 from .svg import interval_chart

@@ -22,7 +22,6 @@ def interval_chart(
     lower: list[int],
     rank: list[int],
     upper: list[int],
-    title: str | None = None,
 ) -> str:
     p = len(labels)
     if not (len(lower) == len(rank) == len(upper) == p):
@@ -49,12 +48,6 @@ def interval_chart(
             "font-size": "12",
         },
     )
-    if title:
-        t = ET.SubElement(
-            root, "text", {"x": str(left), "y": "16", "font-weight": "bold"}
-        )
-        t.text = title
-
     # axis with integer ticks, thinned when p is large
     axis_y = _TOP + p * _ROW_H + 4
     ET.SubElement(

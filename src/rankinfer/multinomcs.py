@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, InsufficientCategories
 from .numerics import FloatArray, binom_tail
-from .rankcs import RankConfidenceSet, _labels_subset, _normalize_indices
-from .ranking import TieRule, irank
+from .rankcs import REPORT_RULE, RankConfidenceSet, _labels_subset, _normalize_indices
+from .ranking import irank
 
 Method = Literal["holm", "bonferroni"]
 Mode = Literal["marginal", "simultaneous"]
@@ -225,8 +225,7 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
             lower[start:stop] = 1 + reject[:, :p - 1].sum(axis=1)
             upper[start:stop] = p - reject[:, p - 1:].sum(axis=1)
 
-    ranks = irank(counts.astype(np.float64),
-                  TieRule(omega=0.0, direction="decreasing")).values
+    ranks = irank(counts.astype(np.float64), REPORT_RULE).values
     return RankConfidenceSet(
         indices=wanted,
         lower=lower,

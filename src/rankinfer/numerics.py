@@ -25,6 +25,8 @@ DenseMatrix = FloatArray
 _RANK_TOL = 1e-10
 # Eigenvalues above -_PSD_CLIP * max(eig) are treated as zero.
 _PSD_CLIP = 1e-8
+# Largest |s - s'| entry accepted as symmetric, relative to max(1, |s|).
+_SYMMETRY_TOL = 1e-8
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -128,7 +130,7 @@ def inverse_from_qr(f: QRFactorization) -> DenseMatrix:
     return (out + out.T) / 2.0
 
 
-def cholesky_psd(s: DenseMatrix, tol: float = 1e-8) -> DenseMatrix:
+def cholesky_psd(s: DenseMatrix) -> DenseMatrix:
     """Lower-triangular L with LL' = s, accepting semidefinite input.
 
     Strictly positive definite matrices go through the plain Cholesky
@@ -141,7 +143,7 @@ def cholesky_psd(s: DenseMatrix, tol: float = 1e-8) -> DenseMatrix:
         raise ValueError("s must be a square matrix")
     _require_finite(s, "matrix")
     scale = max(1.0, float(np.abs(s).max()))
-    if float(np.abs(s - s.T).max()) > tol * scale:
+    if float(np.abs(s - s.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     try:
         return np.linalg.cholesky(s)
@@ -212,21 +214,18 @@ _NORMAL_BLOCK = 1 << 16
 
 
 class SeededRng:
-    """Deterministic random stream: same (seed, stream) means bit-exact
+    """Deterministic random stream: the same seed means bit-exact
     identical draws on every platform.
 
-    Streams are derived by seed-splitting: stream index i uses
-    SeedSequence(entropy=seed, spawn_key=(i,)).
+    The generator is PCG64 seeded by SeedSequence(entropy=seed,
+    spawn_key=(0,)); every seeded envelope depends on that key.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         if not (0 <= int(seed) < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if stream < 0:
-            raise ValueError("stream index must be nonnegative")
         self.seed = int(seed)
-        self.stream = int(stream)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniforms(self, n: int) -> FloatArray:

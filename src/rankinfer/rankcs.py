@@ -167,7 +167,7 @@ def _upper_quantile(samples: FloatArray, coverage: float):
 
 
 def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> DenseMatrix:
-    chol = cholesky_psd(est.sigma_hat, tol=1e-8)
+    chol = cholesky_psd(est.sigma_hat)
     return mvn_sample(chol, SeededRng(cfg.seed), cfg.draws)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -28,6 +28,7 @@ from ..errors import (
 from ..numerics import DenseMatrix, FloatArray, QRFactorization, block_least_squares
 from ..ranking import TieRule, _TieRuns
 from .formula import parse_formula
+from .variance import corrected_vcov
 
 INTERCEPT_NAME = "(Intercept)"
 
@@ -68,10 +69,6 @@ class RankRegressionModel:
                 term = f"r({name})" if is_ranked else name
                 raise FormulaError(f"duplicate term {term}")
             seen.add(key)
-
-    @property
-    def direction(self) -> Literal["increasing"]:
-        return "increasing"
 
     @property
     def ranked_regressor(self) -> str | None:
@@ -355,8 +352,6 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     `corrected_vcov`) or a z-value is not (a zero standard error, as for a
     constant response).
     """
-    from .variance import corrected_vcov
-
     est = fit_result.coefficients
     cov = corrected_vcov(fit_result)
     se = np.sqrt(np.diag(cov.matrix))

@@ -12,13 +12,16 @@ the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DegenerateCovariance, NonFinite
 from ..numerics import DenseMatrix, FloatArray, inverse_from_qr
 from ..ranking import _TieRuns
-from .model import RankRegressionFit
+
+if TYPE_CHECKING:
+    from .model import RankRegressionFit
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import rankinfer.rankreg.variance as variance_mod
 from rankinfer.cli.envelope import OutputEnvelope, input_digest, render_csv
-from rankinfer.rankreg import variance as variance_mod
 
 COUNTRY_CSV = (
     "country,math_score\n"

@@ -131,11 +131,6 @@ class TestSeededRng:
         want = inverse_normal_cdf(SeededRng(5).uniforms(37 * 11)).reshape(37, 11)
         assert np.array_equal(got, want)
 
-    def test_streams_differ(self):
-        base = SeededRng(9, stream=0).uniforms(100)
-        other = SeededRng(9, stream=1).uniforms(100)
-        assert not np.array_equal(base, other)
-
     def test_uniforms_open_interval(self):
         u = SeededRng(7).uniforms(100000)
         assert u.min() > 0.0
@@ -151,8 +146,6 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(2**64)
-        with pytest.raises(ValueError):
-            SeededRng(0, stream=-1)
 
 
 class TestMvnSample:

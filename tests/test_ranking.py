@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rankinfer import ranking as ranking_mod
 from rankinfer.errors import NonFinite
 from rankinfer.ranking import TieRule, _TieRuns, frank, frank_against, irank, irank_against
-from rankinfer.rankreg import indicator_matvec
+from rankinfer.rankreg.variance import indicator_matvec
 
 from oracles import naive_indicator_matvec, naive_rank
 

@@ -17,15 +17,16 @@ from rankinfer.errors import (
     RankDeficient,
 )
 from rankinfer.ranking import TieRule, frank
-from rankinfer.rankreg import (
+from rankinfer.rankreg.model import (
     INFERENCE_WARNING,
+    INTERCEPT_NAME,
     RankRegressionModel,
+    _group_codes,
     build_design,
     confint,
     fit,
     summarize,
 )
-from rankinfer.rankreg.model import INTERCEPT_NAME, _group_codes
 
 
 def model_from(text, omega=1.0):

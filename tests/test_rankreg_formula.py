@@ -1,7 +1,7 @@
 import pytest
 
 from rankinfer.errors import FormulaError
-from rankinfer.rankreg import format_formula_error, parse_formula
+from rankinfer.rankreg.formula import format_formula_error, parse_formula
 
 
 def test_plain_rank_rank():

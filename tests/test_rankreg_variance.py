@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from rankinfer import ranking as ranking_mod
 from rankinfer.errors import DegenerateCovariance, NonFinite, RankDeficient
-from rankinfer.rankreg import (
-    RankRegressionModel,
-    confint,
+from rankinfer.ranking import _TieRuns
+from rankinfer.rankreg.model import RankRegressionModel, confint, fit, summarize
+from rankinfer.rankreg.variance import (
+    _apply_indicator,
     corrected_vcov,
-    fit,
     indicator_matvec,
     projection_from_inverse,
-    summarize,
 )
-from rankinfer.ranking import _TieRuns
-from rankinfer.rankreg.variance import _apply_indicator
 
 from oracles import (
     hc0_sandwich,
