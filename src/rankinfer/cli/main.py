@@ -455,17 +455,7 @@ def cmd_csranks_multinom(
 @_coverage_option
 def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
     """Regression on ranked variables with corrected standard errors."""
-    raw = read_bytes(input_path)
-    table = parse_table(decode(raw))
-    try:
-        model = RankRegressionModel.from_formula(formula, omega=omega)
-    except FormulaError as exc:
-        raise FormulaError(format_formula_error(formula, exc), exc.position) from exc
-    numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
-    data = dict(zip(numeric_names, table.numeric(numeric_names)))
-    if model.group is not None:
-        data[model.group] = table.raw(model.group)
-    fit_result = fit(model, data)
+    digest, fit_result = _fit_input(input_path, formula, omega)
     summary = summarize(fit_result)
     intervals = confint(summary, level=coverage)
     table_columns = {
@@ -487,13 +477,30 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
     }
     envelope = OutputEnvelope(
         procedure="rank-reg",
-        input_digest=input_digest(raw),
+        input_digest=digest,
         seed=None,
         coverage=coverage,
         results=results,
         warnings=tuple(summary.warnings),
     )
     _emit(envelope, out_format, output_path, table_columns)
+
+
+def _fit_input(input_path: str, formula: str, omega: float):
+    """The input's digest and the model fitted to it. The input bytes, the
+    parsed table and the data columns are freed on return, before the
+    covariance, the largest allocation of the command, is formed."""
+    raw = read_bytes(input_path)
+    table = parse_table(decode(raw))
+    try:
+        model = RankRegressionModel.from_formula(formula, omega=omega)
+    except FormulaError as exc:
+        raise FormulaError(format_formula_error(formula, exc), exc.position) from exc
+    numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
+    data = dict(zip(numeric_names, table.numeric(numeric_names)))
+    if model.group is not None:
+        data[model.group] = table.raw(model.group)
+    return input_digest(raw), fit(model, data)
 
 
 def _records(columns: dict, keys: list[str]) -> list[dict]:

@@ -26,6 +26,9 @@ Mode = Literal["marginal", "simultaneous"]
 # Largest total count: up to here every pair total and count is an
 # exact float64, as the tail kernel's arguments must be.
 MAX_TOTAL = 1 << 53
+# Most categories a p-value table is built for: its p x p doubles then
+# take at most 512 MiB, and a set holds a few tables' worth besides.
+MAX_CATEGORIES = 1 << 13
 # Families with an adjusted p-value this close to alpha, relative to
 # alpha, are decided again in exact rational arithmetic; the float
 # kernel's relative error measured at most 3.2e-14 (s up to 1e9).
@@ -97,8 +100,24 @@ class PairwisePValueTable:
 
     @classmethod
     def from_counts(cls, data: MultinomialCounts) -> "PairwisePValueTable":
-        x = data.counts[:, None]
-        table = binom_tail(x, x + data.counts[None, :])
+        """The table of `data`'s counts. A p-value depends on the pair's
+        two counts alone, so the kernel runs once per pair of distinct
+        counts (u x u for u distinct values) and each cell reads its
+        pair's entry: the same arguments, so the same bits, as a kernel
+        call on every cell.
+
+        Raises DomainError for more than MAX_CATEGORIES categories,
+        before anything of table size is allocated.
+        """
+        if data.p > MAX_CATEGORIES:
+            raise DomainError(
+                f"{data.p} categories exceed the {MAX_CATEGORIES} that a "
+                f"{MAX_CATEGORIES} x {MAX_CATEGORIES} p-value table allows"
+            )
+        values, code = np.unique(data.counts, return_inverse=True)
+        x = values[:, None]
+        distinct = binom_tail(x, x + values[None, :])
+        table = distinct.take(code, axis=0).take(code, axis=1)
         np.fill_diagonal(table, 1.0)
         return cls(values=table)
 

@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePair, InsufficientCategories, NonFinite, NotPSD
+from .errors import DegeneratePair, DomainError, InsufficientCategories, NonFinite, NotPSD
 from .numerics import DenseMatrix, FloatArray, SeededRng, cholesky_psd, mvn_sample
 from .ranking import TieRule, irank
 
@@ -29,6 +29,9 @@ Mode = Literal["marginal", "simultaneous"]
 REPORT_RULE = TieRule(omega=0.0, direction="decreasing")
 
 _SE_FLOOR = 1e-12
+# Most draws x p cells a bootstrap runs: the draws matrix then takes at
+# most 1 GiB, and a set's peak is about 2.5 to 4.6 times that.
+MAX_DRAW_CELLS = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +179,12 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
 # a 2 MiB L2 cache together. On a 2-vCPU Xeon it was the fastest of 2^14
 # to 2^20 at p=300 and 1000 draws, and tied with 2^18 at p=1000.
 _CHUNK_CELLS = 1 << 17
+# Fewest pair cells (draws x studentized pairs) per thread of the pair
+# pass. On a 2-vCPU Xeon two threads took 12 ms against 19 ms on one at
+# p=50 and 4000 draws (4.9e6 cells), and 25 ms against 37 ms at p=130 and
+# 1000 draws; at p=100 and 1000 draws they tied, and at p=50 and 1000
+# draws (1.2e6 cells) or below the second thread only cost time.
+_WORKER_CELLS = 1 << 21
 
 
 def _cpu_count() -> int:
@@ -198,9 +207,10 @@ def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
     With `rows` put first, each pair with a requested member is
     studentized once, in one upper-triangle block that updates the
     columns of both; pairs of two unrequested populations are never
-    formed. The draws are split into one contiguous range per CPU (but
-    no more ranges than chunks), each cut into chunks of at most
-    _CHUNK_CELLS // p draws; the calling thread takes the first range.
+    formed. The draws are split into one contiguous range per CPU, but
+    into no more ranges than the pass has multiples of _WORKER_CELLS pair
+    cells; each range is cut into chunks of at most _CHUNK_CELLS // p
+    draws, and the calling thread takes the first one.
     Every element still takes the same subtract, abs, divide and max, so
     the result does not depend on the chunking or the number of threads.
     """
@@ -214,7 +224,10 @@ def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
         se = se[np.ix_(order, order)]
         out = np.zeros((len(rows), m))
     width = max(1, _CHUNK_CELLS // p)
-    workers = min(_cpu_count(), -(-m // width))
+    # blocks i = 0 .. led - 1 of the pass hold p - 1 - i pairs each
+    led = p - 1 if rows is None else min(len(rows), p - 1)
+    pairs = led * (p - 1) - led * (led - 1) // 2
+    workers = max(1, min(_cpu_count(), m, m * pairs // _WORKER_CELLS))
     cuts = [m * w // workers for w in range(workers + 1)]
     errors: list[BaseException] = []
 
@@ -289,7 +302,14 @@ def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
 def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: Mode,
                       wanted: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Rank bounds of `wanted`, each at the quantile of its own pair maxima
-    (marginal) or all at the quantile of their max over every population."""
+    (marginal) or all at the quantile of their max over every population.
+    Raises DomainError, before any draw, for more than MAX_DRAW_CELLS
+    draws x p cells."""
+    if cfg.draws * est.p > MAX_DRAW_CELLS:
+        raise DomainError(
+            f"{cfg.draws} draws of {est.p} populations exceed the "
+            f"{MAX_DRAW_CELLS} draws x p cells a bootstrap may hold"
+        )
     se = pairwise_se(est)
     z = _bootstrap_normals(est, cfg)
     if mode == "marginal":

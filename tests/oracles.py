@@ -192,6 +192,76 @@ def naive_corrected_vcov(fit_result):
     return (out + out.T) / 2.0
 
 
+def _column_indicator(x, v, omega, rows):
+    """I @ v for the indicator matrix of x, with v on `rows` and zero
+    elsewhere, from per-value masses over the codes of np.unique."""
+    _, code = np.unique(x, return_inverse=True)
+    m = int(code.max()) + 1
+    mass = np.bincount(code[rows], weights=v, minlength=m)
+    below = np.zeros(m + 1)
+    np.cumsum(mass, out=below[1:])
+    blended = below[:-1] * omega + below[1:] * (1.0 - omega)
+    return below[-1] - blended.take(code)
+
+
+def loop_corrected_vcov(fit_result):
+    """(matrix, sigma_nu2) of the corrected covariance, one length-n
+    influence column per coefficient, block by block, in the order of
+    operations of the package's covariance: each element takes the same
+    arithmetic, so the results agree to the bit.
+
+    Column j is h2 / n + eps * nu_j (on its block's rows) + h3, where
+    h2 = base + (I_y nu_j - r_y . nu_j) - (I_x w - r_x . w) with
+    w = b_x nu_j, and h3 = (base + I_x w_e - w_e . r_x) / n with
+    w_e = g_j eps; each term is present when its column is ranked.
+    """
+    from scipy.linalg import solve_triangular
+
+    design = fit_result.design
+    omega = design.model.omega
+    r = fit_result.qr.r
+    rinv = solve_triangular(r, np.eye(r.shape[1]), lower=False)
+    ztz_inv = rinv @ rinv.T
+    ztz_inv = (ztz_inv + ztz_inv.T) / 2.0
+    gammas = ztz_inv / np.diag(ztz_inv)[None, :]
+    n, k = design.z.shape
+    sigma_nu2 = np.empty(k)
+    h = np.empty((n, k))
+    with np.errstate(all="ignore"):
+        for b, (rows, cols) in enumerate(design.blocks):
+            z_b = design.z[rows, cols]
+            nu = z_b @ gammas[cols, cols]
+            sigma_nu2[cols] = np.sum(nu * nu, axis=0) / n
+            eps = fit_result.residuals[rows]
+            for j in range(k)[cols]:
+                gamma_j = gammas[cols, j]
+                nu_j = z_b @ gamma_j
+                base = float(eps @ nu_j)
+                h2 = np.full(n, base)
+                if design.r_y is not None:
+                    h2 = h2 + (_column_indicator(design.y_raw, nu_j, omega, rows)
+                               - float(design.r_y[rows] @ nu_j))
+                if design.r_x is not None:
+                    r_x = design.r_x[rows]
+                    weighted = fit_result.coefficients[design.x_cols[b]] * nu_j
+                    h2 = h2 - (_column_indicator(design.x_raw, weighted, omega, rows)
+                               - float(r_x @ weighted))
+                    weighted_eps = gamma_j[0] * eps
+                    h3 = (base + _column_indicator(design.x_raw, weighted_eps, omega, rows)
+                          - float(weighted_eps @ r_x)) / n
+                else:
+                    h3 = base / n
+                column = h2 / n
+                column[rows] += eps * nu_j
+                column += h3
+                h[:, j] = column
+        cross = (h.T @ h) / n
+        sigma = cross / np.outer(sigma_nu2, sigma_nu2)
+        matrix = sigma / n
+        matrix = (matrix + matrix.T) / 2.0
+    return matrix, sigma_nu2
+
+
 def spearman_rho(x, y):
     """Sample Spearman correlation for tie-free data, via 1..n ranks."""
     x = np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""Release gate: seventeen end-to-end checks, each printing one summary line.
+"""Release gate: eighteen end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -459,3 +459,27 @@ def test_c17_gaussian_draws_memory():
     assert ratio <= 5.0, f"peak {ratio:.2f} x draws*p doubles"
     _report("C17", f"cs_ranks peak {ratio:.2f} x draws*p doubles (p=1000, 4000 draws)",
             time.perf_counter() - t0)
+
+
+def test_c18_multinomial_p1000_budget():
+    # Zipf(0.8) counts at p=1000, n=1e5, as in C13: about 220 distinct
+    # counts, so the p-value kernel runs on about 5% of the table's cells
+    p, n = 1000, 100_000
+    probs = 1.0 / np.arange(1, p + 1) ** 0.8
+    probs /= probs.sum()
+    rng = np.random.default_rng(18)
+    counts = np.floor(n * probs).astype(np.int64)
+    counts += rng.multinomial(n - int(counts.sum()), probs)
+    data = MultinomialCounts(rng.permutation(counts))
+    times = {}
+    for mode in ("marginal", "simultaneous"):
+        t0 = time.perf_counter()
+        cs = cs_ranks_multinomial(data, coverage=0.95, mode=mode, method="holm")
+        times[mode] = time.perf_counter() - t0
+        assert np.all((cs.lower <= cs.rank) & (cs.rank <= cs.upper))
+    for mode, elapsed in times.items():
+        assert elapsed < 0.8, f"p=1000 {mode} Holm took {elapsed:.2f}s"
+    distinct = np.unique(counts).size
+    _report("C18", f"p=1000, n=1e5 Zipf counts ({distinct} distinct), marginal Holm in "
+            f"{times['marginal'] * 1e3:.0f} ms, simultaneous in "
+            f"{times['simultaneous'] * 1e3:.0f} ms", sum(times.values()))

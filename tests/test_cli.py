@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import rankinfer.multinomcs as multinomcs_mod
+import rankinfer.rankcs as rankcs_mod
 import rankinfer.rankreg.variance as variance_mod
 from rankinfer.cli.envelope import OutputEnvelope, input_digest, render_csv
 
@@ -417,6 +419,39 @@ class TestOverflowInputs:
         )
         assert res.code == 3
         assert fragment in res.stderr
+
+
+class TestUpFrontBounds:
+    """Work past the documented bounds exits 3 before anything of that
+    size is allocated: the bootstrap draws and the p-value table are
+    never started."""
+
+    def test_draws_times_populations(self, invoke_cli, monkeypatch):
+        monkeypatch.setattr(rankcs_mod, "_bootstrap_normals", None)  # never reached
+        for command in (["cs-ranks"], ["cs-ranks", "--simul"], ["cs-taubest", "--tau", "1"],
+                        ["cs-tauworst", "--tau", "1"]):
+            res = invoke_cli([*command, "--estimates", "e", "--se", "se", "--seed", "1",
+                              "--draws", "10000000000000"], stdin="e,se\n1,1\n2,1\n3,1\n")
+            assert res.code == 3, (command, res.stderr)
+            assert "draws x p" in res.stderr
+
+    def test_draws_bound_is_inclusive(self, invoke_cli, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rankcs_mod, "MAX_DRAW_CELLS", 3 * 200)
+        monkeypatch.setattr(rankcs_mod, "_bootstrap_normals",
+                            lambda est, cfg: calls.append(cfg.draws) or np.zeros((cfg.draws, est.p)))
+        stdin = "e,se\n1,1\n2,1\n3,1\n"
+        args = ["cs-ranks", "--estimates", "e", "--se", "se", "--seed", "1", "--draws"]
+        assert invoke_cli([*args, "200"], stdin=stdin).code == 0
+        assert invoke_cli([*args, "201"], stdin=stdin).code == 3
+        assert calls == [200]
+
+    def test_multinomial_categories(self, invoke_cli, monkeypatch):
+        monkeypatch.setattr(multinomcs_mod, "binom_tail", None)  # never reached
+        p = multinomcs_mod.MAX_CATEGORIES + 1
+        res = invoke_cli(["cs-multinom"], stdin="count\n" + "3\n" * p)
+        assert res.code == 3
+        assert f"{p} categories" in res.stderr
 
 
 class TestTauCommands:

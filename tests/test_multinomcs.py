@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankinfer.errors import DomainError, InsufficientCategories
 from rankinfer.multinomcs import (
+    MAX_CATEGORIES,
     MultinomialCounts,
     PairwisePValueTable,
     adjust_pvalues,
@@ -16,6 +17,7 @@ from rankinfer.multinomcs import (
 )
 
 import rankinfer.multinomcs as multinomcs
+from rankinfer.numerics import binom_tail
 
 from oracles import exact_binom_tail, exact_rank_bounds, naive_bonferroni, naive_holm
 
@@ -73,6 +75,46 @@ class TestPairwisePValue:
                 assert math.isclose(got, float(rhs), rel_tol=1e-14)
 
 
+@st.composite
+def count_vectors(draw):
+    """Counts with heavy ties, many zeros, a single distinct value or all
+    distinct values."""
+    p = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["ties", "zeros", "single", "distinct"]))
+    if kind == "ties":
+        pool = draw(st.lists(st.integers(0, 500), min_size=1, max_size=4))
+        counts = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
+    elif kind == "zeros":
+        counts = draw(st.lists(st.sampled_from([0, 0, 0, 1, 7]), min_size=p, max_size=p))
+    elif kind == "single":
+        counts = [draw(st.integers(1, 10**6))] * p
+    else:
+        counts = draw(st.lists(st.integers(0, 10**6), min_size=p, max_size=p, unique=True))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    return np.array(counts, dtype=np.int64)
+
+
+@st.composite
+def counts_near_the_largest_total(draw):
+    """One or two counts take all of 2**53 but the small counts' share."""
+    counts = draw(st.lists(st.integers(0, 50), min_size=2, max_size=12))
+    room = (1 << 53) - sum(counts)
+    if draw(st.booleans()):
+        counts[0] = draw(st.integers(room - 10**6, room))
+    else:
+        counts[:2] = draw(st.lists(st.integers(room // 2 - 10**6, room // 2),
+                                   min_size=2, max_size=2))
+    return np.array(draw(st.permutations(counts)), dtype=np.int64)
+
+
+def _kernel_on_every_cell(data):
+    x = data.counts[:, None]
+    table = binom_tail(x, x + data.counts[None, :])
+    np.fill_diagonal(table, 1.0)
+    return table
+
+
 class TestPValueTable:
     def test_matches_scalar_calls(self):
         counts = MultinomialCounts(np.array([12, 3, 7, 7]))
@@ -84,6 +126,44 @@ class TestPValueTable:
                     assert table[k, l] == pairwise_pvalue(
                         int(counts.counts[k]), int(counts.counts[l])
                     )
+
+    @given(count_vectors())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_kernel_on_every_cell(self, counts):
+        data = MultinomialCounts(counts)
+        assert np.array_equal(PairwisePValueTable.from_counts(data).values,
+                              _kernel_on_every_cell(data))
+
+    @given(counts_near_the_largest_total())
+    @settings(deadline=None, max_examples=15)
+    def test_matches_kernel_near_the_largest_total(self, counts):
+        # near-balanced pair totals this large cost the kernel up to 40 ms
+        # per cell, and for some of them it returns NaN, which must match
+        data = MultinomialCounts(counts)
+        assert np.array_equal(PairwisePValueTable.from_counts(data).values,
+                              _kernel_on_every_cell(data), equal_nan=True)
+
+    def test_kernel_sees_distinct_count_pairs(self, monkeypatch):
+        seen = []
+
+        def recording(x, s):
+            seen.append(np.broadcast(x, s).shape)
+            return binom_tail(x, s)
+
+        monkeypatch.setattr(multinomcs, "binom_tail", recording)
+        counts = np.array([5, 0, 12, 5, 5, 12, 40, 0, 5])  # 4 distinct values
+        table = PairwisePValueTable.from_counts(MultinomialCounts(counts)).values
+        assert seen == [(4, 4)]
+        assert table.shape == (9, 9)
+
+    def test_too_many_categories(self, monkeypatch):
+        # checked before the table is allocated
+        monkeypatch.setattr(multinomcs, "binom_tail", None)
+        data = MultinomialCounts(np.ones(MAX_CATEGORIES + 1, dtype=np.int64))
+        with pytest.raises(DomainError, match="categories"):
+            PairwisePValueTable.from_counts(data)
+        with pytest.raises(DomainError, match="categories"):
+            cs_ranks_multinomial(data)
 
 
 class TestAdjustPValues:

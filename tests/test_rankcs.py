@@ -139,6 +139,7 @@ class TestPairMaxima:
         # least one): mostly several chunks, split over `cpus` workers
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rankcs, "_CHUNK_CELLS", cells)
+            mp.setattr(rankcs, "_WORKER_CELLS", 1)
             mp.setattr(rankcs, "_cpu_count", lambda: cpus)
             got = _pair_maxima(z, se, rows)
             joint = _pair_maxima(z, se, None)
@@ -167,6 +168,7 @@ class TestChunkedPass:
         z = rng.normal(size=(draws, p))
         naive = _naive_pair_maxima(z, se, range(p))
         monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 5 * p)
+        monkeypatch.setattr(rankcs, "_WORKER_CELLS", 1)
         monkeypatch.setattr(rankcs, "_cpu_count", lambda: 8)
         running = threading.active_count()
         interval = sys.getswitchinterval()
@@ -180,6 +182,7 @@ class TestChunkedPass:
         assert threading.active_count() == running  # every worker joined
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # p=10 at 1000 draws: 45,000 pair cells, too few for a second thread
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
         rng = np.random.default_rng(0)
@@ -192,11 +195,48 @@ class TestChunkedPass:
             raise MemoryError("chunk")
 
         monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 8)
+        monkeypatch.setattr(rankcs, "_WORKER_CELLS", 1)
         monkeypatch.setattr(rankcs, "_cpu_count", lambda: 2)
         monkeypatch.setattr(rankcs, "_pair_chunks", fail)
         se = pairwise_se(diag_estimates(np.zeros(4), np.ones(4)))
         with pytest.raises(MemoryError):
             _pair_maxima(np.zeros((10, 4)), se, None)
+
+
+    @staticmethod
+    def _ranges(monkeypatch, p, draws, rows):
+        """(start, stop, width) of every range the pass runs, on 2 CPUs."""
+        ranges = []
+        pair_chunks = rankcs._pair_chunks
+
+        def recording(z, se, order, out, columns, start, stop, width):
+            ranges.append((start, stop, width))
+            pair_chunks(z, se, order, out, columns, start, stop, width)
+
+        monkeypatch.setattr(rankcs, "_pair_chunks", recording)
+        monkeypatch.setattr(rankcs, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(p)
+        se = pairwise_se(diag_estimates(np.zeros(p), rng.uniform(0.1, 1.0, p)))
+        _pair_maxima(rng.normal(size=(draws, p)), se, rows)
+        return sorted(ranges)
+
+    def test_single_chunk_pass_uses_both_cpus(self, monkeypatch):
+        # p=100 at 1000 draws fits one chunk of 1310 draws but holds
+        # 4.95e6 pair cells: one range per CPU
+        for rows in (range(100), None):
+            assert self._ranges(monkeypatch, 100, 1000, rows) == [(0, 500, 1310),
+                                                                   (500, 1000, 1310)]
+
+    def test_small_pass_one_range(self, monkeypatch):
+        assert self._ranges(monkeypatch, 10, 1000, range(10)) == [(0, 1000, 13107)]
+        # one requested population of 30: 29,000 pair cells
+        assert self._ranges(monkeypatch, 30, 1000, [4]) == [(0, 1000, 4369)]
+
+    def test_p300_split_unchanged(self, monkeypatch):
+        # two ranges of 500 draws, each cut into chunks of at most 436
+        for rows in (range(300), None):
+            assert self._ranges(monkeypatch, 300, 1000, rows) == [(0, 500, 436),
+                                                                   (500, 1000, 436)]
 
 
 class TestQuantile:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankinfer import ranking as ranking_mod
+from rankinfer.rankreg import variance as variance_mod
 from rankinfer.errors import DegenerateCovariance, NonFinite, RankDeficient
 from rankinfer.ranking import _TieRuns
 from rankinfer.rankreg.model import RankRegressionModel, confint, fit, summarize
@@ -18,6 +19,7 @@ from rankinfer.rankreg.variance import (
 
 from oracles import (
     hc0_sandwich,
+    loop_corrected_vcov,
     naive_corrected_vcov,
     naive_indicator_matvec,
     naive_indicator_matvec_loop,
@@ -260,7 +262,8 @@ def block_designs(draw):
     with heavy ties in X and Y when the pools are small."""
     sizes = draw(st.lists(st.integers(6, 30), min_size=1, max_size=4))
     response, terms = draw(st.sampled_from(
-        [("r(Y)", "r(X)"), ("r(Y)", "r(X) + W"), ("Y", "r(X) + W"), ("r(Y)", "X + W")]
+        [("r(Y)", "r(X)"), ("r(Y)", "r(X) + W"), ("Y", "r(X) + W"), ("r(Y)", "X + W"),
+         ("Y", "X + W")]
     ))
     x_pool, y_pool = draw(st.sampled_from([2, 3, 8, None])), draw(st.sampled_from([2, 4, None]))
     omega = draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -297,3 +300,36 @@ def test_block_fit_and_vcov_match_dense_oracles(case):
     assume(np.abs(want).max() > 1e-12)
     got = corrected_vcov(result).matrix
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@given(block_designs())
+@settings(deadline=None, max_examples=200)
+def test_vcov_matches_per_column_loop_to_the_bit(case):
+    # the per-value tables and the chunked fill give every influence
+    # element the arithmetic of a length-n column per coefficient
+    model, data = case
+    try:
+        result = fit(model, data)
+    except RankDeficient:
+        assume(False)
+    got = corrected_vcov(result)
+    want_matrix, want_sigma_nu2 = loop_corrected_vcov(result)
+    assert np.array_equal(got.matrix, want_matrix)
+    assert np.array_equal(got.sigma_nu2, want_sigma_nu2)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+def test_vcov_independent_of_row_chunks(monkeypatch, cells):
+    rng = np.random.default_rng(14)
+    n = 300
+    data = {
+        "Y": tied_sample(rng, n, 25),
+        "X": tied_sample(rng, n, 40),
+        "W": rng.normal(size=n),
+        "G": rng.choice(["a", "b", "c"], size=n),
+    }
+    for text in ("r(Y) ~ (r(X) + W):G", "r(Y) ~ r(X) + W"):
+        result = fit(model_from(text, omega=0.5), data)
+        want, _ = loop_corrected_vcov(result)
+        monkeypatch.setattr(variance_mod, "_ROW_CELLS", cells)
+        assert np.array_equal(corrected_vcov(result).matrix, want)
