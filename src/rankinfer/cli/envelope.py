@@ -13,6 +13,8 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def input_digest(*chunks: bytes) -> str:
     digest = hashlib.sha256()
@@ -50,23 +52,39 @@ class OutputEnvelope:
 
 
 # Values the C encoder writes exactly as the indenting pure-Python encoder
-# does. Commands build results from these alone (`tolist()`, `int()`,
-# `str`); anything else, numpy scalars included, is a TypeError.
+# does. Commands build results from these (`tolist()`, `int()`, `str`)
+# and from 1-D float64 arrays, which are written as the list of their
+# `tolist()`, slice by slice; anything else, numpy scalars included, is a
+# TypeError.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
+# Elements per slice of an array value: each slice becomes a list of
+# Python floats only while the C encoder writes it.
+_ARRAY_SLICE = 1 << 14
 
 
 def _encode(value, level: int, chunks: list[str]) -> None:
     """Append the indent=2 JSON of `value` at nesting `level`.
 
     json.dumps uses its pure-Python encoder whenever `indent` is set;
-    here every scalar and every flat list of scalars goes through the C
-    encoder instead, with the newline and indent of its level as the
-    item separator.
+    here every scalar, every flat list of scalars and every slice of a
+    1-D float64 array goes through the C encoder instead, with the
+    newline and indent of its level as the item separator.
     """
     kind = type(value)
     if kind in _SCALARS:
         chunks.append(_flat_encoder(level).encode(value))
+    elif kind is np.ndarray and value.dtype == np.float64 and value.ndim == 1:
+        if not value.size:
+            chunks.append("[]")
+            return
+        encoder = _flat_encoder(level + 1)
+        separator = "[\n" + _INDENT * (level + 1)
+        for start in range(0, value.size, _ARRAY_SLICE):
+            inner = encoder.encode(value[start:start + _ARRAY_SLICE].tolist())
+            chunks.append(separator + inner[1:-1])
+            separator = ",\n" + _INDENT * (level + 1)
+        chunks.append("\n" + _INDENT * level + "]")
     elif kind is list or kind is tuple:
         if not value:
             chunks.append("[]")

@@ -213,17 +213,28 @@ def read_covariance(text: str, p: int) -> np.ndarray:
     return np.ascontiguousarray(table.numeric(table.names).T)
 
 
+# Characters per write: the text stream encodes each slice on its own,
+# so no UTF-8 copy of a whole large document is made.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[start:start + _WRITE_SLICE])
+
+
 def write_text(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically to a file (temp + rename)."""
+    """Write to stdout, or atomically to a file (temp + rename), in
+    bounded slices."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
         return
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rankinfer-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            _write_slices(handle, text)
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -137,7 +137,8 @@ def _emit(envelope, out_format, output_path, csv_columns):
         return
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    write_text(output_path, render_csv(list(csv_columns), zip(*csv_columns.values())))
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in csv_columns.values()]
+    write_text(output_path, render_csv(list(csv_columns), zip(*columns)))
 
 
 def _integer_counts(table, column: str) -> np.ndarray:
@@ -192,29 +193,33 @@ def cli():
 def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, against, label_col):
     """Integer and fractional ranks of one column."""
     raw = read_bytes(input_path)
+    digest = input_digest(raw)
     table = parse_table(decode(raw))
+    del raw  # the digest and the table hold all the command reads from it
     rule = TieRule(omega, "increasing" if increasing else "decreasing")
-    if against is not None:
-        values, reference = table.numeric([column, against])
-        ivals = irank_against(values, reference, rule).values
-        fvals = ivals / len(reference)
+    if against is None:
+        values = reference = table.numeric(column)
     else:
-        values = table.numeric(column)
-        ivals = irank(values, rule).values
-        fvals = ivals / len(values)
+        values, reference = table.numeric([column, against])
+    if values.size == 0:
+        raise InputError("data has no rows")
+    ranks = irank(values, rule) if against is None else irank_against(values, reference, rule)
+    ivals = ranks.values
+    fvals = ivals / len(reference)
     labels = _label_values(table, label_col, len(values))
+    del table  # not needed while the envelope is encoded
     results = {
         "column": column,
         "omega": omega,
         "direction": "increasing" if increasing else "decreasing",
         "labels": labels,
-        "values": values.tolist(),
-        "irank": ivals.tolist(),
-        "frank": fvals.tolist(),
+        "values": values,
+        "irank": ivals,
+        "frank": fvals,
     }
     envelope = OutputEnvelope(
         procedure="ranks",
-        input_digest=input_digest(raw),
+        input_digest=digest,
         seed=None,
         coverage=None,
         results=results,

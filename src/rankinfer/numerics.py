@@ -55,12 +55,14 @@ class QRFactorization:
 _DEFICIENT = "design matrix is numerically rank-deficient"
 
 
-def _require_design(z: DenseMatrix) -> DenseMatrix:
+def _require_design(z: DenseMatrix, k: int | None = None) -> DenseMatrix:
+    """z as a finite 2-D float64 array with at least one column and at
+    least as many rows as the design's k columns (default z's own)."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("z must be a 2-D matrix")
     _require_finite(z, "design matrix")
-    n, k = z.shape
+    n, k = z.shape[0], z.shape[1] if k is None else k
     if k == 0:
         raise ValueError("z must have at least one column")
     if n < k:
@@ -87,28 +89,36 @@ def qr_decompose(z: DenseMatrix) -> QRFactorization:
 
 
 def block_least_squares(
-    z: DenseMatrix, y: FloatArray, blocks: Sequence[tuple[slice | np.ndarray, slice]]
+    z: DenseMatrix, y: FloatArray, blocks: Sequence[tuple[slice | np.ndarray, slice]],
+    k: int,
 ) -> tuple[QRFactorization, FloatArray, FloatArray]:
-    """Least squares of y on a z that is zero outside its blocks.
+    """Least squares of y on a block-diagonal design of k columns, given
+    its n x B base columns z.
 
-    `blocks` lists (rows, cols) pairs: rows a slice or an index array,
-    cols a slice. Together they cover every row once and every column
-    once. Each block is factored by its own QR, and its R is placed at
-    (cols, cols) of the k x k factor; with the columns of each block in
-    increasing order, that factor is upper-triangular and R'R = Z'Z. One
-    block holding every row and column is a plain QR of z. Q is not kept.
+    `blocks` lists (rows, cols) pairs: rows a slice or an index array
+    into z, cols a slice of the k coefficients selecting B of them
+    (ValueError otherwise). Together they cover every row once and every
+    coefficient once, and the design is z[rows] at (rows, cols) and zero
+    elsewhere, so only the n x B array is held.
+    Each block matrix z[rows] is factored by its own QR, and its R is
+    placed at (cols, cols) of the k x k factor; with the columns of each
+    block in increasing order, that factor is upper-triangular and R'R
+    is the design's Z'Z. One block holding every row and column is a
+    plain QR of z. Q is not kept.
 
-    The collinearity check is global: the smallest |R| diagonal entry over
-    all blocks against the largest. A block with fewer rows than columns
-    is rank-deficient. Returns the factor (q None), the coefficients and
-    the residuals.
+    The design needs n >= k rows, and the collinearity check is global:
+    the smallest |R| diagonal entry over all blocks against the largest.
+    A block with fewer rows than columns is rank-deficient. Returns the
+    factor (q None), the coefficients and the residuals.
     """
-    z = _require_design(z)
-    n, k = z.shape
+    z = _require_design(z, k)
+    n = z.shape[0]
+    if any(len(range(k)[cols]) != z.shape[1] for _, cols in blocks):
+        raise ValueError("each block must select as many coefficients as z has columns")
     r = np.zeros((k, k))
     qty = np.empty(k)
     for rows, cols in blocks:
-        z_b = z[rows, cols]
+        z_b = z[rows]
         if z_b.shape[0] < z_b.shape[1]:
             raise RankDeficient(_DEFICIENT)
         factor = qr_decompose(z_b)
@@ -119,7 +129,7 @@ def block_least_squares(
     residuals = np.empty(n)
     for rows, cols in blocks:
         coefficients[cols] = solve_triangular(r[cols, cols], qty[cols], lower=False)
-        residuals[rows] = y[rows] - z[rows, cols] @ coefficients[cols]
+        residuals[rows] = y[rows] - z[rows] @ coefficients[cols]
     return QRFactorization(q=None, r=r), coefficients, residuals
 
 

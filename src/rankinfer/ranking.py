@@ -84,10 +84,18 @@ def _blend(below: np.ndarray, at_or_below: np.ndarray, n: int, rule: TieRule) ->
 
 
 def _counts_against(x: FloatArray, reference: FloatArray, rule: TieRule) -> FloatArray:
-    """omega-blend of weak/strict predecessor counts of x within reference."""
+    """omega-blend of weak/strict predecessor counts of x within reference.
+
+    Both searches run on the sorted queries, where each binary search
+    starts near the last one's result and stays in cache, and the counts
+    are scattered back to query order."""
     ordered = np.sort(reference)
-    left = np.searchsorted(ordered, x, side="left")
-    right = np.searchsorted(ordered, x, side="right")
+    order = np.argsort(x, kind="stable")
+    queries = x[order]
+    left = np.empty(x.size, dtype=np.intp)
+    right = np.empty(x.size, dtype=np.intp)
+    left[order] = np.searchsorted(ordered, queries, side="left")
+    right[order] = np.searchsorted(ordered, queries, side="right")
     return _blend(left, right, reference.size, rule)
 
 

@@ -92,14 +92,18 @@ class RankRegressionModel:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Built design: the numeric matrix plus everything the variance
+    """Built design: its base columns plus everything the variance
     machinery needs to know about where ranks entered it, including the
     tie runs of each ranked column.
 
-    `blocks` lists the (rows, cols) pairs outside which z is zero: one
-    per group level (its rows, and its columns as a strided slice), or a
-    single block of every row and column when ungrouped. `x_cols` holds
-    the ranked regressor's column in each block, in block order.
+    z holds the n x B base columns, grouped or not. The design itself is
+    block-diagonal: `blocks` lists one (rows, cols) pair per group level
+    (its rows, and its coefficient columns as the strided slice
+    `code::G`), or a single block of every row and column when
+    ungrouped, and a block's matrix is z[rows]; the design is zero
+    outside its blocks and has len(colnames) = B x len(blocks) columns.
+    `x_cols` holds the ranked regressor's column in each block, in block
+    order.
     """
 
     z: FloatArray
@@ -163,7 +167,9 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     Column order: the ranked regressor first (when present), then the
     remaining regressors in specification order, then the intercept.
     Grouped models expand every base column into one column per group
-    level (group-specific intercepts included, no global intercept).
+    level (group-specific intercepts included, no global intercept); z
+    keeps the base columns once, and each level's block reads them on its
+    rows.
     """
     warnings: list[str] = []
     y_raw = _numeric_column(data, model.response)
@@ -226,21 +232,18 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     names: list[str] = []
     x_cols: list[int] = []
     x_col_group: list[int] = []
+    z = np.column_stack([values for _, values, _ in base])
     if group_codes is None:
-        for name, values, is_x in base:
+        for name, _, is_x in base:
             if is_x:
                 x_cols.append(len(names))
                 x_col_group.append(-1)
             names.append(name)
-        z = np.column_stack([values for _, values, _ in base])
         blocks = ((slice(None), slice(None)),)
     else:
-        # column b*G + g holds base column b on the rows of level g
+        # design column b*G + g holds base column b on the rows of level g
         n_levels = len(group_levels)
-        z = np.zeros((n, len(base) * n_levels))
-        every_row = np.arange(n)
-        for b, (name, values, is_x) in enumerate(base):
-            z[every_row, b * n_levels + group_codes] = values
+        for name, _, is_x in base:
             for code, level in enumerate(group_levels):
                 if is_x:
                     x_cols.append(len(names))
@@ -293,7 +296,8 @@ def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressio
     """OLS fit of the rank-transformed design via one QR per design block
     (per group level when grouped, else a single QR of the whole design)."""
     design = build_design(model, data)
-    factor, coefficients, residuals = block_least_squares(design.z, design.y, design.blocks)
+    factor, coefficients, residuals = block_least_squares(
+        design.z, design.y, design.blocks, len(design.colnames))
     return RankRegressionFit(
         model=model,
         design=design,

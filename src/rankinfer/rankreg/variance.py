@@ -201,16 +201,16 @@ def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
     """
     design = fit.design
     gammas = projection_from_inverse(inverse_from_qr(fit.qr))
-    n, k = design.z.shape
+    n, k = design.n, len(design.colnames)
     rows_y = design.ties_y.m if design.ties_y is not None else 1
     rows_x = design.ties_x.m if design.ties_x is not None else 1
     tables = (np.empty((rows_y, k)), np.empty((rows_x, k)), np.empty((rows_x, k)))
     table_p, table_q, table_s = tables
-    e = np.empty((n, k // len(design.blocks)))  # eps * nu_j, in block column order
+    e = np.empty(design.z.shape)  # eps * nu_j, in block column order
     sigma_nu2 = np.empty(k)
     with np.errstate(all="ignore"):  # a non-finite result is rejected below
         for b, (rows, cols) in enumerate(design.blocks):
-            z_b = design.z[rows, cols]
+            z_b = design.z[rows]
             nu = z_b @ gammas[cols, cols]
             sigma_nu2[cols] = np.sum(nu * nu, axis=0) / n
             ranked_coef = (fit.coefficients[design.x_cols[b]]

@@ -138,6 +138,20 @@ def hc0_sandwich(z, residuals):
     return bread @ meat @ bread
 
 
+def dense_design(design):
+    """The n x P design matrix with its zeros: z itself when ungrouped;
+    when grouped, column b*G + g holds base column b of z on the rows of
+    group level g."""
+    if design.group_codes is None:
+        return design.z
+    n, base = design.z.shape
+    levels = len(design.group_levels)
+    z = np.zeros((n, base * levels))
+    for b in range(base):
+        z[np.arange(n), b * levels + design.group_codes] = design.z[:, b]
+    return z
+
+
 def naive_corrected_vcov(fit_result):
     """Corrected coefficient covariance from first principles.
 
@@ -147,7 +161,7 @@ def naive_corrected_vcov(fit_result):
     """
     design = fit_result.design
     omega = design.model.omega
-    z = design.z
+    z = dense_design(design)
     n, n_cols = z.shape
     beta = fit_result.coefficients
     eps = fit_result.residuals
@@ -224,12 +238,13 @@ def loop_corrected_vcov(fit_result):
     ztz_inv = rinv @ rinv.T
     ztz_inv = (ztz_inv + ztz_inv.T) / 2.0
     gammas = ztz_inv / np.diag(ztz_inv)[None, :]
-    n, k = design.z.shape
+    z = dense_design(design)
+    n, k = z.shape
     sigma_nu2 = np.empty(k)
     h = np.empty((n, k))
     with np.errstate(all="ignore"):
         for b, (rows, cols) in enumerate(design.blocks):
-            z_b = design.z[rows, cols]
+            z_b = z[rows, cols]
             nu = z_b @ gammas[cols, cols]
             sigma_nu2[cols] = np.sum(nu * nu, axis=0) / n
             eps = fit_result.residuals[rows]

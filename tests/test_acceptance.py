@@ -1,4 +1,4 @@
-"""Release gate: eighteen end-to-end checks, each printing one summary line.
+"""Release gate: nineteen end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -17,6 +17,7 @@ from oracles import (
     spearman_rho,
 )
 from rankinfer.cli.io import parse_table
+from rankinfer.cli.main import main as cli_main
 from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
 from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
 from rankinfer.rankcs import BootstrapConfig, EstimatesWithCovariance, cs_ranks
@@ -431,9 +432,9 @@ def test_c16_grouped_vcov_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, p = f.design.z.shape
+    n, p = f.design.n, len(f.colnames)
     ratio = peak / (n * p * 8)
-    assert ratio <= 2.5, f"peak {ratio:.2f} x n*P doubles"
+    assert ratio <= 1.6, f"peak {ratio:.2f} x n*P doubles"
     _report("C16", f"grouped fit + corrected vcov peak {ratio:.2f} x n*P doubles (n=1e5, P={p})",
             time.perf_counter() - t0)
 
@@ -483,3 +484,30 @@ def test_c18_multinomial_p1000_budget():
     _report("C18", f"p=1000, n=1e5 Zipf counts ({distinct} distinct), marginal Holm in "
             f"{times['marginal'] * 1e3:.0f} ms, simultaneous in "
             f"{times['simultaneous'] * 1e3:.0f} ms", sum(times.values()))
+
+
+def test_c20_ranks_against_memory(tmp_path):
+    # the ranks command holds neither the input bytes nor the table while
+    # it encodes, and writes its 600k-float envelope from arrays in slices
+    rng = np.random.default_rng(20)
+    n = 200_000
+    values = rng.normal(size=(n, 3))
+    source = tmp_path / "distinct.csv"
+    source.write_text("Y,X,W\n" + "".join("%.12g,%.12g,%.12g\n" % tuple(row)
+                                           for row in values.tolist()))
+    target = tmp_path / "ranks.json"
+    size = source.stat().st_size
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli_main(["ranks", "--input", str(source), "--column", "Y", "--against", "X",
+                         "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.stat().st_size > size
+    ratio = peak / size
+    assert ratio <= 6.5, f"peak {ratio:.2f} x input bytes"
+    _report("C20", f"ranks --against on a 2e5-row CSV peaks at {ratio:.2f} x its "
+            f"{size / 1e6:.1f} MB", time.perf_counter() - t0)

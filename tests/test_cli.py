@@ -125,6 +125,36 @@ class TestRanks:
         assert lines[0] == "index,label,value,irank,frank"
         assert lines[4] == "4,Canada,512.0169,1.0," + repr(1.0 / 6.0)
 
+    @pytest.mark.parametrize("extra", [[], ["--against", "ref"]])
+    def test_header_only_input(self, invoke_cli, extra):
+        res = invoke_cli(["ranks", "--column", "v", *extra], stdin="v,ref\n")
+        assert res.code == 2
+        assert res.stdout == ""
+        assert "data has no rows" in res.stderr
+
+    @pytest.mark.parametrize("extra", [[], ["--against", "ref"]])
+    def test_outputs_match_list_rendering(self, invoke_cli, tmp_path, extra):
+        # the envelope encodes the rank arrays as their lists; the file
+        # written with -o holds the bytes of stdout
+        stdin = "v,ref,name\n3,1,a\n-0.0,2,b\n7,7,c\n7,0.0,d\n1e-300,5,e\n"
+        args = ["ranks", "--column", "v", "--label", "name", *extra]
+        res = invoke_cli(args, stdin=stdin)
+        assert res.code == 0
+        body = parse_envelope(res.stdout)
+        results = body["results"]
+        assert results["values"] == [3.0, -0.0, 7.0, 7.0, 1e-300]
+        assert res.stdout == OutputEnvelope(
+            procedure="ranks", input_digest=body["input_digest"], seed=None,
+            coverage=None, results=results).to_json()
+        target = tmp_path / "out.json"
+        assert invoke_cli([*args, "-o", str(target)], stdin=stdin).code == 0
+        assert target.read_bytes() == res.stdout.encode("utf-8")
+        table = invoke_cli([*args, "--format", "csv"], stdin=stdin)
+        assert table.stdout == render_csv(
+            ["index", "label", "value", "irank", "frank"],
+            zip(range(1, 6), results["labels"], results["values"], results["irank"],
+                results["frank"]))
+
     def test_missing_column(self, invoke_cli):
         res = invoke_cli(["ranks", "--column", "nope"], stdin=COUNTRY_CSV)
         assert res.code == 2

@@ -132,6 +132,15 @@ class TestParserOracle:
             "a,b\n1e400,nan\n",
             "a,b\n1,2\n3,nan\n4,abc\n",
             "a\n1\n\n2",
+            # blank lines leading, inside and trailing, no final newline,
+            # one row and CRLF
+            "a,b,c\n\n1,2,3\n4,5,6\n",
+            "a,b,c\n1,2,3\n\n\n4,5,6\n",
+            "a,b,c\n1,2,3\n4,5,6\n\n\n",
+            "a,b,c\n1,2,3\n4,5,6",
+            "a,b,c\n1, 2 ,3\n",
+            "a,b,c\r\n1,2,3\r\n4,5,6\r\n",
+            "a,b,c\r\n\r\n1,2,3\r\n\r\n4,5,6",
             "\n1,2\n",
             "a,b\n",
             "",
@@ -221,6 +230,28 @@ class TestEncoderOracle:
     def test_unsupported_values_raise(self):
         # only the exact types the commands build are encoded
         for results in ({"x": [np.float64(0.1), 1.0]}, {"x": np.int64(3)},
-                        {"x": {1: [1.0, 2.0]}}):
+                        {"x": {1: [1.0, 2.0]}}, {"x": np.arange(3)},
+                        {"x": np.ones((2, 2))}, {"x": [np.ones(2, dtype=np.float32)]}):
             with pytest.raises(TypeError):
                 self._envelope(results).to_json()
+
+    @pytest.mark.parametrize("size", [0, 1, 2, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                                      2 * (1 << 14) + 3])
+    def test_array_values_encode_as_their_lists(self, size):
+        # float64 arrays are written slice by slice, at any nesting level,
+        # with the bytes of their tolist()
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+        if size > 1:
+            values[:2] = [-0.0, 5e-324]
+        for wrap in (lambda v: v, lambda v: {"inner": v, "after": 1}):
+            env = self._envelope({"values": wrap(values), "n": size})
+            want = self._envelope({"values": wrap(values.tolist()), "n": size})
+            assert env.to_json() == want.to_json() == self._reference(want)
+
+    def test_array_with_non_finite_value_raises(self):
+        values = np.zeros((1 << 14) + 5)
+        for bad in (math.nan, math.inf):
+            values[-1] = bad
+            with pytest.raises(ValueError):
+                self._envelope({"values": values}).to_json()

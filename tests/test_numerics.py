@@ -9,6 +9,7 @@ from rankinfer.errors import NonFinite, NotPSD, RankDeficient
 from rankinfer.numerics import (
     SeededRng,
     binom_tail,
+    block_least_squares,
     cholesky_psd,
     inverse_from_qr,
     inverse_normal_cdf,
@@ -60,6 +61,38 @@ class TestQR:
             qr_decompose(np.ones((4, 0)))
         with pytest.raises(NonFinite):
             qr_decompose(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestBlockLeastSquares:
+    def _blocks(self, n):
+        # two groups, coefficient b*2 + g for base column b on group g
+        rows = np.arange(n) % 2
+        return [(np.flatnonzero(rows == g), slice(g, None, 2)) for g in (0, 1)]
+
+    def test_matches_dense_least_squares(self):
+        rng = np.random.default_rng(4)
+        z, y = random_design(rng, 30, 3), rng.normal(size=30)
+        blocks = self._blocks(30)
+        dense = np.zeros((30, 6))
+        for rows, cols in blocks:
+            dense[np.ix_(rows, np.arange(6)[cols])] = z[rows]
+        f, coefficients, residuals = block_least_squares(z, y, blocks, 6)
+        assert np.allclose(coefficients, np.linalg.lstsq(dense, y, rcond=None)[0])
+        assert np.allclose(residuals, y - dense @ coefficients)
+        assert np.allclose(f.r.T @ f.r, dense.T @ dense)
+
+    def test_global_shape_and_block_checks(self):
+        rng = np.random.default_rng(5)
+        z = random_design(rng, 5, 3)
+        with pytest.raises(RankDeficient, match=r"more columns \(6\) than rows \(5\)"):
+            block_least_squares(z, np.zeros(5), self._blocks(5), 6)
+        z = random_design(rng, 30, 3)
+        # blocks that select fewer coefficients than z has columns
+        with pytest.raises(ValueError, match="each block"):
+            block_least_squares(z, np.zeros(30), self._blocks(30), 4)
+        # a padded n x k z with the same blocks: each would read k columns
+        with pytest.raises(ValueError, match="each block"):
+            block_least_squares(np.hstack([z, z]), np.zeros(30), self._blocks(30), 6)
 
 
 class TestCholeskyPSD:

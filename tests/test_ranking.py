@@ -103,6 +103,37 @@ def test_tie_runs_match_search_and_naive_indicator(theta, seed):
                 assert np.abs(got - naive_indicator_matvec(theta, v, omega)).max() < 1e-12
 
 
+@st.composite
+def queries_and_reference(draw):
+    """A reference vector, tied or distinct and sometimes holding both
+    zeros, and queries drawn from its values, both zeros, points outside
+    its support and arbitrary floats."""
+    reference = draw(tied_or_distinct())
+    if draw(st.booleans()):
+        reference = np.concatenate([reference, [0.0, -0.0]])
+    pool = reference.tolist() + [0.0, -0.0, float(reference.min()) - 1.0,
+                                 float(reference.max()) + 1.0]
+    queries = draw(st.lists(st.sampled_from(pool) | FINITE, max_size=60))
+    return np.array(queries, dtype=np.float64), reference
+
+
+@given(queries_and_reference())
+@settings(deadline=None, max_examples=300)
+def test_sorted_lookup_matches_per_query_search(case):
+    # the counts from the sorted queries, scattered back, equal one
+    # binary search per query in query order
+    x, reference = case
+    ordered = np.sort(reference)
+    left = np.array([np.searchsorted(ordered, q, side="left") for q in x], dtype=np.intp)
+    right = np.array([np.searchsorted(ordered, q, side="right") for q in x], dtype=np.intp)
+    for omega in (0.0, 0.5, 1.0):
+        for direction in ("increasing", "decreasing"):
+            rule = TieRule(omega, direction)
+            want = ranking_mod._blend(left, right, reference.size, rule)
+            got = irank_against(x, reference, rule).values
+            assert got.tobytes() == want.tobytes(), (omega, direction)
+
+
 def test_frank_is_irank_over_n():
     theta = np.array([2.0, 2.0, 5.0, 1.0])
     rule = TieRule(0.5, "increasing")

@@ -28,6 +28,8 @@ from rankinfer.rankreg.model import (
     summarize,
 )
 
+from oracles import dense_design
+
 
 def model_from(text, omega=1.0):
     return RankRegressionModel.from_formula(text, omega=omega)
@@ -94,7 +96,10 @@ def test_grouped_design_expansion():
         "G": np.repeat(["north", "south"], n // 2),
     }
     design = build_design(model_from("r(Y) ~ (r(X) + W):G"), data)
-    assert design.z.shape[1] == 6
+    # z keeps the three base columns; the design has one copy per level
+    assert design.z.shape == (n, 3)
+    z = dense_design(design)
+    assert z.shape[1] == 6
     assert design.colnames == (
         "r(X):north",
         "r(X):south",
@@ -108,8 +113,8 @@ def test_grouped_design_expansion():
     rule = TieRule(omega=1.0, direction="increasing")
     pooled = frank(data["X"], rule).values
     north = data["G"] == "north"
-    assert np.allclose(design.z[north, 0], pooled[north])
-    assert np.allclose(design.z[~north, 0], 0.0)
+    assert np.allclose(z[north, 0], pooled[north])
+    assert np.allclose(z[~north, 0], 0.0)
 
 
 def test_grouped_fit_equals_per_group_fits():
