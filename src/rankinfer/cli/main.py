@@ -240,6 +240,8 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
     raw = read_bytes(input_path)
     table = parse_table(decode(raw))
     theta = table.numeric(estimates_col)
+    if theta.size == 0:
+        raise InputError("data has no rows")
     labels = _label_values(table, label_col, len(theta))
     if se_col is not None:
         se = table.numeric(se_col)
@@ -422,6 +424,8 @@ def cmd_csranks_multinom(
             )
         column = numeric_names[0]
     counts = _integer_counts(table, column)
+    if counts.size == 0:
+        raise InputError("data has no rows")
     labels = _label_values(table, label_col, len(counts))
     data = MultinomialCounts(counts, labels=tuple(labels))
     idx = _parse_indices(indices, data.p)

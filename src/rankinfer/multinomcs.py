@@ -31,7 +31,8 @@ MAX_TOTAL = 1 << 53
 MAX_CATEGORIES = 1 << 13
 # Families with an adjusted p-value this close to alpha, relative to
 # alpha, are decided again in exact rational arithmetic; the float
-# kernel's relative error measured at most 3.2e-14 (s up to 1e9).
+# kernel's relative error measured at most 3.2e-14 for s up to 1e9 and
+# 1.7e-13 for s in [2^52, 2^53] (see numerics.binom_tail).
 _SETTLE_RTOL = 1e-12
 
 

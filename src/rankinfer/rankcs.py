@@ -6,7 +6,9 @@ simulated by a parametric bootstrap from N(0, sigma_hat). Marginal sets
 cover one population's rank, simultaneous sets cover all ranks jointly,
 one-sided sets give simultaneous lower bounds, and the tau-best /
 tau-worst sets are projections of the one-sided sets.
-All of them read per-draw maxima of |Z_k - Z_j| / se_jk (`_pair_maxima`).
+All of them read per-draw maxima of |Z_k - Z_j| / se_jk (`_pair_maxima`),
+screened in float32, with critical values exact to the float64 bit
+(`_critical_values`).
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ REPORT_RULE = TieRule(omega=0.0, direction="decreasing")
 
 _SE_FLOOR = 1e-12
 # Most draws x p cells a bootstrap runs: the draws matrix then takes at
-# most 1 GiB, and a set's peak is about 2.5 to 4.6 times that.
+# most 1 GiB, and a set's peak is about 2.5 to 4.3 times that.
 MAX_DRAW_CELLS = 1 << 27
 
 
@@ -159,13 +161,17 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     return se
 
 
+def _order_index(m: int, coverage: float) -> int:
+    """1-based index of the upper-quantile order statistic of m values:
+    the smallest k >= m * coverage. The tiny nudge guards against float
+    slop in the product."""
+    return min(max(math.ceil(m * coverage - 1e-9), 1), m)
+
+
 def _upper_quantile(samples: FloatArray, coverage: float):
     """Smallest order statistic with 1-based index >= ceil(m * coverage),
-    of a 1-D sample or of each column of an m x k array.
-    The tiny nudge guards against float slop in the product."""
-    m = samples.shape[0]
-    k = math.ceil(m * coverage - 1e-9)
-    k = min(max(k, 1), m)
+    of a 1-D sample or of each column of an m x k array."""
+    k = _order_index(samples.shape[0], coverage)
     return np.partition(samples, k - 1, axis=0)[k - 1]
 
 
@@ -174,17 +180,31 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
     return mvn_sample(chol, SeededRng(cfg.seed), cfg.draws)
 
 
-# Draws per chunk of the pair pass are this many doubles over p. At 2^17
-# (1 MiB) a chunk's populations x draws copy and its difference block fit
-# a 2 MiB L2 cache together. On a 2-vCPU Xeon it was the fastest of 2^14
-# to 2^20 at p=300 and 1000 draws, and tied with 2^18 at p=1000.
-_CHUNK_CELLS = 1 << 17
+# Bytes of draws per chunk of the pair pass, over p times the item size.
+# At 1 MiB a chunk's populations x draws copy and its difference block
+# fit a 2 MiB L2 cache together. On a 2-vCPU Xeon at p=300 and 1000 draws
+# it was the fastest of 2^17 to 2^23 bytes for float64 blocks (tied with
+# 2 MiB at p=1000); for float32 blocks 1 and 2 MiB stayed within the
+# noise of each other (one thread: 66 against 64 ms marginal, 48 against
+# 46 ms simultaneous), and 128 to 512 KiB took 1.4 to 2.7 times as long.
+_CHUNK_BYTES = 1 << 20
 # Fewest pair cells (draws x studentized pairs) per thread of the pair
-# pass. On a 2-vCPU Xeon two threads took 12 ms against 19 ms on one at
-# p=50 and 4000 draws (4.9e6 cells), and 25 ms against 37 ms at p=130 and
-# 1000 draws; at p=100 and 1000 draws they tied, and at p=50 and 1000
-# draws (1.2e6 cells) or below the second thread only cost time.
-_WORKER_CELLS = 1 << 21
+# pass. On float32 blocks, the screen that every in-range input takes, a
+# second thread on a 2-vCPU Xeon cost time up to about 2e7 cells (p=100
+# and 1000 draws: 9.5 against 8.1 ms; p=200: 30.8 against 30.2 ms), tied
+# at p=300 and 1000 draws (4.5e7 cells: 65 against 66 ms marginal), and
+# won at p=150 and 4000 draws (4.5e7 cells: 59 against 83 ms) and at
+# p=1000 and 1000 draws (522 against 857 ms); medians of interleaved
+# runs. The float64 pass, now only a fallback, gained from a second
+# thread from about 5e6 cells (p=130 and 1000 draws: 25 against 37 ms).
+_WORKER_CELLS = 1 << 24
+# The float32 screen of `_critical_values` bounds its error by
+# (_SCREEN_REL * max|z| + _SCREEN_ABS) / s + _SCREEN_ABS (see there).
+_SCREEN_REL = 16 * 2.0**-24
+_SCREEN_ABS = 2.0**-146
+# It runs only while max|z| and max|z| / min se stay below 2^125 and
+# every se lies in [2^-126, 2^127]: float32 then holds every quotient.
+_SCREEN_MAX = 2.0**125
 
 
 def _cpu_count() -> int:
@@ -197,7 +217,8 @@ def _cpu_count() -> int:
 
 def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
                  rows: Sequence[int] | None) -> FloatArray:
-    """Per draw (row of z), the max over k != j of |Z_k - Z_j| / se_jk.
+    """Per draw (row of z), the max over k != j of |Z_k - Z_j| / se_jk,
+    computed in z's float dtype (se is cast to it).
 
     Given `rows`, an m x len(rows) array with one column per population j
     in `rows`. With `rows` None, the length-m max over every pair, which
@@ -209,21 +230,25 @@ def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
     columns of both; pairs of two unrequested populations are never
     formed. The draws are split into one contiguous range per CPU, but
     into no more ranges than the pass has multiples of _WORKER_CELLS pair
-    cells; each range is cut into chunks of at most _CHUNK_CELLS // p
+    cells; each range is cut into chunks of at most _CHUNK_BYTES bytes of
     draws, and the calling thread takes the first one.
     Every element still takes the same subtract, abs, divide and max, so
     the result does not depend on the chunking or the number of threads.
+    In float32 it is the screen of `_critical_values`, whose docstring
+    derives the screen's error bound against the float64 values and says
+    when the float64 pass runs instead.
     """
     m, p = z.shape
+    se = se.astype(z.dtype, copy=False)
     if rows is None:
         order = np.arange(p)
-        out = np.zeros((1, m))
+        out = np.zeros((1, m), dtype=z.dtype)
     else:
         rows = list(rows)
         order = np.concatenate([rows, np.setdiff1d(np.arange(p), rows)])
         se = se[np.ix_(order, order)]
-        out = np.zeros((len(rows), m))
-    width = max(1, _CHUNK_CELLS // p)
+        out = np.zeros((len(rows), m), dtype=z.dtype)
+    width = max(1, _CHUNK_BYTES // (p * z.itemsize))
     # blocks i = 0 .. led - 1 of the pass hold p - 1 - i pairs each
     led = p - 1 if rows is None else min(len(rows), p - 1)
     pairs = led * (p - 1) - led * (led - 1) // 2
@@ -263,11 +288,11 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
     span = stop - start
     chunks = -(-span // width)
     cuts = [start + span * c // chunks for c in range(chunks + 1)]
-    buf = np.empty((p - 1) * -(-span // chunks))
+    buf = np.empty((p - 1) * -(-span // chunks), dtype=out.dtype)
     for a, b in zip(cuts[:-1], cuts[1:]):
         w = b - a
         whole = w == out.shape[1]
-        acc = out if whole else np.zeros((k, w))
+        acc = out if whole else np.zeros((k, w), dtype=out.dtype)
         zt = z[a:b].T[order]  # populations x draws, contiguous per population
         for i in range(min(k, p - 1) if columns else p - 1):
             block = buf[: (p - 1 - i) * w].reshape(p - 1 - i, w)
@@ -280,6 +305,91 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
                 np.maximum(acc[i + 1:], block[: k - 1 - i], out=acc[i + 1:])
         if not whole:
             out[:, a:b] = acc
+
+
+def _critical_values(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int] | None,
+                     coverage: float):
+    """`_upper_quantile(_pair_maxima(z, se, rows), coverage)` to the bit:
+    a float32 pass screens every draw, and only the draws near each
+    quantile get float64 maxima.
+
+    Error bound. Let u = 2^-24 and A = max |z|. For a pair (j, k) with
+    s = se_jk, the pass's float64 value is fl(|fl(z_k - z_j)| / s), and
+    the screen takes the same steps on fl32(z) and fl32(s). While no
+    float32 overflows, rounding z costs at most u|z| + 2^-150 per value,
+    and the subtract, the divide and rounding s a factor (1 + u) each,
+    a divide that underflows 2^-150 more; so the screened value is within
+    (8u + 17u^2) A / s + 2^-148 / s + 2^-150 of |z_k - z_j| / s, and the
+    float64 one within (2^-51 + 2^-105) A / s + 2^-1075. Their gap is
+    therefore below
+
+        eps_j = (_SCREEN_REL A + _SCREEN_ABS) / s_j + _SCREEN_ABS,
+
+    with s_j = min_{k != j} se_jk (the minimum over every pair for the
+    joint max), since a max over pairs moves by at most its worst pair.
+    eps_j is at least 1.9 times that sum (16u A and 2^-146 against it),
+    which also covers the rounding of the window ends below. An order
+    statistic moves by at most eps_j too, so draws screened below
+    q32 - 2 eps_j lie strictly below the float64 quantile, draws above
+    q32 + 2 eps_j strictly above it, and the quantile is the
+    (k - below)-th smallest float64 maximum of the draws in between
+    (`_exact_maxima`).
+
+    The float64 pass runs instead when the bound does not hold or does
+    not pay: max|z| or max|z| / min se above _SCREEN_MAX, an se outside
+    [2^-126, 2^127], a NaN anywhere, or windows that would form more pair
+    cells than the float64 pass (2 x window > m x columns). In that range
+    no float32 step overflows, so no screened value is infinite.
+    """
+    m, p = z.shape
+    k = _order_index(m, coverage)
+    others = se + np.diag(np.full(p, np.inf))  # the self pair divides to 0
+    near = others.min(axis=1)
+    top = max(float(z.max()), -float(z.min()))
+    low = float(near.min())
+    # false for a NaN as well
+    if not (top <= _SCREEN_MAX and top <= _SCREEN_MAX * low
+            and 2.0**-126 <= low and float(se.max()) <= 2.0**127):
+        return _upper_quantile(_pair_maxima(z, se, rows), coverage)
+    screen = _pair_maxima(z.astype(np.float32), se, rows)
+    if rows is None:
+        screen, scale = screen[:, None], np.array([low])
+    else:
+        scale = near[list(rows)]
+    eps = (_SCREEN_REL * top + _SCREEN_ABS) / scale + _SCREEN_ABS
+    q = np.partition(screen, k - 1, axis=0)[k - 1].astype(np.float64)
+    lo, hi = q - 2.0 * eps, q + 2.0 * eps
+    below = np.count_nonzero(screen < lo, axis=0)
+    col, draw = np.nonzero(((screen >= lo) & (screen <= hi)).T)  # grouped by column
+    if 2 * draw.size > m * screen.shape[1]:
+        return _upper_quantile(_pair_maxima(z, se, rows), coverage)
+    if rows is None:
+        exact = _exact_maxima(z, others, np.repeat(draw, p), np.tile(np.arange(p), draw.size))
+        exact = exact.reshape(draw.size, p).max(axis=1)
+    else:
+        exact = _exact_maxima(z, others, draw, np.asarray(rows)[col])
+    ranked = np.lexsort((exact, col))
+    start = np.searchsorted(col, np.arange(screen.shape[1]))
+    crit = exact[ranked[start + k - 1 - below]]
+    return crit if rows is not None else crit[0]
+
+
+def _exact_maxima(z: DenseMatrix, others: DenseMatrix, draws: np.ndarray,
+                  pops: np.ndarray) -> FloatArray:
+    """For each (draw d, population j) of `draws` and `pops`, the max over
+    k of |z[d, k] - z[d, j]| / others[j, k], with the pair pass's own
+    subtract, abs and divide, so each pair's value has its bits.
+    `others` is se with an infinite diagonal."""
+    out = np.empty(draws.size)
+    step = max(1, _CHUNK_BYTES // (z.shape[1] * z.itemsize))
+    for a in range(0, draws.size, step):
+        d, j = draws[a:a + step], pops[a:a + step]
+        block = z[d]
+        np.subtract(block, z[d, j][:, None], out=block)
+        np.abs(block, out=block)
+        np.divide(block, others[j], out=block)
+        out[a:a + step] = block.max(axis=1)
+    return out
 
 
 def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
@@ -312,10 +422,7 @@ def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: 
         )
     se = pairwise_se(est)
     z = _bootstrap_normals(est, cfg)
-    if mode == "marginal":
-        crit = _upper_quantile(_pair_maxima(z, se, wanted), cfg.coverage)
-    else:
-        crit = _upper_quantile(_pair_maxima(z, se, None), cfg.coverage)
+    crit = _critical_values(z, se, wanted if mode == "marginal" else None, cfg.coverage)
     return _rank_bounds(est.theta_hat, se, wanted, crit)
 
 

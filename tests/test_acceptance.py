@@ -1,4 +1,4 @@
-"""Release gate: nineteen end-to-end checks, each printing one summary line.
+"""Release gate: twenty end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -20,7 +20,16 @@ from rankinfer.cli.io import parse_table
 from rankinfer.cli.main import main as cli_main
 from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
 from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
-from rankinfer.rankcs import BootstrapConfig, EstimatesWithCovariance, cs_ranks
+from rankinfer.rankcs import (
+    BootstrapConfig,
+    EstimatesWithCovariance,
+    _bootstrap_normals,
+    _critical_values,
+    _pair_maxima,
+    _upper_quantile,
+    cs_ranks,
+    pairwise_se,
+)
 from rankinfer.ranking import TieRule, irank
 from rankinfer.rankreg.model import RankRegressionModel, fit
 from rankinfer.rankreg.variance import (
@@ -511,3 +520,41 @@ def test_c20_ranks_against_memory(tmp_path):
     assert ratio <= 6.5, f"peak {ratio:.2f} x input bytes"
     _report("C20", f"ranks --against on a 2e5-row CSV peaks at {ratio:.2f} x its "
             f"{size / 1e6:.1f} MB", time.perf_counter() - t0)
+
+
+def test_c21_screened_critical_values():
+    # a league-sized set: p=300 with a five-factor covariance, 1000 draws.
+    # The float32 screen plus float64 windows must give the float64
+    # pass's critical values to the bit, and in less time
+    p, draws = 300, 1000
+    rng = np.random.default_rng(21)
+    factors = rng.normal(0.0, 0.4, (p, 5))
+    base = factors @ factors.T + np.diag(rng.uniform(0.5, 1.0, p))
+    scale = rng.uniform(0.15, 0.35, p) / np.sqrt(np.diag(base))
+    sigma = base * np.outer(scale, scale)
+    est = EstimatesWithCovariance(rng.normal(size=p), (sigma + sigma.T) / 2.0)
+    cfg = BootstrapConfig(draws=draws, coverage=0.95, seed=21)
+    se = pairwise_se(est)
+    z = _bootstrap_normals(est, cfg)
+    t0 = time.perf_counter()
+    times = {}
+    for mode, rows in (("marginal", range(p)), ("simultaneous", None)):
+        screened = full = math.inf
+        for _ in range(3):
+            t1 = time.perf_counter()
+            want = _upper_quantile(_pair_maxima(z, se, rows), cfg.coverage)
+            t2 = time.perf_counter()
+            got = _critical_values(z, se, rows, cfg.coverage)
+            t3 = time.perf_counter()
+            full, screened = min(full, t2 - t1), min(screened, t3 - t2)
+            assert np.array_equal(got, want), mode
+        times[mode] = (screened, full)
+    for mode, (screened, full) in times.items():
+        # measured on a 2-vCPU Xeon: 0.04 to 0.06 s marginal, 0.03 to
+        # 0.045 s simultaneous, 0.35 to 0.5 times the float64 pass
+        assert screened < 0.3, f"{mode} critical values took {screened:.3f}s"
+        assert screened < 0.75 * full, f"{mode}: {screened:.3f}s against {full:.3f}s"
+    _report("C21", "p=300, 1000 draws: critical values bit-equal to the float64 pass; "
+            + ", ".join(f"{mode} {s * 1e3:.0f} ms against {f * 1e3:.0f} ms"
+                        for mode, (s, f) in times.items()),
+            time.perf_counter() - t0)

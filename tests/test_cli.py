@@ -585,6 +585,17 @@ class TestCsMultinom:
         res = invoke_cli(["cs-multinom"], stdin="count\n5\n")
         assert res.code == 3
 
+    @pytest.mark.parametrize("extra", [[], ["--simul"]])
+    def test_pair_totals_near_2_53(self, invoke_cli, extra):
+        # betaincc gives NaN for the first pair's tails (this exited 4 with
+        # --simul); the normal tail fills them
+        res = invoke_cli(["cs-multinom", *extra],
+                         stdin="count\n4357395723352402\n4357395723353113\n1\n")
+        assert res.code == 0, res.stderr
+        results = parse_envelope(res.stdout)["results"]
+        assert results["L"] == [1, 1, 3]
+        assert results["U"] == [2, 2, 3]
+
     def test_counts_above_float_exact_range_rejected(self, invoke_cli):
         # a total above 2**53, a count the int64 cast would wrap, and a
         # count that float64 rounds down to 2**53
@@ -592,6 +603,30 @@ class TestCsMultinom:
             res = invoke_cli(["cs-multinom"], stdin=f"count\n{counts}\n")
             assert res.code == 3, (counts, res.stderr)
             assert "2**53" in res.stderr
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["cs-ranks", "--estimates", "est", "--se", "se"], "est,se\n"),
+    (["cs-ranks", "--estimates", "est", "--se", "se", "--simul"], "est,se\n"),
+    (["cs-taubest", "--estimates", "est", "--se", "se", "--tau", "1"], "est,se\n"),
+    (["cs-tauworst", "--estimates", "est", "--se", "se", "--tau", "1"], "est,se\n"),
+    (["cs-multinom"], "count\n"),
+    (["cs-multinom", "--label", "name"], "name,count\n"),
+])
+def test_header_only_input_exits_2(invoke_cli, args, stdin):
+    res = invoke_cli([*args, "--seed", "1"] if args[0] != "cs-multinom" else args,
+                     stdin=stdin)
+    assert res.code == 2
+    assert res.stdout == ""
+    assert "data has no rows" in res.stderr
+
+
+def test_header_only_estimates_with_covariance_file(invoke_cli, tmp_path):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("a,b\n1,0\n0,1\n")
+    res = invoke_cli(["cs-ranks", "--estimates", "est", "--cov", str(cov)], stdin="est\n")
+    assert res.code == 2
+    assert "data has no rows" in res.stderr
 
 
 class TestRankReg:

@@ -1,10 +1,13 @@
+import importlib.util
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from rankinfer import numerics
+from rankinfer import multinomcs, numerics
 from rankinfer.errors import NonFinite, NotPSD, RankDeficient
 from rankinfer.numerics import (
     SeededRng,
@@ -249,6 +252,48 @@ class TestBinomTail:
         assert binom_tail(1, 1) == 0.5
         vals = binom_tail(np.arange(0, 201), 200)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+class TestBinomTailNear2To53:
+    """betaincc returns NaN for some pair totals in [2^52, 2^53] near
+    s/2; binom_tail fills those with the continuity-corrected normal
+    tail, whose own error there is below 7e-18."""
+
+    def test_known_nan_cells_filled(self):
+        s = 2**53 - 100
+        got = binom_tail(np.array([s // 2, s // 2 + 1]), s)
+        assert np.all(np.isfinite(got))
+        # P(X >= s/2) = 1/2 + P(X = s/2) / 2, P(X = s/2) ~ sqrt(2 / (pi s))
+        half = math.sqrt(2.0 / (math.pi * s)) / 2.0
+        assert math.isclose(got[0], 0.5 + half, rel_tol=1e-14)
+        assert math.isclose(got[1], 0.5 - half, rel_tol=1e-14)
+        assert binom_tail(s // 2, s) == got[0]  # a 0-d call fills alike
+
+    def test_broadcast_table(self):
+        a, b = 4357395723352402, 4357395723353113
+        x = np.array([a, b, 1])[:, None]
+        table = binom_tail(x, x + np.array([a, b, 1])[None, :])
+        assert np.all(np.isfinite(table))
+        assert np.all((table >= 0.0) & (table <= 1.0))
+        assert table[0, 1] + table[1, 0] > 1.0  # they overlap in P(X = x)
+
+    @pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
+                        reason="the 40-digit reference needs mpmath")
+    @given(st.integers(2**52, 2**53), st.integers(-10**6, 10**6))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_normal_reference(self, s, offset):
+        import mpmath
+
+        x = min(max(s // 2 + offset, 1), s)
+        got = float(binom_tail(x, s))
+        assert 0.0 < got < 1.0
+        # the continuity-corrected normal tail at 40 digits; its error
+        # against the exact tail is below 0.03 / s here. Where betaincc
+        # is finite it was off by up to 1.7e-13 (1500 samples), still
+        # inside the margin that sends a decision to exact arithmetic
+        with mpmath.workdps(40):
+            want = mpmath.erfc(mpmath.mpf(2 * x - 1 - s) / mpmath.sqrt(2 * s)) / 2
+        assert math.isclose(got, float(want), rel_tol=multinomcs._SETTLE_RTOL)
 
 
 def _log_tail(x, s):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -120,9 +121,10 @@ def _naive_rank_bounds(theta, se, rows, crit):
 
 class TestPairMaxima:
     @given(st.integers(2, 12), st.integers(1, 40), st.integers(1, 60), st.integers(1, 3),
-           st.integers(0, 2**32 - 1), st.booleans(), st.data())
+           st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([np.float64, np.float32]),
+           st.data())
     @settings(deadline=None, max_examples=300)
-    def test_matches_naive_loop(self, p, draws, cells, cpus, seed, dense, data):
+    def test_matches_naive_loop(self, p, draws, cells, cpus, seed, dense, dtype, data):
         rng = np.random.default_rng(seed)
         if dense:
             factor = rng.normal(size=(p, 3))
@@ -134,16 +136,19 @@ class TestPairMaxima:
         z = rng.normal(size=(draws, p))
         rows = data.draw(st.permutations(range(p)).flatmap(
             lambda perm: st.integers(1, p).map(lambda k: perm[:k])))
-        naive = _naive_pair_maxima(z, se, range(p))
-        # a budget of `cells` doubles gives chunks of cells // p draws (at
+        # the naive loop takes each step on scalars of the pass's dtype
+        naive = _naive_pair_maxima(z.astype(dtype), se.astype(dtype), range(p))
+        z = z.astype(dtype)
+        # a budget of `cells` values gives chunks of cells // p draws (at
         # least one): mostly several chunks, split over `cpus` workers
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rankcs, "_CHUNK_CELLS", cells)
+            mp.setattr(rankcs, "_CHUNK_BYTES", cells * z.itemsize)
             mp.setattr(rankcs, "_WORKER_CELLS", 1)
             mp.setattr(rankcs, "_cpu_count", lambda: cpus)
             got = _pair_maxima(z, se, rows)
             joint = _pair_maxima(z, se, None)
         assert got.shape == (draws, len(rows))
+        assert got.dtype == joint.dtype == dtype
         assert np.array_equal(got, naive[:, rows])
         # the all-population call skips the column updates; its per-draw
         # max is still the max over every pair
@@ -167,7 +172,7 @@ class TestChunkedPass:
         se = pairwise_se(diag_estimates(np.zeros(p), rng.uniform(0.1, 1.0, p)))
         z = rng.normal(size=(draws, p))
         naive = _naive_pair_maxima(z, se, range(p))
-        monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 5 * p)
+        monkeypatch.setattr(rankcs, "_CHUNK_BYTES", 5 * p * 8)
         monkeypatch.setattr(rankcs, "_WORKER_CELLS", 1)
         monkeypatch.setattr(rankcs, "_cpu_count", lambda: 8)
         running = threading.active_count()
@@ -194,7 +199,7 @@ class TestChunkedPass:
         def fail(*args):
             raise MemoryError("chunk")
 
-        monkeypatch.setattr(rankcs, "_CHUNK_CELLS", 8)
+        monkeypatch.setattr(rankcs, "_CHUNK_BYTES", 64)
         monkeypatch.setattr(rankcs, "_WORKER_CELLS", 1)
         monkeypatch.setattr(rankcs, "_cpu_count", lambda: 2)
         monkeypatch.setattr(rankcs, "_pair_chunks", fail)
@@ -221,11 +226,17 @@ class TestChunkedPass:
         return sorted(ranges)
 
     def test_single_chunk_pass_uses_both_cpus(self, monkeypatch):
-        # p=100 at 1000 draws fits one chunk of 1310 draws but holds
-        # 4.95e6 pair cells: one range per CPU
-        for rows in (range(100), None):
-            assert self._ranges(monkeypatch, 100, 1000, rows) == [(0, 500, 1310),
-                                                                   (500, 1000, 1310)]
+        # p=600 at 200 draws fits one chunk of 218 draws but holds
+        # 3.6e7 pair cells: one range per CPU
+        for rows in (range(600), None):
+            assert self._ranges(monkeypatch, 600, 200, rows) == [(0, 100, 218),
+                                                                  (100, 200, 218)]
+
+    def test_mid_size_pass_one_range(self, monkeypatch):
+        # p=100 at 1000 draws holds 4.95e6 pair cells, p=200 about 2e7:
+        # too few for a second thread to pay
+        assert self._ranges(monkeypatch, 100, 1000, range(100)) == [(0, 1000, 1310)]
+        assert self._ranges(monkeypatch, 200, 1000, None) == [(0, 1000, 655)]
 
     def test_small_pass_one_range(self, monkeypatch):
         assert self._ranges(monkeypatch, 10, 1000, range(10)) == [(0, 1000, 13107)]
@@ -237,6 +248,115 @@ class TestChunkedPass:
         for rows in (range(300), None):
             assert self._ranges(monkeypatch, 300, 1000, rows) == [(0, 500, 436),
                                                                    (500, 1000, 436)]
+
+
+def _screen_inputs(p, draws, seed, kind, scale):
+    """Bootstrap draws and pair standard errors, both times 2**scale
+    (exact), for a diagonal, a dense or a near-collinear covariance; the
+    last has se about 1e-4 times the draws' spread."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        sigma = np.diag(rng.uniform(0.01, 1.0, p))
+    elif kind == "dense":
+        factor = rng.normal(size=(p, 3))
+        sigma = factor @ factor.T + np.diag(rng.uniform(0.05, 1.0, p))
+    else:
+        common = np.ones((p, 1)) + rng.normal(0.0, 1e-4, (p, 1))
+        sigma = common @ common.T + np.diag(rng.uniform(1e-9, 1e-8, p))
+    est = EstimatesWithCovariance(np.zeros(p), (sigma + sigma.T) / 2.0)
+    z = mvn_sample(cholesky_psd(est.sigma_hat), SeededRng(seed), draws)
+    return np.ldexp(z, scale), np.ldexp(pairwise_se(est), scale)
+
+
+class TestScreenedCriticalValues:
+    @staticmethod
+    def _passes(monkeypatch):
+        """dtype of every pair pass `_critical_values` runs."""
+        dtypes = []
+        pair_maxima = rankcs._pair_maxima
+
+        def recording(z, se, rows):
+            dtypes.append(z.dtype)
+            return pair_maxima(z, se, rows)
+
+        monkeypatch.setattr(rankcs, "_pair_maxima", recording)
+        return dtypes
+
+    @given(st.integers(2, 14), st.integers(100, 600),
+           st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]) | st.floats(0.01, 0.999),
+           st.integers(0, 2**32 - 1), st.sampled_from(["diagonal", "dense", "collinear"]),
+           st.sampled_from([0, 0, -60, 60, -120, 120, -130, 130]), st.integers(1, 400),
+           st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_bit_equal_to_float64_pass(self, p, draws, coverage, seed, kind, scale, cells,
+                                       data):
+        z, se = _screen_inputs(p, draws, seed, kind, scale)
+        subsets = st.permutations(range(p)).flatmap(
+            lambda perm: st.integers(1, p).map(lambda k: perm[:k]))
+        rows = data.draw(st.none() | st.just(tuple(range(p))) | subsets)
+        want = _upper_quantile(_pair_maxima(z, se, rows), coverage)
+        with pytest.MonkeyPatch.context() as mp:
+            dtypes = self._passes(mp)
+            # small chunks also cut the float64 maxima of the windows
+            mp.setattr(rankcs, "_CHUNK_BYTES", cells * 8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rankcs._critical_values(z, se, rows, coverage)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        # the screen runs exactly where the documented range holds
+        top = np.abs(z).max()
+        low = se[~np.eye(p, dtype=bool)].min()
+        in_range = (top <= 2.0**125 and top / low <= 2.0**125 and 2.0**-126 <= low
+                    and se.max() <= 2.0**127)
+        assert dtypes[0] == (np.float32 if in_range else np.float64)
+        if abs(scale) > 125:
+            assert not in_range
+
+    def test_league_size_windows_skip_the_float64_pass(self, monkeypatch):
+        z, se = _screen_inputs(300, 1000, 3, "dense", 0)
+        dtypes = self._passes(monkeypatch)
+        for rows in (range(300), None):
+            assert np.array_equal(rankcs._critical_values(z, se, rows, 0.95),
+                                  _upper_quantile(_pair_maxima(z, se, rows), 0.95))
+        # the reference passes above call the unpatched function
+        assert dtypes == [np.float32, np.float32]
+
+    def test_subnormal_float32_draws(self, monkeypatch):
+        # draws of 2^-140 are subnormal in float32, with a few bits each:
+        # only the absolute terms of the bound cover their rounding
+        for seed in range(10):
+            z, se = _screen_inputs(8, 300, seed, "dense", -140)
+            se = np.ldexp(se, 40)
+            dtypes = self._passes(monkeypatch)
+            for rows in ((0, 3, 5), None):
+                assert np.array_equal(rankcs._critical_values(z, se, rows, 0.95),
+                                      _upper_quantile(_pair_maxima(z, se, rows), 0.95))
+            assert dtypes == [np.float32, np.float32]
+
+    def test_fallback_conditions(self, monkeypatch):
+        z, se = _screen_inputs(6, 200, 4, "dense", 0)
+        cases = [
+            (np.ldexp(z, 126), se),  # max|z| above 2^125
+            (z, np.ldexp(se, -127)),  # an se below 2^-126
+            (np.ldexp(z, 100), np.ldexp(se, -30)),  # max|z| / min se above 2^125
+        ]
+        for zc, sec in cases:
+            dtypes = self._passes(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rankcs._critical_values(zc, sec, None, 0.95)
+            assert dtypes == [np.float64]
+            assert got == _upper_quantile(_pair_maxima(zc, sec, None), 0.95)
+
+    def test_wide_windows_run_the_float64_pass(self, monkeypatch):
+        # a bound as wide as the values puts every draw in the window
+        z, se = _screen_inputs(5, 300, 6, "diagonal", 0)
+        monkeypatch.setattr(rankcs, "_SCREEN_REL", 1.0)
+        dtypes = self._passes(monkeypatch)
+        got = rankcs._critical_values(z, se, range(5), 0.9)
+        assert dtypes == [np.float32, np.float64]
+        assert np.array_equal(got, _upper_quantile(_pair_maxima(z, se, range(5)), 0.9))
 
 
 class TestQuantile:
