@@ -9,7 +9,6 @@ every sample size, no asymptotics involved.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -34,6 +33,9 @@ MAX_CATEGORIES = 1 << 13
 # kernel's relative error measured at most 3.2e-14 for s up to 1e9 and
 # 1.7e-13 for s in [2^52, 2^53] (see numerics.binom_tail).
 _SETTLE_RTOL = 1e-12
+# Most cells of the distinct-count grid one kernel call scans when the
+# table is pruned (from_counts with alpha < 1/2).
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +102,34 @@ class PairwisePValueTable:
     values: FloatArray
 
     @classmethod
-    def from_counts(cls, data: MultinomialCounts) -> "PairwisePValueTable":
+    def from_counts(cls, data: MultinomialCounts,
+                    alpha: float | None = None) -> "PairwisePValueTable":
         """The table of `data`'s counts. A p-value depends on the pair's
         two counts alone, so the kernel runs once per pair of distinct
-        counts (u x u for u distinct values) and each cell reads its
-        pair's entry: the same arguments, so the same bits, as a kernel
-        call on every cell.
+        counts and each cell reads its pair's entry: the same arguments,
+        so the same bits, as a kernel call on every cell.
+
+        With no alpha, or alpha >= 1/2, the kernel runs on all u x u
+        pairs of the u distinct counts. Given a level alpha < 1/2, it
+        runs only on the u(u - 1)/2 pairs with x_k > x_l, in blocks of
+        rows, and every other cell holds 1. No decision at that level
+        changes, for three reasons:
+
+        - The median of Binomial(s, 1/2) is s/2, so x_k > s/2 gives an
+          exact p-value of at most 1/2, and x_k <= s/2 one above 1/2 by
+          at least P(X = floor(s/2)) / 2 > 4e-9 for s <= 2**53.
+        - The kernel's relative error is at most 1.7e-13, far inside
+          that margin, so in the full float table every pruned cell lies
+          above 1/2 + 4e-9 and every computed cell below 1/2 + 1e-13.
+        - Bonferroni multiplies a pruned cell by m >= 1, so both its old
+          value and 1 exceed alpha. Holm's ascending order puts every
+          pruned cell after all computed cells, in both tables, so no
+          computed cell's position or running max changes; a pruned
+          cell's adjusted value is at least its p-value, again above
+          alpha. Neither table puts a pruned cell within the 1e-12
+          settle band of alpha, and a family settled for another cell
+          decides its pruned pairs exactly, as not rejected (see
+          _exact_rejections).
 
         Raises DomainError for more than MAX_CATEGORIES categories,
         before anything of table size is allocated.
@@ -116,21 +140,38 @@ class PairwisePValueTable:
                 f"{MAX_CATEGORIES} x {MAX_CATEGORIES} p-value table allows"
             )
         values, code = np.unique(data.counts, return_inverse=True)
-        x = values[:, None]
-        distinct = binom_tail(x, x + values[None, :])
+        if alpha is None or alpha >= 0.5:
+            x = values[:, None]
+            distinct = binom_tail(x, x + values[None, :])
+        else:
+            # values ascend, so x_k > x_l is the strict lower triangle
+            u = values.size
+            distinct = np.ones((u, u))
+            rows = max(1, _BLOCK_CELLS // u)
+            for start in range(1, u, rows):
+                stop = min(u, start + rows)
+                k, l = np.nonzero(np.arange(stop) < np.arange(start, stop)[:, None])
+                k += start
+                distinct[k, l] = binom_tail(values[k], values[k] + values[l])
         table = distinct.take(code, axis=0).take(code, axis=1)
         np.fill_diagonal(table, 1.0)
         return cls(values=table)
 
 
 def _adjusted_rows(pvals: FloatArray, method: Method) -> FloatArray:
-    """Adjusted p-values, uncapped, of every row of pvals as one family."""
+    """Adjusted p-values, uncapped, of every row of pvals as one family.
+
+    Holm's sort need not be stable: a run of tied p-values at sorted
+    positions pos, pos + 1, ... has steps (m - pos) p >= (m - pos - 1) p
+    >= ..., so the running max of every member is max(running max before
+    the run, (m - pos) p), the same bits whichever member sorts first.
+    """
     m = pvals.shape[1]
     if method == "bonferroni":
         return m * pvals
     if method != "holm":
         raise ValueError("method must be 'holm' or 'bonferroni'")
-    order = np.argsort(pvals, axis=1, kind="stable")
+    order = np.argsort(pvals, axis=1)
     steps = np.take_along_axis(pvals, order, axis=1)
     steps *= m - np.arange(m, dtype=np.float64)
     np.maximum.accumulate(steps, axis=1, out=steps)
@@ -142,9 +183,9 @@ def _adjusted_rows(pvals: FloatArray, method: Method) -> FloatArray:
 def adjust_pvalues(pvals: Sequence[float] | np.ndarray, method: Method) -> FloatArray:
     """Multiplicity-adjusted p-values for a family of size M.
 
-    bonferroni: min(1, M * p). holm: step-down; sort ascending (ties by
-    original position), multiply by M, M-1, ..., enforce monotonicity via
-    a running max, cap at 1.
+    bonferroni: min(1, M * p). holm: step-down; sort ascending, multiply
+    by M, M-1, ..., enforce monotonicity via a running max, cap at 1.
+    Tied p-values get equal adjusted values.
     """
     p = np.asarray(pvals, dtype=np.float64)
     if p.ndim != 1:
@@ -156,23 +197,48 @@ def adjust_pvalues(pvals: Sequence[float] | np.ndarray, method: Method) -> Float
     return np.minimum(1.0, _adjusted_rows(p[None, :], method)[0])
 
 
+def _tail_count(x: int, s: int) -> int:
+    """2**s * P(Binomial(s, 1/2) >= x), exactly: the sum of C(s, i) over
+    i >= x, or 2**s less the sum over i < x, whichever has fewer terms.
+    Each term comes from the last by C(s, i + 1) = C(s, i)(s - i)/(i + 1),
+    so a tail costs at most s/2 + 1 multiplications and divisions of
+    integers below 2**s."""
+    upper = 2 * x > s
+    terms = s - x + 1 if upper else x
+    term = 1
+    head = 0
+    for i in range(terms):
+        head += term
+        term = term * (s - i) // (i + 1)
+    # C(s, i) = C(s, s - i): the upper sum is the head of s - x + 1 terms
+    return head if upper else (1 << s) - head
+
+
 def _exact_rejections(x: list[int], s: list[int], method: Method,
                       alpha: float) -> np.ndarray:
     """Holm or Bonferroni decisions for one family in rational arithmetic:
     exact p-values P(Binomial(s, 1/2) >= x) against the exact value of
-    the float alpha."""
+    the float alpha.
+
+    Below alpha = 1/2 only pairs with 2x > s get exact tails: any other
+    pair has an exact p-value above 1/2, so Bonferroni never rejects it,
+    and Holm sorts it after every pair with 2x > s, where its step is at
+    least its p-value and stops the descent.
+    """
     # imported here: only knife-edge families need it, and every cold
     # start of the CLI would load it otherwise
     from fractions import Fraction
 
-    pvals = [Fraction(sum(math.comb(si, i) for i in range(xi, si + 1)), 1 << si)
-             for xi, si in zip(x, s)]
-    m = len(pvals)
+    m = len(x)
+    pvals = {i: Fraction(_tail_count(x[i], s[i]), 1 << s[i])
+             for i in range(m) if alpha >= 0.5 or 2 * x[i] > s[i]}
     bound = Fraction(alpha)
-    if method == "bonferroni":
-        return np.array([m * v <= bound for v in pvals])
     reject = np.zeros(m, dtype=bool)
-    for pos, i in enumerate(sorted(range(m), key=pvals.__getitem__)):
+    if method == "bonferroni":
+        for i, value in pvals.items():
+            reject[i] = m * value <= bound
+        return reject
+    for pos, i in enumerate(sorted(pvals, key=pvals.__getitem__)):
         if (m - pos) * pvals[i] > bound:
             break
         reject[i] = True
@@ -212,7 +278,7 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
     alpha = 1.0 - coverage
     p = data.p
     wanted = _normalize_indices(indices, p)
-    table = PairwisePValueTable.from_counts(data).values
+    table = PairwisePValueTable.from_counts(data, alpha).values
 
     counts = data.counts
     picked = list(wanted)

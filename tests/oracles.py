@@ -79,16 +79,17 @@ def exact_binom_tails(s, xs):
     return out
 
 
-def exact_rank_bounds(counts, coverage, mode, method):
+def exact_rank_bounds(counts, coverage, mode, method, tail=exact_binom_tail):
     """(L, U) of the multinomial rank sets for every category, with each
     p-value an exact Fraction and each Holm/Bonferroni comparison made
-    in rational arithmetic against alpha = 1 - coverage (the float)."""
+    in rational arithmetic against alpha = 1 - coverage (the float).
+    `tail(x, s)` gives P(Binomial(s, 1/2) >= x) as a Fraction."""
     counts = [int(c) for c in counts]
     p = len(counts)
     alpha = Fraction(1.0 - coverage)
 
     def rejected(family):
-        pv = [exact_binom_tail(counts[k], counts[k] + counts[l]) for k, l in family]
+        pv = [tail(counts[k], counts[k] + counts[l]) for k, l in family]
         m = len(pv)
         if method == "bonferroni":
             return {h for h, v in zip(family, pv) if m * v <= alpha}

@@ -1,4 +1,4 @@
-"""Release gate: twenty end-to-end checks, each printing one summary line.
+"""Release gate: twenty-one end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -18,6 +18,7 @@ from oracles import (
 )
 from rankinfer.cli.io import parse_table
 from rankinfer.cli.main import main as cli_main
+import rankinfer.multinomcs as multinomcs
 from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
 from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
 from rankinfer.rankcs import (
@@ -471,16 +472,20 @@ def test_c17_gaussian_draws_memory():
             time.perf_counter() - t0)
 
 
-def test_c18_multinomial_p1000_budget():
-    # Zipf(0.8) counts at p=1000, n=1e5, as in C13: about 220 distinct
-    # counts, so the p-value kernel runs on about 5% of the table's cells
+def _zipf_p1000():
+    """Zipf(0.8) counts at p=1000, n=1e5, as in C13: about 220 distinct
+    counts, so the p-value kernel runs on a few percent of the table."""
     p, n = 1000, 100_000
     probs = 1.0 / np.arange(1, p + 1) ** 0.8
     probs /= probs.sum()
     rng = np.random.default_rng(18)
     counts = np.floor(n * probs).astype(np.int64)
     counts += rng.multinomial(n - int(counts.sum()), probs)
-    data = MultinomialCounts(rng.permutation(counts))
+    return MultinomialCounts(rng.permutation(counts))
+
+
+def test_c18_multinomial_p1000_budget():
+    data = _zipf_p1000()
     times = {}
     for mode in ("marginal", "simultaneous"):
         t0 = time.perf_counter()
@@ -489,10 +494,36 @@ def test_c18_multinomial_p1000_budget():
         assert np.all((cs.lower <= cs.rank) & (cs.rank <= cs.upper))
     for mode, elapsed in times.items():
         assert elapsed < 0.8, f"p=1000 {mode} Holm took {elapsed:.2f}s"
-    distinct = np.unique(counts).size
+    distinct = np.unique(data.counts).size
     _report("C18", f"p=1000, n=1e5 Zipf counts ({distinct} distinct), marginal Holm in "
             f"{times['marginal'] * 1e3:.0f} ms, simultaneous in "
             f"{times['simultaneous'] * 1e3:.0f} ms", sum(times.values()))
+
+
+def test_c22_multinomial_kernel_cells(monkeypatch):
+    # C18's counts: at coverage 0.95 the tail kernel sees each pair of
+    # distinct counts with x_k > x_l once, u(u - 1)/2 cells, in either
+    # mode; at coverage 0.4 a set can reject a pair whose p-value is
+    # above 1/2, so the kernel sees all u x u pairs
+    data = _zipf_p1000()
+    u = np.unique(data.counts).size
+    cells = []
+
+    def counting(x, s):
+        cells.append(np.broadcast(x, s).size)
+        return binom_tail(x, s)
+
+    monkeypatch.setattr(multinomcs, "binom_tail", counting)
+    t0 = time.perf_counter()
+    seen = {}
+    for coverage, mode in ((0.95, "marginal"), (0.95, "simultaneous"), (0.4, "marginal")):
+        cells.clear()
+        cs_ranks_multinomial(data, coverage=coverage, mode=mode, method="holm")
+        seen[coverage, mode] = sum(cells)
+    assert seen[0.95, "marginal"] == seen[0.95, "simultaneous"] == u * (u - 1) // 2
+    assert seen[0.4, "marginal"] == u * u
+    _report("C22", f"p=1000 Zipf counts ({u} distinct): kernel on {u * (u - 1) // 2} "
+            f"cells at coverage 0.95, {u * u} at 0.4, of {data.p ** 2}", time.perf_counter() - t0)
 
 
 def test_c20_ranks_against_memory(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,13 @@ from rankinfer.multinomcs import (
 import rankinfer.multinomcs as multinomcs
 from rankinfer.numerics import binom_tail
 
-from oracles import exact_binom_tail, exact_rank_bounds, naive_bonferroni, naive_holm
+from oracles import (
+    exact_binom_tail,
+    exact_binom_tails,
+    exact_rank_bounds,
+    naive_bonferroni,
+    naive_holm,
+)
 
 
 class TestPairwisePValue:
@@ -355,7 +362,9 @@ class TestExactDecisions:
 
     # adjusted p-values equal to alpha exactly: [6, 0] has p-value 2**-6
     # in a family of 2, [5, 0, 0] has two p-values 2**-5 in a family of 4
-    # (marginal) or 6 (simultaneous), [6, 1] has (1 + 7) / 2**7
+    # (marginal) or 6 (simultaneous), [6, 1] has (1 + 7) / 2**7, and
+    # [4, 1] has (1 + 5) / 2**5 against alpha = 3/8 < 1/2, where the
+    # settle recomputes only pairs with the larger count first
     KNIFE_EDGES = [
         ([6, 0], 0.96875, "marginal", "holm"),
         ([6, 0], 0.96875, "marginal", "bonferroni"),
@@ -365,6 +374,8 @@ class TestExactDecisions:
         ([5, 0, 0], 0.875, "marginal", "bonferroni"),
         ([5, 0, 0], 0.8125, "simultaneous", "bonferroni"),
         ([6, 1], 0.875, "marginal", "holm"),
+        ([4, 1], 0.625, "marginal", "bonferroni"),
+        ([4, 1], 0.625, "marginal", "holm"),
     ]
 
     @pytest.mark.parametrize("counts,coverage,mode,method", KNIFE_EDGES)
@@ -399,3 +410,162 @@ class TestExactDecisions:
         for mode in ("marginal", "simultaneous"):
             for method in ("holm", "bonferroni"):
                 cs_ranks_multinomial(counts, mode=mode, method=method)
+
+
+def _recurrence_tail(x, s):
+    return Fraction(multinomcs._tail_count(x, s), 1 << s)
+
+
+class TestKnifeEdgesAtLargeTotals:
+    # pair total 20000: summing math.comb over a tail took 77 s per
+    # settled family there; the recurrence takes about 0.05 s
+
+    def test_recurrence_matches_oracle(self):
+        for s in range(201):
+            for x in range(s + 1):
+                assert _recurrence_tail(x, s) == exact_binom_tail(x, s), (x, s)
+
+    def _settled(self, monkeypatch, counts, coverage, mode, method):
+        settled = []
+        exact = multinomcs._exact_rejections
+
+        def spy(x, s, method, alpha):
+            settled.append(list(x))
+            return exact(x, s, method, alpha)
+
+        monkeypatch.setattr(multinomcs, "_exact_rejections", spy)
+        t0 = time.perf_counter()
+        cs = cs_ranks_multinomial(MultinomialCounts(np.array(counts)), coverage,
+                                  mode=mode, method=method)
+        elapsed = time.perf_counter() - t0
+        assert settled
+        assert elapsed < 1.0, f"knife edge at pair total 20000 took {elapsed:.2f}s"
+        lower, upper = exact_rank_bounds(counts, coverage, mode, method,
+                                         tail=_recurrence_tail)
+        assert cs.lower.tolist() == lower
+        assert cs.upper.tolist() == upper
+
+    def test_reference_tails_match_downward_pass(self):
+        tails = exact_binom_tails(20000, [10164, 9836, 10037, 9963])
+        for x, want in tails.items():
+            assert _recurrence_tail(x, 20000) == want
+
+    @pytest.mark.parametrize("nudge", [0.0, -1.0, 1.0])
+    def test_bonferroni_simultaneous(self, monkeypatch, nudge):
+        # 2 * P(Bin(20000, 1/2) >= 10164) against alpha at, and one ulp
+        # of coverage either side of, the knife edge
+        edge = 1.0 - 2.0 * float(_recurrence_tail(10164, 20000))
+        coverage = edge if nudge == 0.0 else float(np.nextafter(edge, nudge))
+        self._settled(monkeypatch, [10164, 9836], coverage, "simultaneous", "bonferroni")
+
+    @pytest.mark.parametrize("mode", ["marginal", "simultaneous"])
+    @pytest.mark.parametrize("method", ["holm", "bonferroni"])
+    def test_below_half_coverage(self, monkeypatch, mode, method):
+        # counts (10037, 9963) at alpha = 2 * P(Bin(20000, 1/2) >= 10037),
+        # about 0.6: above 1/2, so the pair whose count is the smaller
+        # gets its exact tail too
+        computed = []
+        count = multinomcs._tail_count
+
+        def spy(x, s):
+            computed.append(x)
+            return count(x, s)
+
+        monkeypatch.setattr(multinomcs, "_tail_count", spy)
+        coverage = 1.0 - 2.0 * float(_recurrence_tail(10037, 20000))
+        assert coverage < 0.5
+        self._settled(monkeypatch, [10037, 9963], coverage, mode, method)
+        assert set(computed) == {10037, 9963}
+
+
+@st.composite
+def pruning_cases(draw):
+    """p <= 6 counts in 0-60 with ties and zeros, a coverage on either
+    side of 1/2 (knife edges of small dyadic p-values included), both
+    modes and methods, and a random subset of indices."""
+    p = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.integers(0, 60), min_size=1, max_size=p)) + [0]
+    counts = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    coverage = draw(st.sampled_from((0.03125, 0.125, 0.25, 0.4, 0.5) + COVERAGES))
+    mode = draw(st.sampled_from(("marginal", "simultaneous")))
+    method = draw(st.sampled_from(("holm", "bonferroni")))
+    indices = draw(st.none() | st.permutations(range(p)).flatmap(
+        lambda order: st.integers(1, p).map(lambda size: order[:size])))
+    return counts, coverage, mode, method, indices
+
+
+class TestPrunedTable:
+    @given(pruning_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_pruning_keeps_every_decision(self, case):
+        counts, coverage, mode, method, indices = case
+        data = MultinomialCounts(np.array(counts))
+        alpha = 1.0 - coverage
+        cells = []
+
+        def counting(x, s):
+            cells.append(np.broadcast(x, s).size)
+            return binom_tail(x, s)
+
+        def bounds():
+            try:
+                cs = cs_ranks_multinomial(data, coverage, mode=mode, method=method,
+                                          indices=indices)
+            except ValueError as err:
+                return str(err)
+            return cs.lower.tolist(), cs.upper.tolist()
+
+        full_table = PairwisePValueTable.from_counts.__func__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multinomcs, "binom_tail", counting)
+            got = bounds()
+            kernel_cells = sum(cells)
+            mp.setattr(PairwisePValueTable, "from_counts",
+                       classmethod(lambda cls, data, alpha=None: full_table(cls, data)))
+            assert bounds() == got
+        if isinstance(got, str):
+            # above alpha = 1/2 a family can reject both (k, l) and (l, k),
+            # and the set then refuses bounds that miss the rank
+            assert alpha > 0.5 and "bracket" in got
+        else:
+            picked = range(len(counts)) if indices is None else indices
+            lower, upper = exact_rank_bounds(counts, coverage, mode, method)
+            assert got == ([lower[j] for j in picked], [upper[j] for j in picked])
+
+        u = np.unique(data.counts).size
+        assert kernel_cells == (u * (u - 1) // 2 if alpha < 0.5 else u * u)
+        every = _kernel_on_every_cell(data)
+        assert np.array_equal(PairwisePValueTable.from_counts(data).values, every)
+        above = data.counts[:, None] > data.counts[None, :]
+        assert np.array_equal(PairwisePValueTable.from_counts(data, alpha).values,
+                              np.where(above, every, 1.0) if alpha < 0.5 else every)
+
+    def test_blocks_cover_the_triangle(self, monkeypatch):
+        # blocks of one row, and of more rows than the table has
+        counts = MultinomialCounts(np.array([0, 3, 3, 9, 14, 2, 40, 41, 7]))
+        every = _kernel_on_every_cell(counts)
+        above = counts.counts[:, None] > counts.counts[None, :]
+        for cells in (1, 7, 1 << 16):
+            monkeypatch.setattr(multinomcs, "_BLOCK_CELLS", cells)
+            table = PairwisePValueTable.from_counts(counts, alpha=0.05).values
+            assert np.array_equal(table, np.where(above, every, 1.0))
+
+    @given(
+        pool=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_holm_ties_in_any_order(self, pool, data):
+        # rows of tied p-values, then the same rows shuffled: the unstable
+        # sort may order each tie run differently, and must not matter
+        m = data.draw(st.integers(1, 40))
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(pool), min_size=m, max_size=m), min_size=1, max_size=5)))
+        order = np.array(data.draw(st.permutations(range(m))))
+        adjusted = multinomcs._adjusted_rows(rows, "holm")
+        assert np.array_equal(multinomcs._adjusted_rows(rows[:, order], "holm"),
+                              adjusted[:, order])
+        for row, got in zip(rows, adjusted):
+            assert np.allclose(np.minimum(1.0, got), naive_holm(row), atol=1e-12)
