@@ -81,18 +81,6 @@ class MultinomialCounts:
         return int(self.counts.sum())
 
 
-def pairwise_pvalue(xk: int, xl: int) -> float:
-    """P-value for "category k's probability <= category l's": the
-    probability that a Binomial(xk + xl, 1/2) is at least xk."""
-    xk = int(xk)
-    xl = int(xl)
-    if xk < 0 or xl < 0:
-        raise ValueError("counts must be nonnegative")
-    if xk + xl > MAX_TOTAL:
-        raise DomainError(f"pair total exceeds 2**53 = {MAX_TOTAL}")
-    return float(binom_tail(xk, xk + xl))
-
-
 @dataclass(frozen=True, eq=False)
 class PairwisePValueTable:
     """p x p table of pairwise p-values; entry (k, l) tests whether
@@ -180,23 +168,6 @@ def _adjusted_rows(pvals: FloatArray, method: Method) -> FloatArray:
     return out
 
 
-def adjust_pvalues(pvals: Sequence[float] | np.ndarray, method: Method) -> FloatArray:
-    """Multiplicity-adjusted p-values for a family of size M.
-
-    bonferroni: min(1, M * p). holm: step-down; sort ascending, multiply
-    by M, M-1, ..., enforce monotonicity via a running max, cap at 1.
-    Tied p-values get equal adjusted values.
-    """
-    p = np.asarray(pvals, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("pvals must be 1-D")
-    if p.size == 0:
-        return p.copy()
-    if np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
-        raise ValueError("p-values must lie in [0, 1]")
-    return np.minimum(1.0, _adjusted_rows(p[None, :], method)[0])
-
-
 def _tail_count(x: int, s: int) -> int:
     """2**s * P(Binomial(s, 1/2) >= x), exactly: the sum of C(s, i) over
     i >= x, or 2**s less the sum over i < x, whichever has fewer terms.
@@ -270,6 +241,11 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
     p(p-1) ordered pairs at once, giving joint coverage. Decisions are
     exact: a family with an adjusted p-value within a relative 1e-12 of
     alpha is decided again in rational arithmetic.
+
+    Raises DomainError when a set misses its estimated rank. Holm's last
+    step has multiplier 1, so at alpha > 1/2 a family can reject both
+    (k, l) and (l, k); Bonferroni cannot, since m p <= alpha < 1 with
+    m >= 2 forces p < 1/2.
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie strictly between 0 and 1")
@@ -284,10 +260,10 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
     picked = list(wanted)
     if mode == "simultaneous":
         k, l = np.nonzero(~np.eye(p, dtype=bool))
-        adjusted = adjust_pvalues(table[k, l], method)
+        k, l = k[None, :], l[None, :]
         reject = np.zeros((p, p), dtype=bool)
-        reject[k, l] = _decide(adjusted[None, :], counts, k[None, :], l[None, :],
-                               method, alpha)[0]
+        reject[k, l] = _decide(_adjusted_rows(table[k, l], method), counts, k, l,
+                               method, alpha)
         lower = 1 + reject.sum(axis=0)[picked]
         upper = p - reject.sum(axis=1)[picked]
     else:
@@ -311,11 +287,16 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
             lower[start:stop] = 1 + reject[:, :p - 1].sum(axis=1)
             upper[start:stop] = p - reject[:, p - 1:].sum(axis=1)
 
-    ranks = irank(counts.astype(np.float64), REPORT_RULE).values
+    rank = irank(counts.astype(np.float64), REPORT_RULE).values[picked]
+    if np.any(lower > np.ceil(rank)) or np.any(upper < np.floor(rank)):
+        raise DomainError(
+            f"coverage {coverage} is too low: a family rejects both orders of "
+            "a pair, so the rank bounds miss the estimated rank"
+        )
     return RankConfidenceSet(
         indices=wanted,
         lower=lower,
-        rank=ranks[picked],
+        rank=rank,
         upper=upper,
         p=p,
         mode=mode,

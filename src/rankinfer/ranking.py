@@ -90,7 +90,7 @@ def _counts_against(x: FloatArray, reference: FloatArray, rule: TieRule) -> Floa
     starts near the last one's result and stays in cache, and the counts
     are scattered back to query order."""
     ordered = np.sort(reference)
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     queries = x[order]
     left = np.empty(x.size, dtype=np.intp)
     right = np.empty(x.size, dtype=np.intp)

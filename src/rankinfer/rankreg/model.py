@@ -109,16 +109,11 @@ class DesignMatrix:
     z: FloatArray
     colnames: tuple[str, ...]
     y: FloatArray
-    y_raw: FloatArray
     r_y: FloatArray | None
     ties_y: _TieRuns | None
-    x_raw: FloatArray | None
     r_x: FloatArray | None
     ties_x: _TieRuns | None
-    group_codes: np.ndarray | None
-    group_levels: tuple[str, ...] | None
     x_cols: tuple[int, ...]
-    x_col_group: tuple[int, ...]
     blocks: tuple[tuple[slice | np.ndarray, slice], ...]
     model: RankRegressionModel
     warnings: tuple[str, ...]
@@ -196,17 +191,16 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
 
     # Base columns in canonical order: ranked regressor, covariates,
     # intercept last.
-    base: list[tuple[str, FloatArray, bool]] = []
+    base: list[tuple[str, FloatArray]] = []
     if x_name is not None:
-        base.append((f"r({x_name})", r_x, True))
+        base.append((f"r({x_name})", r_x))
     for name, is_ranked in model.regressors:
         if not is_ranked:
-            base.append((name, columns[name], False))
+            base.append((name, columns[name]))
     if model.intercept:
-        base.append((INTERCEPT_NAME, np.ones(n), False))
+        base.append((INTERCEPT_NAME, np.ones(n)))
 
     group_codes: np.ndarray | None = None
-    group_levels: tuple[str, ...] | None = None
     if model.group is not None:
         if model.group not in data:
             raise MissingColumn(f"group column '{model.group}' not found in the data")
@@ -227,47 +221,30 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
             )
         else:
             group_codes = codes
-            group_levels = tuple(str(lvl) for lvl in levels)
 
-    names: list[str] = []
-    x_cols: list[int] = []
-    x_col_group: list[int] = []
-    z = np.column_stack([values for _, values, _ in base])
+    z = np.column_stack([values for _, values in base])
     if group_codes is None:
-        for name, _, is_x in base:
-            if is_x:
-                x_cols.append(len(names))
-                x_col_group.append(-1)
-            names.append(name)
+        names = [name for name, _ in base]
         blocks = ((slice(None), slice(None)),)
     else:
         # design column b*G + g holds base column b on the rows of level g
-        n_levels = len(group_levels)
-        for name, _, is_x in base:
-            for code, level in enumerate(group_levels):
-                if is_x:
-                    x_cols.append(len(names))
-                    x_col_group.append(code)
-                names.append(f"{name}:{level}")
+        names = [f"{name}:{level}" for name, _ in base for level in levels]
         order = np.argsort(group_codes, kind="stable")
         ends = np.cumsum(counts)
-        blocks = tuple((order[end - count:end], slice(code, None, n_levels))
+        blocks = tuple((order[end - count:end], slice(code, None, len(levels)))
                        for code, (count, end) in enumerate(zip(counts, ends)))
+    # the ranked regressor is base column 0: column g of block g
+    x_cols = tuple(range(len(blocks))) if x_name is not None else ()
 
     return DesignMatrix(
         z=z,
         colnames=tuple(names),
         y=y,
-        y_raw=y_raw,
         r_y=r_y,
         ties_y=ties_y,
-        x_raw=x_raw,
         r_x=r_x,
         ties_x=ties_x,
-        group_codes=group_codes,
-        group_levels=group_levels,
-        x_cols=tuple(x_cols),
-        x_col_group=tuple(x_col_group),
+        x_cols=x_cols,
         blocks=blocks,
         model=model,
         warnings=tuple(warnings),
@@ -280,12 +257,10 @@ class RankRegressionFit:
     residuals, and the triangular QR factor R reused by the variance
     code (assembled block by block; no Q is kept)."""
 
-    model: RankRegressionModel
     design: DesignMatrix
     qr: QRFactorization
     coefficients: FloatArray
     residuals: FloatArray
-    warnings: tuple[str, ...]
 
     @property
     def colnames(self) -> tuple[str, ...]:
@@ -299,12 +274,10 @@ def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressio
     factor, coefficients, residuals = block_least_squares(
         design.z, design.y, design.blocks, len(design.colnames))
     return RankRegressionFit(
-        model=model,
         design=design,
         qr=factor,
         coefficients=coefficients,
         residuals=residuals,
-        warnings=design.warnings,
     )
 
 
@@ -375,7 +348,7 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
         p_values=p,
         stars=tuple(_stars(float(v)) for v in p),
         vcov=cov.matrix,
-        warnings=fit_result.warnings + (INFERENCE_WARNING,),
+        warnings=fit_result.design.warnings + (INFERENCE_WARNING,),
     )
 
 

@@ -31,7 +31,6 @@ class CorrectedCovariance:
 
     matrix: DenseMatrix
     sigma_nu2: FloatArray
-    names: tuple[str, ...]
 
 
 def _indicator_table(ties: _TieRuns, v: FloatArray, omega: float,
@@ -57,28 +56,6 @@ def _indicator_table(ties: _TieRuns, v: FloatArray, omega: float,
     np.cumsum(mass, out=below[1:])
     blended = below[:-1] * omega + below[1:] * (1.0 - omega)
     return below[-1] - blended
-
-
-def _apply_indicator(ties: _TieRuns, v: FloatArray, omega: float,
-                     rows: slice | np.ndarray = slice(None)) -> FloatArray:
-    """I @ v for the indicator matrix of the vector behind `ties`, where v
-    holds the entries on `rows` and is zero elsewhere: the per-value
-    table read at every row's tie code."""
-    return _indicator_table(ties, v, omega, rows).take(ties.code)
-
-
-def indicator_matvec(x: FloatArray, v: FloatArray, omega: float) -> FloatArray:
-    """Product I @ v where I_ij = omega*[x_i <= x_j] + (1-omega)*[x_i < x_j],
-    computed in O(n log n) without forming I."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if x.shape != v.shape or x.ndim != 1:
-        raise ValueError("x and v must be 1-D of equal length")
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError("omega must lie in [0, 1]")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("indicator values contain NaN or infinity")
-    return _apply_indicator(_TieRuns.of(x), v, omega)
 
 
 def projection_from_inverse(ztz_inv: DenseMatrix) -> DenseMatrix:
@@ -228,4 +205,4 @@ def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
         raise DegenerateCovariance(
             "the corrected covariance is degenerate (values that overflow)"
         )
-    return CorrectedCovariance(matrix=matrix, sigma_nu2=sigma_nu2, names=design.colnames)
+    return CorrectedCovariance(matrix=matrix, sigma_nu2=sigma_nu2)

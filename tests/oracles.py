@@ -139,22 +139,39 @@ def hc0_sandwich(z, residuals):
     return bread @ meat @ bread
 
 
-def dense_design(design):
+def _raw_columns(model, data):
+    """The response, the ranked regressor (None without one) and each
+    row's group code (None when ungrouped, or when the group column has a
+    single level), read from the data a model is fitted on."""
+    y = np.asarray(data[model.response], dtype=float)
+    x_name = model.ranked_regressor
+    x = None if x_name is None else np.asarray(data[x_name], dtype=float)
+    codes = None
+    if model.group is not None:
+        levels, codes = np.unique(np.asarray(data[model.group]), return_inverse=True)
+        if levels.size == 1:
+            codes = None
+    return y, x, codes
+
+
+def dense_design(design, data):
     """The n x P design matrix with its zeros: z itself when ungrouped;
     when grouped, column b*G + g holds base column b of z on the rows of
-    group level g."""
-    if design.group_codes is None:
+    group level g (levels in sorted order)."""
+    _, _, codes = _raw_columns(design.model, data)
+    if codes is None:
         return design.z
     n, base = design.z.shape
-    levels = len(design.group_levels)
+    levels = int(codes.max()) + 1
     z = np.zeros((n, base * levels))
     for b in range(base):
-        z[np.arange(n), b * levels + design.group_codes] = design.z[:, b]
+        z[np.arange(n), b * levels + codes] = design.z[:, b]
     return z
 
 
-def naive_corrected_vcov(fit_result):
-    """Corrected coefficient covariance from first principles.
+def naive_corrected_vcov(fit_result, data):
+    """Corrected coefficient covariance from first principles, for a fit
+    of `data`.
 
     Builds every indicator matrix in full and loops over coefficients.
     Grouped designs keep pooled ranks; the per-column group membership
@@ -162,7 +179,8 @@ def naive_corrected_vcov(fit_result):
     """
     design = fit_result.design
     omega = design.model.omega
-    z = dense_design(design)
+    y_raw, x_raw, codes = _raw_columns(design.model, data)
+    z = dense_design(design, data)
     n, n_cols = z.shape
     beta = fit_result.coefficients
     eps = fit_result.residuals
@@ -170,17 +188,18 @@ def naive_corrected_vcov(fit_result):
     ztz_inv = np.linalg.inv(z.T @ z)
     proj = ztz_inv / np.diag(ztz_inv)[None, :]
 
-    has_x = len(design.x_cols) > 0
+    has_x = x_raw is not None
     if has_x:
+        # one ranked-regressor column per group level, in level order
         membership = np.empty((n, len(design.x_cols)))
-        for idx, code in enumerate(design.x_col_group):
-            membership[:, idx] = 1.0 if code < 0 else (design.group_codes == code)
-        ind_x = indicator_matrix(design.x_raw, omega)
-        frank_x = naive_rank(design.x_raw, omega) / n
+        for idx in range(len(design.x_cols)):
+            membership[:, idx] = 1.0 if codes is None else (codes == idx)
+        ind_x = indicator_matrix(x_raw, omega)
+        frank_x = naive_rank(x_raw, omega) / n
         rank_coef = membership @ beta[list(design.x_cols)]
     if design.model.response_ranked:
-        ind_y = indicator_matrix(design.y_raw, omega)
-        frank_y = naive_rank(design.y_raw, omega) / n
+        ind_y = indicator_matrix(y_raw, omega)
+        frank_y = naive_rank(y_raw, omega) / n
 
     h = np.zeros((n, n_cols))
     for j in range(n_cols):
@@ -219,11 +238,11 @@ def _column_indicator(x, v, omega, rows):
     return below[-1] - blended.take(code)
 
 
-def loop_corrected_vcov(fit_result):
-    """(matrix, sigma_nu2) of the corrected covariance, one length-n
-    influence column per coefficient, block by block, in the order of
-    operations of the package's covariance: each element takes the same
-    arithmetic, so the results agree to the bit.
+def loop_corrected_vcov(fit_result, data):
+    """(matrix, sigma_nu2) of the corrected covariance of a fit of
+    `data`, one length-n influence column per coefficient, block by
+    block, in the order of operations of the package's covariance: each
+    element takes the same arithmetic, so the results agree to the bit.
 
     Column j is h2 / n + eps * nu_j (on its block's rows) + h3, where
     h2 = base + (I_y nu_j - r_y . nu_j) - (I_x w - r_x . w) with
@@ -234,12 +253,13 @@ def loop_corrected_vcov(fit_result):
 
     design = fit_result.design
     omega = design.model.omega
+    y_raw, x_raw, _ = _raw_columns(design.model, data)
     r = fit_result.qr.r
     rinv = solve_triangular(r, np.eye(r.shape[1]), lower=False)
     ztz_inv = rinv @ rinv.T
     ztz_inv = (ztz_inv + ztz_inv.T) / 2.0
     gammas = ztz_inv / np.diag(ztz_inv)[None, :]
-    z = dense_design(design)
+    z = dense_design(design, data)
     n, k = z.shape
     sigma_nu2 = np.empty(k)
     h = np.empty((n, k))
@@ -255,15 +275,15 @@ def loop_corrected_vcov(fit_result):
                 base = float(eps @ nu_j)
                 h2 = np.full(n, base)
                 if design.r_y is not None:
-                    h2 = h2 + (_column_indicator(design.y_raw, nu_j, omega, rows)
+                    h2 = h2 + (_column_indicator(y_raw, nu_j, omega, rows)
                                - float(design.r_y[rows] @ nu_j))
                 if design.r_x is not None:
                     r_x = design.r_x[rows]
                     weighted = fit_result.coefficients[design.x_cols[b]] * nu_j
-                    h2 = h2 - (_column_indicator(design.x_raw, weighted, omega, rows)
+                    h2 = h2 - (_column_indicator(x_raw, weighted, omega, rows)
                                - float(r_x @ weighted))
                     weighted_eps = gamma_j[0] * eps
-                    h3 = (base + _column_indicator(design.x_raw, weighted_eps, omega, rows)
+                    h3 = (base + _column_indicator(x_raw, weighted_eps, omega, rows)
                           - float(weighted_eps @ r_x)) / n
                 else:
                     h3 = base / n

@@ -19,7 +19,7 @@ from oracles import (
 from rankinfer.cli.io import parse_table
 from rankinfer.cli.main import main as cli_main
 import rankinfer.multinomcs as multinomcs
-from rankinfer.multinomcs import MultinomialCounts, cs_ranks_multinomial, pairwise_pvalue
+from rankinfer.multinomcs import MultinomialCounts, PairwisePValueTable, cs_ranks_multinomial
 from rankinfer.numerics import binom_tail, inverse_from_qr, qr_decompose
 from rankinfer.rankcs import (
     BootstrapConfig,
@@ -31,11 +31,11 @@ from rankinfer.rankcs import (
     cs_ranks,
     pairwise_se,
 )
-from rankinfer.ranking import TieRule, irank
+from rankinfer.ranking import TieRule, _TieRuns, irank
 from rankinfer.rankreg.model import RankRegressionModel, fit
 from rankinfer.rankreg.variance import (
+    _indicator_table,
     corrected_vcov,
-    indicator_matvec,
     projection_from_inverse,
 )
 
@@ -138,10 +138,13 @@ def test_c04_multinomial_coverage():
 
 def test_c05_pvalue_closed_forms():
     t0 = time.perf_counter()
+    # the kernel, and the table of counts 0..60, whose cell (k, l) tests
+    # count k against count l
+    table = PairwisePValueTable.from_counts(MultinomialCounts(np.arange(61))).values
     for s in range(1, 61):
-        assert pairwise_pvalue(0, s) == 1.0
-        assert pairwise_pvalue(s, 0) == 2.0 ** (-s)
-    assert pairwise_pvalue(3, 1) == 0.3125
+        assert binom_tail(0, s) == table[0, s] == 1.0
+        assert binom_tail(s, s) == table[s, 0] == 2.0 ** (-s)
+    assert table[3, 1] == 0.3125
     # the tail kernel against exact rational arithmetic for every s <= 30
     worst_abs = worst_rel = 0.0
     for s in range(1, 31):
@@ -177,7 +180,8 @@ def test_c06_indicator_matvec_oracle_and_scaling():
             if n // 2 > 1:
                 x[: n // 2] = x[0]  # one value at multiplicity n/2
         v = rng.standard_normal(n)
-        got = indicator_matvec(x, v, omegas[case % 4])
+        ties = _TieRuns.of(x)
+        got = _indicator_table(ties, v, omegas[case % 4]).take(ties.code)
         want = naive_indicator_matvec(x, v, omegas[case % 4])
         worst = max(worst, float(np.max(np.abs(got - want))))
     battery_elapsed = time.perf_counter() - t0
@@ -189,7 +193,8 @@ def test_c06_indicator_matvec_oracle_and_scaling():
             x = rng.integers(0, 1000, n).astype(np.float64)
             v = rng.standard_normal(n)
             t0 = time.perf_counter()
-            indicator_matvec(x, v, 0.5)
+            ties = _TieRuns.of(x)
+            _indicator_table(ties, v, 0.5).take(ties.code)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -243,7 +248,7 @@ def _variance_check_fit(n, with_cov, with_ties, omega, seed):
     if with_cov:
         data["W"] = rng.standard_normal(n)
         text = "r(Y) ~ r(X) + W"
-    return fit(RankRegressionModel.from_formula(text, omega=omega), data)
+    return fit(RankRegressionModel.from_formula(text, omega=omega), data), data
 
 
 def test_c08_corrected_variance_oracle():
@@ -256,9 +261,9 @@ def test_c08_corrected_variance_oracle():
         for omega in (0.5, 1.0)
     ]
     for i, (with_cov, with_ties, omega) in enumerate(configs):
-        f = _variance_check_fit(300, with_cov, with_ties, omega, seed=800 + i)
+        f, data = _variance_check_fit(300, with_cov, with_ties, omega, seed=800 + i)
         got = corrected_vcov(f).matrix
-        want = naive_corrected_vcov(f)
+        want = naive_corrected_vcov(f, data)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, worst

@@ -596,6 +596,20 @@ class TestCsMultinom:
         assert results["L"] == [1, 1, 3]
         assert results["U"] == [2, 2, 3]
 
+    @pytest.mark.parametrize("extra", [[], ["--simul"]])
+    def test_crossed_holm_set_rejected(self, invoke_cli, extra):
+        # Holm's last step has multiplier 1, so at alpha = 127/128 the
+        # family rejects both 6 <= 1 (p = 8/128) and 1 <= 6 (p = 127/128);
+        # this exited 4 with "bounds must bracket the estimated rank"
+        args = ["cs-multinom", "--column", "count", "--coverage", "0.0078125", *extra]
+        res = invoke_cli(args, stdin="count\n6\n1\n")
+        assert res.code == 3, res.stderr
+        assert res.stdout == ""
+        assert "coverage 0.0078125 is too low" in res.stderr
+        # Bonferroni doubles 127/128 past alpha, so its set stands
+        res = invoke_cli([*args, "--multcorr", "bonferroni"], stdin="count\n6\n1\n")
+        assert res.code == 0, res.stderr
+
     def test_counts_above_float_exact_range_rejected(self, invoke_cli):
         # a total above 2**53, a count the int64 cast would wrap, and a
         # count that float64 rounds down to 2**53

@@ -12,9 +12,7 @@ from rankinfer.multinomcs import (
     MAX_CATEGORIES,
     MultinomialCounts,
     PairwisePValueTable,
-    adjust_pvalues,
     cs_ranks_multinomial,
-    pairwise_pvalue,
 )
 
 import rankinfer.multinomcs as multinomcs
@@ -29,24 +27,32 @@ from oracles import (
 )
 
 
+def _table(*counts, alpha=None):
+    return PairwisePValueTable.from_counts(MultinomialCounts(np.array(counts)), alpha).values
+
+
 class TestPairwisePValue:
     def test_zero_first_count_never_rejects(self):
         for s in (0, 1, 5, 60):
-            assert pairwise_pvalue(0, s) == 1.0
+            assert binom_tail(0, s) == 1.0
+        assert np.all(_table(*range(61))[0] == 1.0)
 
     def test_all_against_none(self):
+        table = _table(*range(61))
         for s in range(1, 61):
-            assert pairwise_pvalue(s, 0) == 2.0**-s
+            assert table[s, 0] == 2.0**-s
 
     def test_small_closed_form(self):
         # Binomial(4, 1/2) at least 3: (4 + 1) / 16
-        assert pairwise_pvalue(3, 1) == 0.3125
+        assert _table(3, 1)[0, 1] == 0.3125
 
     def test_matches_fraction_arithmetic(self):
+        # every count twice, so equal counts meet off the diagonal too
+        table = _table(*np.repeat(np.arange(31), 2))
         for xk in range(0, 31):
             for xl in range(0, 31):
                 want = float(exact_binom_tail(xk, xk + xl))
-                got = pairwise_pvalue(xk, xl)
+                got = table[2 * xk, 2 * xl + 1]
                 assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
 
     def test_exact_and_log_paths_agree_at_boundary(self):
@@ -55,21 +61,22 @@ class TestPairwisePValue:
             xk = s // 2 + 10
             xl = s - xk
             want = float(exact_binom_tail(xk, s))
-            got = pairwise_pvalue(xk, xl)
+            got = _table(xk, xl)[0, 1]
             assert math.isclose(got, want, rel_tol=1e-14)
 
     def test_largest_total(self):
         # every argument of the kernel is still an exact float64 here
-        assert pairwise_pvalue(5, 2**53 - 5) > 0.5
-        assert pairwise_pvalue(2**53 - 5, 5) < 1e-300
-        with pytest.raises(DomainError):
-            pairwise_pvalue(5, 2**53 - 4)
+        assert binom_tail(5, 2**53) > 0.5
+        table = _table(5, 2**53 - 5, alpha=0.05)
+        assert table[1, 0] < 1e-300
+        assert table[0, 1] == 1.0  # pruned: its p-value exceeds 1/2
 
     def test_negative_counts_rejected(self):
+        # a negative count makes x < 0 or x > s for the kernel
         with pytest.raises(ValueError):
-            pairwise_pvalue(-1, 3)
+            binom_tail(-1, 2)
         with pytest.raises(ValueError):
-            pairwise_pvalue(3, -1)
+            binom_tail(3, 2)
 
     def test_tail_complement_identity(self):
         # P(X >= a) + P(X >= s - a) = 1 + P(X = a) for X ~ Bin(s, 1/2)
@@ -78,7 +85,8 @@ class TestPairwisePValue:
                 lhs = exact_binom_tail(a, s) + exact_binom_tail(s - a, s)
                 rhs = 1 + Fraction(math.comb(s, a), 2**s)
                 assert lhs == rhs
-                got = pairwise_pvalue(a, s - a) + pairwise_pvalue(s - a, a)
+                table = _table(a, s - a)
+                got = table[0, 1] + table[1, 0]
                 assert math.isclose(got, float(rhs), rel_tol=1e-14)
 
 
@@ -124,15 +132,13 @@ def _kernel_on_every_cell(data):
 
 class TestPValueTable:
     def test_matches_scalar_calls(self):
-        counts = MultinomialCounts(np.array([12, 3, 7, 7]))
-        table = PairwisePValueTable.from_counts(counts).values
+        counts = [12, 3, 7, 7]
+        table = _table(*counts)
         for k in range(4):
             assert table[k, k] == 1.0
             for l in range(4):
                 if k != l:
-                    assert table[k, l] == pairwise_pvalue(
-                        int(counts.counts[k]), int(counts.counts[l])
-                    )
+                    assert table[k, l] == binom_tail(counts[k], counts[k] + counts[l])
 
     @given(count_vectors())
     @settings(deadline=None, max_examples=200)
@@ -173,15 +179,20 @@ class TestPValueTable:
             cs_ranks_multinomial(data)
 
 
+def _adjusted(p, method):
+    """Adjusted p-values of one family, capped at 1."""
+    return np.minimum(1.0, multinomcs._adjusted_rows(np.asarray(p)[None, :], method)[0])
+
+
 class TestAdjustPValues:
     def test_bonferroni_formula(self):
         p = np.array([0.01, 0.4, 0.9])
-        assert np.allclose(adjust_pvalues(p, "bonferroni"), [0.03, 1.0, 1.0])
+        assert np.allclose(_adjusted(p, "bonferroni"), [0.03, 1.0, 1.0])
 
     def test_holm_hand_case(self):
         p = np.array([0.01, 0.04, 0.03])
         # sorted: .01*3=.03, .03*2=.06, .04*1=.04 -> cummax .03,.06,.06
-        assert np.allclose(adjust_pvalues(p, "holm"), [0.03, 0.06, 0.06])
+        assert np.allclose(_adjusted(p, "holm"), [0.03, 0.06, 0.06])
 
     @given(
         p=st.lists(
@@ -192,7 +203,7 @@ class TestAdjustPValues:
     )
     @settings(deadline=None, max_examples=200)
     def test_holm_matches_naive(self, p):
-        got = adjust_pvalues(np.array(p), "holm")
+        got = _adjusted(p, "holm")
         assert np.allclose(got, naive_holm(p), atol=1e-12)
 
     @given(
@@ -204,30 +215,26 @@ class TestAdjustPValues:
     )
     @settings(deadline=None, max_examples=200)
     def test_holm_dominated_by_bonferroni(self, p):
-        holm = adjust_pvalues(np.array(p), "holm")
-        bonf = adjust_pvalues(np.array(p), "bonferroni")
+        rows = np.array([p])
+        holm = multinomcs._adjusted_rows(rows, "holm")
+        bonf = multinomcs._adjusted_rows(rows, "bonferroni")
         assert np.all(holm <= bonf + 1e-15)
-        assert np.all(holm >= np.asarray(p) - 1e-15)
-        assert np.all(holm <= 1.0)
+        assert np.all(holm >= rows - 1e-15)
 
     def test_matches_bonferroni_oracle(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(size=20)
-        assert np.allclose(adjust_pvalues(p, "bonferroni"), naive_bonferroni(p))
+        assert np.allclose(_adjusted(p, "bonferroni"), naive_bonferroni(p))
 
     def test_empty_passthrough(self):
-        out = adjust_pvalues(np.array([]), "holm")
-        assert out.size == 0
+        for method in ("holm", "bonferroni"):
+            assert multinomcs._adjusted_rows(np.empty((3, 0)), method).shape == (3, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([0.5, 1.5]), "holm")
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([-0.1]), "bonferroni")
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([[0.5]]), "holm")
-        with pytest.raises(ValueError):
-            adjust_pvalues(np.array([0.5]), "sidak")
+        with pytest.raises(ValueError, match="method"):
+            multinomcs._adjusted_rows(np.array([[0.5]]), "sidak")
+        with pytest.raises(ValueError, match="method"):
+            cs_ranks_multinomial(MultinomialCounts(np.array([5, 3])), method="sidak")
 
 
 class TestMultinomialCounts:
@@ -513,7 +520,7 @@ class TestPrunedTable:
             try:
                 cs = cs_ranks_multinomial(data, coverage, mode=mode, method=method,
                                           indices=indices)
-            except ValueError as err:
+            except DomainError as err:
                 return str(err)
             return cs.lower.tolist(), cs.upper.tolist()
 
@@ -526,9 +533,9 @@ class TestPrunedTable:
                        classmethod(lambda cls, data, alpha=None: full_table(cls, data)))
             assert bounds() == got
         if isinstance(got, str):
-            # above alpha = 1/2 a family can reject both (k, l) and (l, k),
-            # and the set then refuses bounds that miss the rank
-            assert alpha > 0.5 and "bracket" in got
+            # above alpha = 1/2 a Holm family can reject both (k, l) and
+            # (l, k), and the set is then refused
+            assert alpha > 0.5 and method == "holm" and "too low" in got
         else:
             picked = range(len(counts)) if indices is None else indices
             lower, upper = exact_rank_bounds(counts, coverage, mode, method)

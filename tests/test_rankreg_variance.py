@@ -11,9 +11,8 @@ from rankinfer.errors import DegenerateCovariance, NonFinite, RankDeficient
 from rankinfer.ranking import _TieRuns
 from rankinfer.rankreg.model import RankRegressionModel, confint, fit, summarize
 from rankinfer.rankreg.variance import (
-    _apply_indicator,
+    _indicator_table,
     corrected_vcov,
-    indicator_matvec,
     projection_from_inverse,
 )
 
@@ -57,7 +56,8 @@ class TestIndicatorMatvec:
             x = tied_sample(rng, n, int(rng.integers(1, n + 1)))
             v = rng.normal(size=n)
             omega = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
-            got = indicator_matvec(x, v, omega)
+            ties = _TieRuns.of(x)
+            got = _indicator_table(ties, v, omega).take(ties.code)
             want = naive_indicator_matvec(x, v, omega)
             assert np.abs(got - want).max() < 1e-12
 
@@ -70,35 +70,43 @@ class TestIndicatorMatvec:
             x = tied_sample(rng, n, int(rng.integers(1, n + 1)))
             v = rng.normal(size=n)
             omega = float(rng.choice([0.0, 0.5, 1.0]))
-            got = indicator_matvec(x, v, omega)
+            ties = _TieRuns.of(x)
+            got = _indicator_table(ties, v, omega).take(ties.code)
             want = naive_indicator_matvec(x, v, omega)
             assert np.abs(got - want).max() < 1e-12
 
     def test_reusable_structure(self):
+        # one tie structure serves products with several vectors, and on
+        # a subset of rows (v zero elsewhere)
         rng = np.random.default_rng(3)
         x = tied_sample(rng, 50, 9)
         ties = _TieRuns.of(x)
+        rows = rng.permutation(50)[:20]
         for omega in (0.0, 0.25, 1.0):
             v = rng.normal(size=50)
             assert np.allclose(
-                _apply_indicator(ties, v, omega),
+                _indicator_table(ties, v, omega).take(ties.code),
                 naive_indicator_matvec(x, v, omega),
+                atol=1e-12,
+            )
+            on_rows = np.zeros(50)
+            on_rows[rows] = v[rows]
+            assert np.allclose(
+                _indicator_table(ties, v[rows], omega, rows).take(ties.code),
+                naive_indicator_matvec(x, on_rows, omega),
                 atol=1e-12,
             )
 
     def test_validation(self):
+        ties = _TieRuns.of(np.ones(3))
         with pytest.raises(ValueError):
-            indicator_matvec(np.ones(3), np.ones(2), 0.5)
+            _indicator_table(ties, np.ones(2), 0.5)
         with pytest.raises(ValueError):
-            indicator_matvec(np.ones(3), np.ones(3), 1.5)
+            _indicator_table(ties, np.ones(3), 0.5, slice(1, None))
         with pytest.raises(NonFinite):
-            indicator_matvec(np.array([1.0, np.nan]), np.ones(2), 0.5)
+            _indicator_table(ties, np.array([1.0, np.inf, 0.0]), 0.5)
         with pytest.raises(NonFinite):
-            indicator_matvec(np.ones(3), np.array([1.0, np.inf, 0.0]), 0.5)
-        with pytest.raises(ValueError):
-            indicator_matvec(np.ones((2, 2)), np.ones((2, 2)), 0.5)
-        with pytest.raises(ValueError):
-            _apply_indicator(_TieRuns.of(np.ones(3)), np.ones(2), 0.5)
+            _indicator_table(ties, np.array([1.0, np.nan, 0.0]), 0.5)
 
 
 class TestProjection:
@@ -140,7 +148,7 @@ class TestCorrectedVcov:
         for model, data in self.configs():
             result = fit(model, data)
             got = corrected_vcov(result).matrix
-            want = naive_corrected_vcov(result)
+            want = naive_corrected_vcov(result, data)
             rel = np.abs(got - want).max() / np.abs(want).max()
             assert rel < 1e-10
 
@@ -156,7 +164,7 @@ class TestCorrectedVcov:
         for omega in (0.5, 1.0):
             result = fit(model_from("r(Y) ~ (r(X) + W):G", omega=omega), data)
             got = corrected_vcov(result).matrix
-            want = naive_corrected_vcov(result)
+            want = naive_corrected_vcov(result, data)
             rel = np.abs(got - want).max() / np.abs(want).max()
             assert rel < 1e-10
 
@@ -166,7 +174,7 @@ class TestCorrectedVcov:
         data = {"Y": rng.normal(size=n), "X": tied_sample(rng, n, 15)}
         result = fit(model_from("Y ~ r(X)", omega=0.5), data)
         got = corrected_vcov(result).matrix
-        want = naive_corrected_vcov(result)
+        want = naive_corrected_vcov(result, data)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
     def test_reduces_to_hc0_without_ranks(self):
@@ -325,13 +333,13 @@ def test_block_fit_and_vcov_match_dense_oracles(case):
     except RankDeficient:
         assume(False)
     design = result.design
-    z = dense_design(design)
+    z = dense_design(design, data)
     want, *_ = np.linalg.lstsq(z, design.y, rcond=None)
     got = result.coefficients
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert np.abs(result.residuals - (design.y - z @ want)).max() <= residual_gap_bound(
         z, design.y, want)
-    want = naive_corrected_vcov(result)
+    want = naive_corrected_vcov(result, data)
     # a perfect fit, or a tie level on one row, leaves a covariance of
     # rounding noise with no digits to compare (the data are O(1))
     assume(np.abs(want).max() > 1e-12)
@@ -350,7 +358,7 @@ def test_vcov_matches_per_column_loop_to_the_bit(case):
     except RankDeficient:
         assume(False)
     got = corrected_vcov(result)
-    want_matrix, want_sigma_nu2 = loop_corrected_vcov(result)
+    want_matrix, want_sigma_nu2 = loop_corrected_vcov(result, data)
     assert np.array_equal(got.matrix, want_matrix)
     assert np.array_equal(got.sigma_nu2, want_sigma_nu2)
 
@@ -367,6 +375,6 @@ def test_vcov_independent_of_row_chunks(monkeypatch, cells):
     }
     for text in ("r(Y) ~ (r(X) + W):G", "r(Y) ~ r(X) + W"):
         result = fit(model_from(text, omega=0.5), data)
-        want, _ = loop_corrected_vcov(result)
+        want, _ = loop_corrected_vcov(result, data)
         monkeypatch.setattr(variance_mod, "_ROW_CELLS", cells)
         assert np.array_equal(corrected_vcov(result).matrix, want)
