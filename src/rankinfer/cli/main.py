@@ -26,7 +26,6 @@ from ..rankreg.formula import format_formula_error
 from ..rankreg.model import RankRegressionModel, confint, fit, summarize
 from .envelope import OutputEnvelope, input_digest, render_csv
 from .io import decode, parse_table, read_bytes, read_covariance, write_text
-from .svg import interval_chart
 
 _SEED_MAX = 2**64 - 1
 
@@ -323,6 +322,8 @@ def cmd_csranks(
         results=results,
     )
     if svg_path is not None:
+        from .svg import interval_chart  # xml.etree loads only for a chart
+
         write_text(
             svg_path,
             interval_chart(results["labels"], results["L"], results["rank"], results["U"]),

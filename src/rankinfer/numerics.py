@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 from scipy.special import betaincc, erfc
 
 from .errors import NonFinite, NotPSD, RankDeficient
@@ -108,8 +107,9 @@ def block_least_squares(
 
     The design needs n >= k rows, and the collinearity check is global:
     the smallest |R| diagonal entry over all blocks against the largest.
-    A block with fewer rows than columns is rank-deficient. Returns the
-    factor (q None), the coefficients and the residuals.
+    A block with fewer rows than columns is rank-deficient. A response
+    whose Q'y overflows raises NonFinite. Returns the factor (q None),
+    the coefficients and the residuals.
     """
     z = _require_design(z, k)
     n = z.shape[0]
@@ -123,19 +123,44 @@ def block_least_squares(
             raise RankDeficient(_DEFICIENT)
         factor = qr_decompose(z_b)
         r[cols, cols] = factor.r
-        qty[cols] = factor.q.T @ y[rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            qty[cols] = factor.q.T @ y[rows]
     _require_full_rank(r)
+    if not np.all(np.isfinite(qty)):
+        raise NonFinite("the response projected on the design (Q'y) overflows; "
+                        "rescale the response")
     coefficients = np.empty(k)
     residuals = np.empty(n)
     for rows, cols in blocks:
-        coefficients[cols] = solve_triangular(r[cols, cols], qty[cols], lower=False)
+        coefficients[cols] = _back_substitute(r[cols, cols], qty[cols])
         residuals[rows] = y[rows] - z[rows] @ coefficients[cols]
     return QRFactorization(q=None, r=r), coefficients, residuals
 
 
+def _back_substitute(r: FloatArray, b: FloatArray) -> FloatArray:
+    """x with r x = b for an upper-triangular r of nonzero diagonal.
+
+    Row by row from the last, in dot form, on a C-contiguous copy of r:
+    below 64 columns this gave the bits of scipy's LAPACK dtrtrs on
+    numpy 2.4.6 with scipy 1.17.1 (OpenBLAS solves in 64-row panels, so
+    wider systems may differ in the last bits). Dots over the rows of a
+    strided view of r do not, nor does np.linalg.solve(r, b)."""
+    r = np.ascontiguousarray(r)
+    x = np.empty(b.shape[0])
+    with np.errstate(all="ignore"):
+        for i in range(b.shape[0] - 1, -1, -1):
+            x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
+
+
 def inverse_from_qr(f: QRFactorization) -> DenseMatrix:
-    """(Z'Z)^-1 from the QR factors: R^-1 R^-T, symmetrized."""
-    rinv = solve_triangular(f.r, np.eye(f.cols), lower=False)
+    """(Z'Z)^-1 from the QR factors: R^-1 R^-T, symmetrized.
+
+    R^-1 comes from LAPACK's dgesv: the LU of an upper-triangular R
+    makes no row swaps and has L = I, so what is left is the triangular
+    solve against R. np.linalg.solve sets its own errstate, so it warns
+    of no overflow."""
+    rinv = np.linalg.solve(f.r, np.eye(f.cols))
     out = rinv @ rinv.T
     return (out + out.T) / 2.0
 

@@ -146,7 +146,9 @@ def _fill_influence(h: DenseMatrix, design: DesignMatrix, tables: tuple,
         if code is None:
             out[...] = table
         else:
-            np.take(table, code[a:b], axis=0, out=out)
+            # tie-run codes index the table's rows by construction; "clip"
+            # writes into out directly, where "raise" buffers to check
+            np.take(table, code[a:b], axis=0, out=out, mode="clip")
 
     for a in range(0, n, step):
         b = min(a + step, n)

@@ -450,6 +450,18 @@ class TestOverflowInputs:
         assert res.code == 3
         assert fragment in res.stderr
 
+    @pytest.mark.parametrize("formula", ["e ~ s", "e ~ (s):g"])
+    def test_response_projection_that_overflows(self, invoke_cli, formula):
+        # each 1.5e308 is finite, but Q'y sums them past the largest double
+        res = self.run_quiet(
+            invoke_cli, ["rank-reg", "--formula", formula],
+            "e,s,g\n" + "".join(f"{e},{s},{'ab'[s % 2]}\n" for s, e in enumerate(
+                ["1.5e308"] * 6 + ["1.4e308"] * 4)),
+        )
+        assert res.code == 3
+        assert res.stdout == ""
+        assert "Q'y" in res.stderr
+
 
 class TestUpFrontBounds:
     """Work past the documented bounds exits 3 before anything of that

@@ -66,6 +66,24 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.decode().strip() == "['rankinfer']"
 
 
+def test_cli_import_leaves_out_unused_modules():
+    # the SVG writer (xml.etree) loads only with --svg; scipy.linalg has
+    # no caller, but scipy.special itself loads it before scipy 1.17, so
+    # only the modules the CLI adds to scipy.special's are checked
+    proc = _python(
+        "-c",
+        "import json, sys, scipy.special; "
+        "special = set(sys.modules); "
+        "import rankinfer.cli.main; "
+        "print(json.dumps(sorted(set(sys.modules) - special)))",
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    added = json.loads(proc.stdout)
+    assert "rankinfer.cli.main" in added
+    assert [m for m in added if m.split(".")[:2] in (["scipy", "linalg"], ["xml", "etree"])
+            or m == "rankinfer.cli.svg"] == []
+
+
 def test_package_holds_only_its_version():
     # submodules imported elsewhere appear as attributes; nothing else may
     public = [name for name, value in vars(rankinfer).items()

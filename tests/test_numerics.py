@@ -1,10 +1,13 @@
 import importlib.util
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from rankinfer import multinomcs, numerics
@@ -96,6 +99,104 @@ class TestBlockLeastSquares:
         # a padded n x k z with the same blocks: each would read k columns
         with pytest.raises(ValueError, match="each block"):
             block_least_squares(np.hstack([z, z]), np.zeros(30), self._blocks(30), 6)
+
+
+@st.composite
+def block_problems(draw):
+    """A block-diagonal least-squares problem: base columns z, response y,
+    blocks and k. Blocks take contiguous coefficient ranges or the strided
+    g::G layout of a grouped design; scales reach 1e+-120 (so (Z'Z)^-1
+    stays finite), and a column can sit close to its neighbour
+    (ill-conditioned but of full rank)."""
+    width = draw(st.integers(1, 130))
+    groups = draw(st.integers(1, 3))
+    strided = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_group = [width + draw(st.integers(0, 12)) for _ in range(groups)]
+    n = sum(per_group)
+    z = rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3, 3, size=width)
+    if width > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, width - 1))
+        z[:, j] = z[:, j - 1] + 10.0 ** draw(st.floats(-3, 0)) * z[:, j]
+    z *= 10.0 ** draw(st.integers(-120, 120))
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-120, 120))
+    codes = rng.permutation(np.repeat(np.arange(groups), per_group))
+    k = groups * width
+    blocks = [(np.flatnonzero(codes == g),
+               slice(g, None, groups) if strided else slice(g * width, (g + 1) * width))
+              for g in range(groups)]
+    return z, y, blocks, k
+
+
+def _quiet(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return out
+
+
+def _fit_or_reject(z, y, blocks, k):
+    try:
+        return _quiet(block_least_squares, z, y, blocks, k)
+    except RankDeficient:
+        return None
+
+
+def _scipy_inverse(r):
+    rinv = solve_triangular(r, np.eye(r.shape[0]), lower=False)
+    out = rinv @ rinv.T
+    return (out + out.T) / 2.0
+
+
+# bit equality with scipy's solve_triangular was measured on these
+# versions only; other builds of the two LAPACKs may round differently
+_BITS_MEASURED = (np.__version__, scipy.__version__) == ("2.4.6", "1.17.1")
+
+
+class TestTriangularSolves:
+    """Each block's coefficients solve R x = Q'y to a componentwise
+    backward error of a few ulps, and (Z'Z)^-1 agrees with scipy's
+    solve_triangular (LAPACK dtrtrs) to within its condition number. On
+    numpy 2.4.6 with scipy 1.17.1 both carry scipy's bits: the
+    coefficients below 64 columns per block (OpenBLAS solves in 64-row
+    panels), the inverse at any width."""
+
+    @given(block_problems())
+    @settings(deadline=None, max_examples=150)
+    def test_backward_error(self, problem):
+        z, y, blocks, k = problem
+        fitted = _fit_or_reject(z, y, blocks, k)
+        if fitted is None:
+            return
+        f, coefficients, _ = fitted
+        eps = np.finfo(np.float64).eps
+        for rows, cols in blocks:
+            q, r = np.linalg.qr(z[rows], mode="reduced")
+            b, x = q.T @ y[rows], coefficients[cols]
+            bound = 4 * r.shape[0] * eps * (np.abs(r) @ np.abs(x) + np.abs(b))
+            assert np.all(np.abs(r @ x - b) <= bound)
+        got, want = _quiet(inverse_from_qr, f), _scipy_inverse(f.r)
+        bound = 8 * k * eps * np.linalg.cond(f.r) * np.linalg.norm(want, 2)
+        assert np.linalg.norm(got - want, 2) <= bound
+
+    @pytest.mark.skipif(not _BITS_MEASURED, reason="bits measured on numpy 2.4.6, scipy 1.17.1")
+    @given(block_problems())
+    @settings(deadline=None, max_examples=300)
+    def test_bits_equal_scipy(self, problem):
+        z, y, blocks, k = problem
+        fitted = _fit_or_reject(z, y, blocks, k)
+        if fitted is None:
+            return
+        f, coefficients, _ = fitted
+        want = np.empty(k)
+        for rows, cols in blocks:
+            q, r = np.linalg.qr(z[rows], mode="reduced")
+            assert np.array_equal(f.r[cols, cols], r)
+            want[cols] = solve_triangular(r, q.T @ y[rows], lower=False)
+        if z.shape[1] < 64:
+            assert np.array_equal(coefficients, want)
+        assert np.array_equal(_quiet(inverse_from_qr, f), _scipy_inverse(f.r))
 
 
 class TestCholeskyPSD:
