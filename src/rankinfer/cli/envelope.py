@@ -51,10 +51,42 @@ class OutputEnvelope:
         return "".join(chunks)
 
 
+@dataclass(frozen=True, eq=False)
+class RunColumn:
+    """A float64 column stored as one value per run of rows that print
+    alike, plus each row's run code: row i holds values[code[i]].
+
+    The envelope formats each run's value once and writes the rows by
+    gathering those texts, so a column with few distinct values costs m
+    float formats instead of n. Rows of one run must have the same repr:
+    equal values with the same sign of zero.
+    """
+
+    values: np.ndarray
+    code: np.ndarray
+
+    def texts(self) -> np.ndarray:
+        """Each run's text, as an object array to gather rows from."""
+        return np.array(_float_texts(self.values), dtype=object)
+
+    def tolist(self) -> list[str]:
+        """Each row's text, in row order."""
+        return self.texts().take(self.code).tolist()
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The C encoder's text of each float, its repr; NaN and infinities,
+    which are not JSON, raise ValueError as that encoder does."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return list(map(float.__repr__, values.tolist()))
+
+
 # Values the C encoder writes exactly as the indenting pure-Python encoder
-# does. Commands build results from these (`tolist()`, `int()`, `str`)
-# and from 1-D float64 arrays, which are written as the list of their
-# `tolist()`, slice by slice; anything else, numpy scalars included, is a
+# does. Commands build results from these (`tolist()`, `int()`, `str`),
+# from 1-D float64 arrays, which are written as the list of their
+# `tolist()`, slice by slice, and from RunColumns, written as their rows'
+# texts, slice by slice; anything else, numpy scalars included, is a
 # TypeError.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
@@ -69,7 +101,8 @@ def _encode(value, level: int, chunks: list[str]) -> None:
     json.dumps uses its pure-Python encoder whenever `indent` is set;
     here every scalar, every flat list of scalars and every slice of a
     1-D float64 array goes through the C encoder instead, with the
-    newline and indent of its level as the item separator.
+    newline and indent of its level as the item separator. A RunColumn's
+    rows are joined with that separator from their runs' texts.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -84,6 +117,18 @@ def _encode(value, level: int, chunks: list[str]) -> None:
             inner = encoder.encode(value[start:start + _ARRAY_SLICE].tolist())
             chunks.append(separator + inner[1:-1])
             separator = ",\n" + _INDENT * (level + 1)
+        chunks.append("\n" + _INDENT * level + "]")
+    elif kind is RunColumn:
+        if not value.code.size:
+            chunks.append("[]")
+            return
+        texts = value.texts()
+        item_separator = ",\n" + _INDENT * (level + 1)
+        separator = "[\n" + _INDENT * (level + 1)
+        for start in range(0, value.code.size, _ARRAY_SLICE):
+            rows = texts.take(value.code[start:start + _ARRAY_SLICE]).tolist()
+            chunks.append(separator + item_separator.join(rows))
+            separator = item_separator
         chunks.append("\n" + _INDENT * level + "]")
     elif kind is list or kind is tuple:
         if not value:

@@ -21,10 +21,10 @@ from ..rankcs import (
     cs_tau_best,
     cs_tau_worst,
 )
-from ..ranking import TieRule, irank, irank_against
+from ..ranking import TieRule, _TieRuns, irank_against
 from ..rankreg.formula import format_formula_error
 from ..rankreg.model import RankRegressionModel, confint, fit, summarize
-from .envelope import OutputEnvelope, input_digest, render_csv
+from .envelope import OutputEnvelope, RunColumn, input_digest, render_csv
 from .io import decode, parse_table, read_bytes, read_covariance, write_text
 
 _SEED_MAX = 2**64 - 1
@@ -130,13 +130,15 @@ def _interval_table(results: dict) -> dict:
 
 def _emit(envelope, out_format, output_path, csv_columns):
     """Write the envelope, or with --format csv a table whose header is
-    the keys of `csv_columns` and whose rows zip their values."""
+    the keys of `csv_columns` and whose rows zip their values; a
+    RunColumn gives its rows' float texts, written as they are."""
     if out_format == "json":
         write_text(output_path, envelope.to_json())
         return
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in csv_columns.values()]
+    columns = [c.tolist() if isinstance(c, (np.ndarray, RunColumn)) else c
+               for c in csv_columns.values()]
     write_text(output_path, render_csv(list(csv_columns), zip(*columns)))
 
 
@@ -197,16 +199,18 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     del raw  # the digest and the table hold all the command reads from it
     rule = TieRule(omega, "increasing" if increasing else "decreasing")
     if against is None:
-        values = reference = table.numeric(column)
+        values = table.numeric(column)
     else:
         values, reference = table.numeric([column, against])
     if values.size == 0:
         raise InputError("data has no rows")
-    ranks = irank(values, rule) if against is None else irank_against(values, reference, rule)
-    ivals = ranks.values
-    fvals = ivals / len(reference)
     labels = _label_values(table, label_col, len(values))
     del table  # not needed while the envelope is encoded
+    if against is None:
+        values, ivals, fvals = _self_rank_columns(values, rule)
+    else:
+        ivals = irank_against(values, reference, rule).values
+        fvals = ivals / len(reference)
     results = {
         "column": column,
         "omega": omega,
@@ -230,6 +234,33 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         "irank": results["irank"],
         "frank": results["frank"],
     })
+
+
+def _self_rank_columns(values: np.ndarray, rule: TieRule) -> tuple:
+    """The value, irank and frank columns of `values` ranked within
+    itself. With ties each is a RunColumn over the tie runs, its ranks
+    computed once per run; all-distinct values stay arrays, since runs
+    of one row would save no formatting.
+
+    -0.0 and 0.0 share a tie run but print differently, so in the value
+    column every zero run prints 0.0 and rows holding -0.0 get a run of
+    their own."""
+    runs = _TieRuns.of(values)
+    n = runs.n
+    if runs.m == n:
+        ivals = runs.ranks(rule)
+        return values, ivals, ivals / n
+    run_ranks = runs.run_ranks(rule)
+    run_values = np.empty(runs.m)
+    run_values[runs.code] = values
+    run_values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
+    value_code = runs.code
+    negative_zero = np.signbit(values) & (values == 0.0)
+    if negative_zero.any():
+        value_code = np.where(negative_zero, runs.m, value_code)
+        run_values = np.append(run_values, -0.0)
+    return (RunColumn(run_values, value_code), RunColumn(run_ranks, runs.code),
+            RunColumn(run_ranks / n, runs.code))
 
 
 def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):

@@ -140,9 +140,14 @@ class _TieRuns:
             code[np.argsort(x)] = run_id
         return cls(code=code, starts=starts, ends=bounds[1:], n=n, m=starts.size)
 
+    def run_ranks(self, rule: TieRule) -> FloatArray:
+        """Integer-scale rank shared by the members of each run."""
+        return _blend(self.starts, self.ends, self.n, rule)
+
     def ranks(self, rule: TieRule) -> FloatArray:
-        """Integer-scale ranks of the vector within itself."""
-        return _blend(self.starts.take(self.code), self.ends.take(self.code), self.n, rule)
+        """Integer-scale ranks of the vector within itself: each run's
+        rank read out by tie code, the bits a blend per element gives."""
+        return self.run_ranks(rule).take(self.code)
 
 
 def irank_against(x, reference, rule: TieRule) -> RankVector:

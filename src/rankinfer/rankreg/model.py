@@ -327,17 +327,17 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
 
     Raises DegenerateCovariance when the covariance is not finite (from
     `corrected_vcov`) or a z-value is not (a zero standard error, as for a
-    constant response).
+    constant response, or an estimate near 1e308 over a small one).
     """
     est = fit_result.coefficients
     cov = corrected_vcov(fit_result)
     se = np.sqrt(np.diag(cov.matrix))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
         z = est / se
     if not np.all(np.isfinite(z)):
         raise DegenerateCovariance(
             "the corrected covariance is degenerate (a zero standard error, "
-            "e.g. from a constant response)"
+            "e.g. from a constant response, or a z-value that overflows)"
         )
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return CoefficientSummary(

@@ -1,8 +1,9 @@
-"""Release gate: twenty-one end-to-end checks, each printing one summary line.
+"""Release gate: twenty-two end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
 """
+import json
 import math
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from oracles import (
     naive_indicator_matvec,
     spearman_rho,
 )
+import rankinfer.cli.envelope as envelope
 from rankinfer.cli.io import parse_table
 from rankinfer.cli.main import main as cli_main
 import rankinfer.multinomcs as multinomcs
@@ -594,3 +596,35 @@ def test_c21_screened_critical_values():
             + ", ".join(f"{mode} {s * 1e3:.0f} ms against {f * 1e3:.0f} ms"
                         for mode, (s, f) in times.items()),
             time.perf_counter() - t0)
+
+
+def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
+    # a binned column: 1e5 rows printed with two decimals, about 800
+    # distinct values, a few hundred of them "-0.00". The writer formats
+    # each tie run's value, irank and frank once, m floats per column
+    # instead of n (one more for the values' -0.0), and the file still
+    # holds the per-row lists as json.dumps writes them
+    rng = np.random.default_rng(23)
+    n = 100_000
+    cells = ["%.2f" % v for v in rng.normal(size=n)]
+    source = tmp_path / "binned.csv"
+    source.write_text("Y\n" + "\n".join(cells) + "\n")
+    m = len(set(map(float, cells)))
+    negative_zero = int("-0.00" in cells)
+    assert negative_zero and m < 1000
+    formatted = []
+    float_texts = envelope._float_texts
+    monkeypatch.setattr(envelope, "_float_texts",
+                        lambda values: formatted.append(values.size) or float_texts(values))
+    target = tmp_path / "ranks.json"
+    t0 = time.perf_counter()
+    assert cli_main(["ranks", "--input", str(source), "--column", "Y",
+                     "--output", str(target)]) == 0
+    seconds = time.perf_counter() - t0
+    assert formatted == [m + negative_zero, m, m]
+    text = target.read_text()
+    body = json.loads(text)
+    assert text == json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+    assert list(map(repr, body["results"]["values"])) == [repr(float(c)) for c in cells]
+    _report("C23", f"ranks on a 1e5-row column with {m} distinct values formats "
+            f"{sum(formatted)} floats for {3 * n} cells", seconds)

@@ -6,11 +6,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rankinfer.multinomcs as multinomcs_mod
 import rankinfer.rankcs as rankcs_mod
 import rankinfer.rankreg.variance as variance_mod
-from rankinfer.cli.envelope import OutputEnvelope, input_digest, render_csv
+from oracles import naive_rank
+from rankinfer.cli.envelope import OutputEnvelope, RunColumn, input_digest, render_csv
 
 COUNTRY_CSV = (
     "country,math_score\n"
@@ -61,7 +64,10 @@ class TestEnvelope:
         again = json.dumps(body, indent=2, ensure_ascii=False) + "\n"
         assert again == res.stdout
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -float("inf")]])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), [1.0, -float("inf")],
+        RunColumn(np.array([1.0, float("nan")]), np.array([0, 1, 0])),
+    ])
     def test_non_finite_floats_raise(self, value):
         envelope = OutputEnvelope(
             procedure="p", input_digest="d", seed=None, coverage=None, results={"x": value}
@@ -72,6 +78,19 @@ class TestEnvelope:
     def test_render_csv_float_repr(self):
         out = render_csv(["a", "b"], [[1, 0.1], ["x", 2.5]])
         assert out == "a,b\n1,0.1\nx,2.5\n"
+
+
+# Cells for the ranks battery: heavy ties drawn from a small pool that
+# holds both zeros and the extremes of the double range, any finite
+# doubles, or all-distinct columns.
+_RANK_POOL = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, -1e-300,
+                              1.7976931348623157e308, -1.7e308, 8.98846567431158e307])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_RANK_COLUMNS = st.one_of(
+    st.lists(_RANK_POOL, min_size=1, max_size=40),
+    st.lists(st.one_of(_RANK_POOL, _FINITE), min_size=1, max_size=40),
+    st.lists(_FINITE, min_size=1, max_size=40, unique=True),
+)
 
 
 class TestRanks:
@@ -154,6 +173,57 @@ class TestRanks:
             ["index", "label", "value", "irank", "frank"],
             zip(range(1, 6), results["labels"], results["values"], results["irank"],
                 results["frank"]))
+
+    @given(cells=_RANK_COLUMNS, omega=st.sampled_from([0.0, 0.5, 1.0]),
+           increasing=st.booleans(), labelled=st.booleans())
+    @example(cells=[-0.0, 0.0, 0.0, -0.0, 1.0], omega=0.5, increasing=False, labelled=True)
+    @example(cells=[1e-300], omega=1.0, increasing=True, labelled=False)
+    @example(cells=[1.7976931348623157e308, 1e-300, -1.7e308], omega=0.0, increasing=False,
+             labelled=False)
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_outputs_match_per_row_rendering(self, invoke_cli, tmp_path, cells, omega,
+                                             increasing, labelled):
+        # stdout, the -o file and --format csv hold, per row, the repr of
+        # the row's value and of its naively counted ranks, however the
+        # rows share tie runs
+        n = len(cells)
+        names = [f"r{i}" for i in range(1, n + 1)]
+        stdin = "v,name\n" + "".join(f"{v!r},{name}\n" for v, name in zip(cells, names))
+        args = ["ranks", "--column", "v", "--omega", repr(omega),
+                "--increasing" if increasing else "--decreasing",
+                *(["--label", "name"] if labelled else [])]
+        labels = names if labelled else [str(i) for i in range(1, n + 1)]
+        iranks = naive_rank(cells, omega, increasing).tolist()
+        franks = [r / n for r in iranks]
+        body = {
+            "procedure": "ranks",
+            "input_digest": input_digest(stdin.encode("utf-8")),
+            "seed": None,
+            "coverage": None,
+            "results": {
+                "column": "v",
+                "omega": omega,
+                "direction": "increasing" if increasing else "decreasing",
+                "labels": labels,
+                "values": cells,
+                "irank": iranks,
+                "frank": franks,
+            },
+            "warnings": [],
+        }
+        expected = json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+        res = invoke_cli(args, stdin=stdin)
+        assert res.code == 0, res.stderr
+        assert res.stdout == expected
+        target = tmp_path / "out.json"
+        assert invoke_cli([*args, "-o", str(target)], stdin=stdin).code == 0
+        assert target.read_text(encoding="utf-8") == expected
+        table = invoke_cli([*args, "--format", "csv"], stdin=stdin)
+        assert table.code == 0
+        assert table.stdout == "index,label,value,irank,frank\n" + "".join(
+            f"{i},{label},{v!r},{r!r},{f!r}\n"
+            for i, label, v, r, f in zip(range(1, n + 1), labels, cells, iranks, franks))
 
     def test_missing_column(self, invoke_cli):
         res = invoke_cli(["ranks", "--column", "nope"], stdin=COUNTRY_CSV)
@@ -450,6 +520,15 @@ class TestOverflowInputs:
         assert res.code == 3
         assert fragment in res.stderr
 
+    def test_z_value_that_overflows(self, invoke_cli):
+        # the slope on b is about -1e308 and its standard error about
+        # 2e-12, so their quotient overflows
+        res = self.run_quiet(invoke_cli, ["rank-reg", "--formula", "a ~ b", "--omega", "0"],
+                             "a,b\n100,1e-320\n1e308,-1\n")
+        assert res.code == 3
+        assert res.stdout == ""
+        assert "z-value that overflows" in res.stderr
+
     @pytest.mark.parametrize("formula", ["e ~ s", "e ~ (s):g"])
     def test_response_projection_that_overflows(self, invoke_cli, formula):
         # each 1.5e308 is finite, but Q'y sums them past the largest double
@@ -465,8 +544,8 @@ class TestOverflowInputs:
 
 class TestUpFrontBounds:
     """Work past the documented bounds exits 3 before anything of that
-    size is allocated: the bootstrap draws and the p-value table are
-    never started."""
+    size is allocated: the bootstrap draws, the p-value table and the
+    regression's influence array are never started."""
 
     def test_draws_times_populations(self, invoke_cli, monkeypatch):
         monkeypatch.setattr(rankcs_mod, "_bootstrap_normals", None)  # never reached
@@ -494,6 +573,31 @@ class TestUpFrontBounds:
         res = invoke_cli(["cs-multinom"], stdin="count\n" + "3\n" * p)
         assert res.code == 3
         assert f"{p} categories" in res.stderr
+
+
+    def test_influence_cells(self, invoke_cli, monkeypatch):
+        # 3 rows x 2 coefficients against a bound of 5 cells
+        monkeypatch.setattr(variance_mod, "MAX_INFLUENCE_CELLS", 5)
+        monkeypatch.setattr(variance_mod, "inverse_from_qr", None)  # never reached
+        monkeypatch.setattr(variance_mod, "_fill_influence", None)  # never reached
+        for formula in ("r(y) ~ r(x)", "y ~ x"):
+            res = invoke_cli(["rank-reg", "--formula", formula], stdin="y,x\n1,2\n2,1\n3,3\n")
+            assert res.code == 3, (formula, res.stderr)
+            assert res.stdout == ""
+            assert "3 rows x 2 coefficients exceed the 5" in res.stderr
+
+    def test_influence_bound_is_inclusive(self, invoke_cli, monkeypatch):
+        calls = []
+        fill = variance_mod._fill_influence
+        monkeypatch.setattr(variance_mod, "_fill_influence",
+                            lambda h, *rest: calls.append(h.shape) or fill(h, *rest))
+        stdin = "y,x\n1,2\n2,1\n3,3\n4,5\n"
+        args = ["rank-reg", "--formula", "r(y) ~ r(x)"]
+        monkeypatch.setattr(variance_mod, "MAX_INFLUENCE_CELLS", 4 * 2)
+        assert invoke_cli(args, stdin=stdin).code == 0
+        monkeypatch.setattr(variance_mod, "MAX_INFLUENCE_CELLS", 4 * 2 - 1)
+        assert invoke_cli(args, stdin=stdin).code == 3
+        assert calls == [(4, 2)]
 
 
 class TestTauCommands:
