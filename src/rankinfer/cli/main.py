@@ -207,7 +207,11 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     labels = _label_values(table, label_col, len(values))
     del table  # not needed while the envelope is encoded
     if against is None:
-        values, ivals, fvals = _self_rank_columns(values, rule)
+        # each tie run's rank is computed, and later formatted, once
+        runs = _TieRuns.of(values)
+        run_ranks = runs.run_ranks(rule)
+        ivals = RunColumn(run_ranks, runs.code)
+        fvals = RunColumn(run_ranks / runs.n, runs.code)
     else:
         ivals = irank_against(values, reference, rule).values
         fvals = ivals / len(reference)
@@ -234,33 +238,6 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         "irank": results["irank"],
         "frank": results["frank"],
     })
-
-
-def _self_rank_columns(values: np.ndarray, rule: TieRule) -> tuple:
-    """The value, irank and frank columns of `values` ranked within
-    itself. With ties each is a RunColumn over the tie runs, its ranks
-    computed once per run; all-distinct values stay arrays, since runs
-    of one row would save no formatting.
-
-    -0.0 and 0.0 share a tie run but print differently, so in the value
-    column every zero run prints 0.0 and rows holding -0.0 get a run of
-    their own."""
-    runs = _TieRuns.of(values)
-    n = runs.n
-    if runs.m == n:
-        ivals = runs.ranks(rule)
-        return values, ivals, ivals / n
-    run_ranks = runs.run_ranks(rule)
-    run_values = np.empty(runs.m)
-    run_values[runs.code] = values
-    run_values += 0.0  # -0.0 + 0.0 is 0.0; every other value is unchanged
-    value_code = runs.code
-    negative_zero = np.signbit(values) & (values == 0.0)
-    if negative_zero.any():
-        value_code = np.where(negative_zero, runs.m, value_code)
-        run_values = np.append(run_values, -0.0)
-    return (RunColumn(run_values, value_code), RunColumn(run_ranks, runs.code),
-            RunColumn(run_ranks / n, runs.code))
 
 
 def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):

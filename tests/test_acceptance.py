@@ -599,19 +599,20 @@ def test_c21_screened_critical_values():
 
 
 def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
-    # a binned column: 1e5 rows printed with two decimals, about 800
-    # distinct values, a few hundred of them "-0.00". The writer formats
-    # each tie run's value, irank and frank once, m floats per column
-    # instead of n (one more for the values' -0.0), and the file still
-    # holds the per-row lists as json.dumps writes them
+    # a binned column Y: 1e5 rows printed with two decimals, about 715
+    # distinct values, some of them "-0.00". The writer formats each tie
+    # run's irank and frank once, m floats per column instead of n, and
+    # the file still holds the per-row lists as json.dumps writes them.
+    # The all-distinct column X has a run per row, so its ranks go out
+    # as row floats and no run texts are made
     rng = np.random.default_rng(23)
     n = 100_000
     cells = ["%.2f" % v for v in rng.normal(size=n)]
+    distinct = rng.permutation(n) + 0.5
     source = tmp_path / "binned.csv"
-    source.write_text("Y\n" + "\n".join(cells) + "\n")
+    source.write_text("Y,X\n" + "".join(f"{y},{x!r}\n" for y, x in zip(cells, distinct.tolist())))
     m = len(set(map(float, cells)))
-    negative_zero = int("-0.00" in cells)
-    assert negative_zero and m < 1000
+    assert "-0.00" in cells and m < 1000
     formatted = []
     float_texts = envelope._float_texts
     monkeypatch.setattr(envelope, "_float_texts",
@@ -621,10 +622,18 @@ def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
     assert cli_main(["ranks", "--input", str(source), "--column", "Y",
                      "--output", str(target)]) == 0
     seconds = time.perf_counter() - t0
-    assert formatted == [m + negative_zero, m, m]
+    assert seconds < 2.0, f"ranks on 1e5 binned rows took {seconds:.2f}s"
+    assert formatted == [m, m]
     text = target.read_text()
     body = json.loads(text)
     assert text == json.dumps(body, indent=2, ensure_ascii=False) + "\n"
     assert list(map(repr, body["results"]["values"])) == [repr(float(c)) for c in cells]
+    assert body["results"]["irank"][:3] == [
+        1.0 + sum(float(c) > float(cells[i]) for c in cells) for i in range(3)]
+    formatted.clear()
+    assert cli_main(["ranks", "--input", str(source), "--column", "X",
+                     "--output", str(target)]) == 0
+    assert formatted == []
+    assert json.loads(target.read_text())["results"]["irank"] == (n - distinct + 0.5).tolist()
     _report("C23", f"ranks on a 1e5-row column with {m} distinct values formats "
-            f"{sum(formatted)} floats for {3 * n} cells", seconds)
+            f"{2 * m} floats for {2 * n} rank cells", seconds)

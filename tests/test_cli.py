@@ -67,6 +67,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("value", [
         float("nan"), float("inf"), [1.0, -float("inf")],
         RunColumn(np.array([1.0, float("nan")]), np.array([0, 1, 0])),
+        RunColumn(np.array([1.0, float("nan")]), np.array([0, 1, 0, 0, 1])),
     ])
     def test_non_finite_floats_raise(self, value):
         envelope = OutputEnvelope(
@@ -178,6 +179,8 @@ class TestRanks:
            increasing=st.booleans(), labelled=st.booleans())
     @example(cells=[-0.0, 0.0, 0.0, -0.0, 1.0], omega=0.5, increasing=False, labelled=True)
     @example(cells=[1e-300], omega=1.0, increasing=True, labelled=False)
+    @example(cells=[2.0, 1.0, 2.0, 1.0], omega=0.5, increasing=True, labelled=False)
+    @example(cells=[2.0, 1.0, 2.0, 1.0, 1.0], omega=0.5, increasing=True, labelled=False)
     @example(cells=[1.7976931348623157e308, 1e-300, -1.7e308], omega=0.0, increasing=False,
              labelled=False)
     @settings(deadline=None, max_examples=150,
