@@ -74,6 +74,17 @@ class RunColumn:
         return self.texts().take(self.code).tolist()
 
 
+@dataclass(frozen=True)
+class RowNumbers:
+    """The strings "1" ... "n", row labels by default: the envelope
+    writes them a slice at a time, with no list of n strings."""
+
+    n: int
+
+    def __iter__(self):
+        return map(str, range(1, self.n + 1))
+
+
 def _float_texts(values: np.ndarray) -> list[str]:
     """The C encoder's text of each float, its repr; NaN and infinities,
     which are not JSON, raise ValueError as that encoder does."""
@@ -85,9 +96,10 @@ def _float_texts(values: np.ndarray) -> list[str]:
 # Values the C encoder writes exactly as the indenting pure-Python encoder
 # does. Commands build results from these (`tolist()`, `int()`, `str`),
 # from 1-D float64 arrays, which are written as the list of their
-# `tolist()`, slice by slice, and from RunColumns, written as their rows'
-# texts, slice by slice, or with many runs as the array of their rows;
-# anything else, numpy scalars included, is a TypeError.
+# `tolist()`, slice by slice, from RunColumns, written as their rows'
+# texts, slice by slice, or with many runs as the array of their rows,
+# and from RowNumbers, written as the list of their strings, slice by
+# slice; anything else, numpy scalars included, is a TypeError.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
 # Elements per slice of an array value: each slice becomes a list of
@@ -102,7 +114,8 @@ def _encode(value, level: int, chunks: list[str]) -> None:
     here every scalar, every flat list of scalars and every slice of a
     1-D float64 array goes through the C encoder instead, with the
     newline and indent of its level as the item separator. A RunColumn's
-    rows are joined with that separator from their runs' texts.
+    rows are joined with that separator from their runs' texts, and
+    RowNumbers' rows are written from arrays of their digits.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -134,6 +147,18 @@ def _encode(value, level: int, chunks: list[str]) -> None:
             chunks.append(separator + item_separator.join(rows))
             separator = item_separator
         chunks.append("\n" + _INDENT * level + "]")
+    elif kind is RowNumbers:
+        if not value.n:
+            chunks.append("[]")
+            return
+        # digits need no escaping, so each row is its number in quotes
+        separator = '",\n' + _INDENT * (level + 1) + '"'
+        chunks.append("[\n" + _INDENT * (level + 1) + '"')
+        for start in range(1, value.n + 1, _ARRAY_SLICE):
+            chunks.append(_number_texts(start, min(start + _ARRAY_SLICE, value.n + 1),
+                                        separator))
+        chunks[-1] = chunks[-1][:-len(separator)]
+        chunks.append('"\n' + _INDENT * level + "]")
     elif kind is list or kind is tuple:
         if not value:
             chunks.append("[]")
@@ -162,6 +187,26 @@ def _encode(value, level: int, chunks: list[str]) -> None:
         chunks.append("\n" + _INDENT * level + "}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _number_texts(start: int, stop: int, separator: str) -> str:
+    """The decimal texts of start .. stop - 1 (start >= 1), each followed
+    by the ASCII `separator`, made from arrays of their digits rather
+    than a Python string per number."""
+    tail = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
+    parts = []
+    digits = len(str(start))
+    while start < stop:
+        end = min(stop, 10**digits)
+        values = np.arange(start, end)
+        block = np.empty((values.size, digits + tail.size), dtype=np.uint8)
+        block[:, digits:] = tail
+        for j in range(digits - 1, -1, -1):
+            values, block[:, j] = np.divmod(values, 10)
+        block[:, :digits] += ord("0")
+        parts.append(block.tobytes().decode("ascii"))
+        start, digits = end, digits + 1
+    return "".join(parts)
 
 
 def _flat_encoder(level: int) -> json.JSONEncoder:

@@ -6,10 +6,13 @@ There are no comment lines ('#' is data); blank lines are skipped.
 
 Text without quotes or lone carriage returns is never split into
 per-row lists: `parse_table` checks the field count of every line in
-one pass over the encoded bytes, and `TableData.numeric` converts the
-requested columns in one `np.loadtxt` call. Any other text, and any
-column that call cannot convert exactly, goes through the csv module
-and `float()` cell by cell, which also words every error.
+one pass over the encoded bytes, `TableData.numeric` converts the
+requested columns in one `np.loadtxt` call, and `TableData.codes` reads
+a text column's fields from the newline and comma offsets of that scan,
+made again when a text column is asked for, so that the table holds no
+offsets while `loadtxt` runs. Any other text goes through the csv
+module, and any column `loadtxt` cannot convert exactly goes through
+`float()` cell by cell, which also words every error.
 """
 from __future__ import annotations
 
@@ -42,22 +45,42 @@ class TableData:
         self.names = names
         self.n = n
         self._text = text
-        self._columns = {} if columns is None else columns
+        self._columns = columns
 
-    def _cells(self, name: str) -> list[str]:
+    def codes(self, name: str) -> tuple[list[str], np.ndarray]:
+        """The distinct cells of a column, in no set order, and each
+        row's index into them."""
         if name not in self.names:
             raise MissingColumn(
                 f"no column {name!r}; available: {', '.join(self.names)}"
             )
-        if name not in self._columns:
-            i = self.names.index(name)
-            lines = self._text.split("\n")[1:]
-            self._columns[name] = [line.split(",")[i] for line in lines if line]
-        return self._columns[name]
+        if self._text is None:
+            index: dict[str, int] = {}
+            codes = np.fromiter((index.setdefault(cell, len(index))
+                                 for cell in self._columns[name]),
+                                dtype=np.intp, count=self.n)
+            return list(index), codes
+        data = np.frombuffer(self._text.encode("utf-8"), dtype=np.uint8)
+        ends = _line_ends(data)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        rows = ends > starts  # blank lines are skipped
+        rows[0] = False
+        first, stop = starts[rows], ends[rows]
+        width, i = len(self.names), self.names.index(name)
+        if width > 1:
+            # every line but a blank one holds one comma fewer than the
+            # header has names, so row r's commas are row r + 1 here
+            commas = np.flatnonzero(data == ord(",")).reshape(-1, width - 1)[1:]
+            if i > 0:
+                first = commas[:, i - 1] + 1
+            if i < width - 1:
+                stop = commas[:, i]
+        return _distinct_fields(data, first, stop - first)
 
     def raw(self, name: str) -> np.ndarray:
         """Column as strings (categorical use: group labels, names)."""
-        return np.asarray(self._cells(name), dtype=object)
+        cells, codes = self.codes(name)
+        return np.array(cells, dtype=object).take(codes)
 
     def numeric(self, names: str | Sequence[str]) -> np.ndarray:
         """Float64 values of one column, shape (n,); given a list of
@@ -101,7 +124,7 @@ class TableData:
 
     def _numeric_cells(self, name: str) -> np.ndarray:
         """Reference conversion, one `float()` per cell."""
-        cells = self._cells(name)
+        cells = self.raw(name).tolist()
         out = np.empty(len(cells))
         for i, cell in enumerate(cells):
             token = cell.strip()
@@ -122,6 +145,53 @@ class TableData:
                 f"column {name!r} has a non-finite value at row {bad + 2}"
             )
         return out
+
+
+# Index elements per gather of fixed-width field bytes in `_distinct_fields`.
+_GATHER = 1 << 20
+
+
+def _distinct_fields(data: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct fields data[s:s + length] over rows (s, length) of
+    `starts` and `lengths`, decoded, in no set order, and each row's
+    index into them.
+
+    Equal fields have equal lengths, so rows are coded one length at a
+    time: that length's fields are gathered into a fixed-width array,
+    zero-padded to whole 8-byte words, and `np.unique` codes its items,
+    as integers when one word holds them and as byte strings otherwise.
+    All items of one length share their padding, so any byte, NUL
+    included, tells fields apart.
+    """
+    codes = np.empty(starts.size, dtype=np.intp)
+    cells: list[str] = []
+    order = np.argsort(lengths, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if not rows.size:
+            continue  # no rows at all
+        length = int(lengths[rows[0]])
+        words = max(1, -(-length // 8))
+        block = np.zeros((rows.size, 8 * words), dtype=np.uint8)
+        step = max(1, _GATHER // max(length, 1))
+        for start in range(0, rows.size, step):
+            first = starts[rows[start:start + step]]
+            block[start:start + step, :length] = data[first[:, None] + np.arange(length)]
+        items = block.view(np.uint64 if words == 1 else f"S{8 * words}").ravel()
+        distinct, inverse = np.unique(items, return_inverse=True)
+        codes[rows] = inverse.reshape(-1) + len(cells)
+        fields = distinct.view(np.uint8).reshape(-1, 8 * words)[:, :length]
+        cells.extend(field.tobytes().decode("utf-8") for field in fields)
+    return cells, codes
+
+
+def _line_ends(data: np.ndarray) -> np.ndarray:
+    """Offsets of the line ends in UTF-8 bytes; the text's end closes a
+    last line without a newline."""
+    ends = np.flatnonzero(data == ord("\n"))
+    if ends.size == 0 or ends[-1] != data.size - 1:
+        ends = np.append(ends, data.size)
+    return ends
 
 
 def _header(cells: list[str]) -> tuple[str, ...]:
@@ -147,9 +217,7 @@ def parse_table(text: str) -> TableData:
     if '"' in plain or "\r" in plain:
         return _parse_with_csv(text)
     data = np.frombuffer(plain.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    if ends.size == 0 or ends[-1] != data.size - 1:
-        ends = np.append(ends, data.size)
+    ends = _line_ends(data)
     lengths = np.diff(ends, prepend=-1) - 1
     if int(lengths.max()) > csv.field_size_limit():
         return _parse_with_csv(text)  # let the csv module refuse the field

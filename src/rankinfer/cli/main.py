@@ -23,8 +23,8 @@ from ..rankcs import (
 )
 from ..ranking import TieRule, _TieRuns, irank_against
 from ..rankreg.formula import format_formula_error
-from ..rankreg.model import RankRegressionModel, confint, fit, summarize
-from .envelope import OutputEnvelope, RunColumn, input_digest, render_csv
+from ..rankreg.model import CodedColumn, RankRegressionModel, confint, fit, summarize
+from .envelope import OutputEnvelope, RowNumbers, RunColumn, input_digest, render_csv
 from .io import decode, parse_table, read_bytes, read_covariance, write_text
 
 _SEED_MAX = 2**64 - 1
@@ -95,9 +95,7 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _label_values(table, label_col: str | None, p: int) -> list[str]:
-    if label_col is None:
-        return list(map(str, range(1, p + 1)))
+def _label_values(table, label_col: str, p: int) -> list[str]:
     values = table.raw(label_col).tolist()
     if len(values) != p:
         raise InputError(
@@ -140,6 +138,23 @@ def _emit(envelope, out_format, output_path, csv_columns):
     columns = [c.tolist() if isinstance(c, (np.ndarray, RunColumn)) else c
                for c in csv_columns.values()]
     write_text(output_path, render_csv(list(csv_columns), zip(*columns)))
+
+
+def _value_runs(values: np.ndarray, runs: _TieRuns) -> RunColumn:
+    """The column as its tie runs' values. A run holding both 0.0 and
+    -0.0, which compare equal but print apart, is split in two: its
+    -0.0 rows get a run of their own."""
+    run_values = np.empty(runs.m)
+    run_values[runs.code] = values  # ascending, as the runs are
+    zero = int(np.searchsorted(run_values, 0.0))
+    if zero == runs.m or run_values[zero] != 0.0:
+        return RunColumn(run_values, runs.code)
+    negative = np.signbit(values) & (runs.code == zero)
+    count = int(np.count_nonzero(negative))
+    if count in (0, runs.ends[zero] - runs.starts[zero]):
+        return RunColumn(run_values, runs.code)  # one sign only
+    run_values[zero] = 0.0
+    return RunColumn(np.append(run_values, -0.0), np.where(negative, runs.m, runs.code))
 
 
 def _integer_counts(table, column: str) -> np.ndarray:
@@ -204,15 +219,19 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         values, reference = table.numeric([column, against])
     if values.size == 0:
         raise InputError("data has no rows")
-    labels = _label_values(table, label_col, len(values))
+    n = len(values)
+    labels = RowNumbers(n) if label_col is None else _label_values(table, label_col, n)
     del table  # not needed while the envelope is encoded
     if against is None:
-        # each tie run's rank is computed, and later formatted, once
+        # each tie run's value and rank are computed, and later
+        # formatted, once
         runs = _TieRuns.of(values)
         run_ranks = runs.run_ranks(rule)
+        vals = _value_runs(values, runs)
         ivals = RunColumn(run_ranks, runs.code)
         fvals = RunColumn(run_ranks / runs.n, runs.code)
     else:
+        vals = values
         ivals = irank_against(values, reference, rule).values
         fvals = ivals / len(reference)
     results = {
@@ -220,7 +239,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         "omega": omega,
         "direction": "increasing" if increasing else "decreasing",
         "labels": labels,
-        "values": values,
+        "values": vals,
         "irank": ivals,
         "frank": fvals,
     }
@@ -232,7 +251,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         results=results,
     )
     _emit(envelope, out_format, output_path, {
-        "index": range(1, len(labels) + 1),
+        "index": range(1, n + 1),
         "label": labels,
         "value": results["values"],
         "irank": results["irank"],
@@ -249,7 +268,8 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
     theta = table.numeric(estimates_col)
     if theta.size == 0:
         raise InputError("data has no rows")
-    labels = _label_values(table, label_col, len(theta))
+    p = len(theta)
+    labels = list(RowNumbers(p)) if label_col is None else _label_values(table, label_col, p)
     if se_col is not None:
         se = table.numeric(se_col)
         if np.any(se <= 0):
@@ -435,7 +455,8 @@ def cmd_csranks_multinom(
     counts = _integer_counts(table, column)
     if counts.size == 0:
         raise InputError("data has no rows")
-    labels = _label_values(table, label_col, len(counts))
+    p = len(counts)
+    labels = list(RowNumbers(p)) if label_col is None else _label_values(table, label_col, p)
     data = MultinomialCounts(counts, labels=tuple(labels))
     idx = _parse_indices(indices, data.p)
     cs = cs_ranks_multinomial(
@@ -517,7 +538,7 @@ def _fit_input(input_path: str, formula: str, omega: float):
     numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
     data = dict(zip(numeric_names, table.numeric(numeric_names)))
     if model.group is not None:
-        data[model.group] = table.raw(model.group)
+        data[model.group] = CodedColumn(*table.codes(model.group))
     return input_digest(raw), fit(model, data)
 
 

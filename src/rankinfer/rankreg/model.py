@@ -141,19 +141,37 @@ def _numeric_column(data: Mapping[str, object], name: str) -> FloatArray:
     return arr
 
 
-def _group_codes(raw: np.ndarray) -> tuple[Sequence[object], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class CodedColumn:
+    """A categorical column as its distinct labels, in any order, and
+    each row's index into them (the CLI reads group columns this way)."""
+
+    labels: Sequence[object]
+    codes: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.codes.size
+
+
+def _group_codes(raw) -> tuple[Sequence[object], np.ndarray]:
     """Sorted distinct group labels and each row's index into them.
 
-    An object array (the CLI's labels) is coded from the set of its
-    labels, sorted with Python's `<` as `np.unique` sorts such an array,
-    so the sort costs the levels rather than the rows."""
-    if raw.dtype != object:
-        return np.unique(raw, return_inverse=True)
-    labels = raw.tolist()
-    levels = sorted(set(labels))
-    index = {level: code for code, level in enumerate(levels)}
-    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
-    return levels, codes
+    A CodedColumn, or an object array coded by a dict of its values, has
+    its labels sorted with Python's `<`, as `np.unique` sorts such an
+    array, and its codes renumbered to match, so the sort costs the
+    levels rather than the rows."""
+    if not isinstance(raw, CodedColumn):
+        if raw.dtype != object:
+            return np.unique(raw, return_inverse=True)
+        index: dict[object, int] = {}
+        codes = np.fromiter((index.setdefault(value, len(index)) for value in raw.tolist()),
+                            dtype=np.intp, count=raw.size)
+        raw = CodedColumn(list(index), codes)
+    order = sorted(range(len(raw.labels)), key=raw.labels.__getitem__)
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return [raw.labels[i] for i in order], position[raw.codes]
 
 
 def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> DesignMatrix:
@@ -204,7 +222,9 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     if model.group is not None:
         if model.group not in data:
             raise MissingColumn(f"group column '{model.group}' not found in the data")
-        raw_group = np.asarray(data[model.group])
+        raw_group = data[model.group]
+        if not isinstance(raw_group, CodedColumn):
+            raw_group = np.asarray(raw_group)
         if raw_group.size != n:
             raise InputError(f"column '{model.group}' has inconsistent length")
         levels, codes = _group_codes(raw_group)

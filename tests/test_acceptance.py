@@ -536,6 +536,9 @@ def test_c22_multinomial_kernel_cells(monkeypatch):
 def test_c20_ranks_against_memory(tmp_path):
     # the ranks command holds neither the input bytes nor the table while
     # it encodes, and writes its 600k-float envelope from arrays in slices
+    # and its row labels from digit arrays. The peak falls in np.loadtxt:
+    # 5.44 x the input bytes in five runs (2-vCPU Xeon, numpy 2.4.6), and
+    # the bound is that plus 15 %; the encoding peaks at 3.7 x
     rng = np.random.default_rng(20)
     n = 200_000
     values = rng.normal(size=(n, 3))
@@ -555,7 +558,7 @@ def test_c20_ranks_against_memory(tmp_path):
     assert code == 0
     assert target.stat().st_size > size
     ratio = peak / size
-    assert ratio <= 6.5, f"peak {ratio:.2f} x input bytes"
+    assert ratio <= 6.26, f"peak {ratio:.2f} x input bytes"
     _report("C20", f"ranks --against on a 2e5-row CSV peaks at {ratio:.2f} x its "
             f"{size / 1e6:.1f} MB", time.perf_counter() - t0)
 
@@ -601,10 +604,12 @@ def test_c21_screened_critical_values():
 def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
     # a binned column Y: 1e5 rows printed with two decimals, about 715
     # distinct values, some of them "-0.00". The writer formats each tie
-    # run's irank and frank once, m floats per column instead of n, and
-    # the file still holds the per-row lists as json.dumps writes them.
-    # The all-distinct column X has a run per row, so its ranks go out
-    # as row floats and no run texts are made
+    # run's value, irank and frank once, m floats per column instead of n,
+    # and the file still holds the per-row lists as json.dumps writes
+    # them. The value column has one run more when its zero run holds
+    # both 0.0 and -0.0, which print apart. The row labels are "1" ...
+    # "n". The all-distinct column X has a run per row, so its columns go
+    # out as row floats and no run texts are made
     rng = np.random.default_rng(23)
     n = 100_000
     cells = ["%.2f" % v for v in rng.normal(size=n)]
@@ -612,6 +617,7 @@ def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
     source = tmp_path / "binned.csv"
     source.write_text("Y,X\n" + "".join(f"{y},{x!r}\n" for y, x in zip(cells, distinct.tolist())))
     m = len(set(map(float, cells)))
+    m_values = m + ({"0.00", "-0.00"} <= set(cells))
     assert "-0.00" in cells and m < 1000
     formatted = []
     float_texts = envelope._float_texts
@@ -623,10 +629,11 @@ def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
                      "--output", str(target)]) == 0
     seconds = time.perf_counter() - t0
     assert seconds < 2.0, f"ranks on 1e5 binned rows took {seconds:.2f}s"
-    assert formatted == [m, m]
+    assert formatted == [m_values, m, m]
     text = target.read_text()
     body = json.loads(text)
     assert text == json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+    assert body["results"]["labels"] == [str(i) for i in range(1, n + 1)]
     assert list(map(repr, body["results"]["values"])) == [repr(float(c)) for c in cells]
     assert body["results"]["irank"][:3] == [
         1.0 + sum(float(c) > float(cells[i]) for c in cells) for i in range(3)]
@@ -634,6 +641,8 @@ def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
     assert cli_main(["ranks", "--input", str(source), "--column", "X",
                      "--output", str(target)]) == 0
     assert formatted == []
-    assert json.loads(target.read_text())["results"]["irank"] == (n - distinct + 0.5).tolist()
+    body = json.loads(target.read_text())
+    assert body["results"]["values"] == distinct.tolist()
+    assert body["results"]["irank"] == (n - distinct + 0.5).tolist()
     _report("C23", f"ranks on a 1e5-row column with {m} distinct values formats "
-            f"{2 * m} floats for {2 * n} rank cells", seconds)
+            f"{m_values + 2 * m} floats for {3 * n} value and rank cells", seconds)

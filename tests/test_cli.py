@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import shutil
 import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -14,6 +17,7 @@ import rankinfer.rankcs as rankcs_mod
 import rankinfer.rankreg.variance as variance_mod
 from oracles import naive_rank
 from rankinfer.cli.envelope import OutputEnvelope, RunColumn, input_digest, render_csv
+from rankinfer.rankreg.model import RankRegressionModel, fit, summarize
 
 COUNTRY_CSV = (
     "country,math_score\n"
@@ -178,6 +182,19 @@ class TestRanks:
     @given(cells=_RANK_COLUMNS, omega=st.sampled_from([0.0, 0.5, 1.0]),
            increasing=st.booleans(), labelled=st.booleans())
     @example(cells=[-0.0, 0.0, 0.0, -0.0, 1.0], omega=0.5, increasing=False, labelled=True)
+    # the value column on both sides of the writer's n/2 switch: a run of
+    # 0.0 and -0.0 is split in two, so three value runs in six rows go out
+    # as row floats while the two rank runs go out as texts; four value
+    # runs in ten rows go out as texts
+    @example(cells=[0.0, -0.0, 1.0, 1.0, 0.0, 1.0], omega=0.5, increasing=True, labelled=True)
+    @example(cells=[-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 2.0], omega=0.0,
+             increasing=False, labelled=False)
+    @example(cells=[-0.0, 0.0, 0.0, -0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 2.0], omega=1.0,
+             increasing=True, labelled=True)
+    @example(cells=[-0.0, -0.0, -0.0, 1.0, 1.0, 1.0, 1.0], omega=0.5, increasing=False,
+             labelled=False)
+    @example(cells=[2.5, 0.1, 2.5, 0.1, 2.5, 0.1, 2.5], omega=0.0, increasing=True,
+             labelled=True)
     @example(cells=[1e-300], omega=1.0, increasing=True, labelled=False)
     @example(cells=[2.0, 1.0, 2.0, 1.0], omega=0.5, increasing=True, labelled=False)
     @example(cells=[2.0, 1.0, 2.0, 1.0, 1.0], omega=0.5, increasing=True, labelled=False)
@@ -188,8 +205,8 @@ class TestRanks:
     def test_outputs_match_per_row_rendering(self, invoke_cli, tmp_path, cells, omega,
                                              increasing, labelled):
         # stdout, the -o file and --format csv hold, per row, the repr of
-        # the row's value and of its naively counted ranks, however the
-        # rows share tie runs
+        # the row's value and of its naively counted ranks, and its label
+        # or row number, however the rows share tie runs
         n = len(cells)
         names = [f"r{i}" for i in range(1, n + 1)]
         stdin = "v,name\n" + "".join(f"{v!r},{name}\n" for v, name in zip(cells, names))
@@ -900,6 +917,52 @@ class TestRankReg:
         coefficients = len(parse_envelope(res.stdout)["results"]["coefficients"])
         assert len(inversions) == 1
         assert len(influences) == coefficients
+
+
+# Group labels for the coding battery; the csv module, which reads the
+# quoted ones, takes NUL from Python 3.11 on.
+_GROUP_LABELS = ["b", "a", "ä", "", " a", "a ", "B", "日本", "ab" * 6] + (
+    ["a\x00", "\x00"] if sys.version_info >= (3, 11) else [])
+
+
+class TestGroupLabels:
+    # the CLI codes a group column from the bytes of its fields; its levels
+    # and their order are those of coding the labels as Python strings,
+    # sorted with `<`, as the library does for an object array
+    @given(labels=st.lists(st.sampled_from(_GROUP_LABELS), min_size=1, max_size=5, unique=True),
+           data=st.data(), quoted=st.booleans())
+    @example(labels=["b", "a", "ä", "", " a"], data=None, quoted=False)
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_levels_match_library_coding(self, invoke_cli, labels, data, quoted):
+        sizes = [4 + (data.draw(st.integers(0, 3)) if data else i % 3)
+                 for i in range(len(labels))]
+        groups = [label for label, size in zip(labels, sizes) for _ in range(size)]
+        order = np.random.default_rng(len(groups)).permutation(len(groups))
+        groups = [groups[i] for i in order]
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=len(groups)).round(3)
+        x = rng.permutation(len(groups)) * 0.5
+        field = (lambda g: '"' + g + '"') if quoted else (lambda g: g)
+        stdin = "Y,X,G\n" + "".join(f"{a!r},{b!r},{field(g)}\n"
+                                     for a, b, g in zip(y.tolist(), x.tolist(), groups))
+        formula = "r(Y) ~ r(X):G"
+        res = invoke_cli(["rank-reg", "--formula", formula], stdin=stdin)
+        assert res.code == 0, res.stderr
+        results = parse_envelope(res.stdout)["results"]
+        summary = summarize(fit(RankRegressionModel.from_formula(formula),
+                                {"Y": y, "X": x, "G": np.array(groups, dtype=object)}))
+        levels = sorted(set(groups))
+        if len(levels) > 1:
+            assert list(summary.names) == [f"{base}:{level}" for base in ("r(X)", "(Intercept)")
+                                           for level in levels]
+        assert [c["name"] for c in results["coefficients"]] == list(summary.names)
+        assert [c["estimate"] for c in results["coefficients"]] == summary.estimates.tolist()
+        assert results["vcov"] == summary.vcov.tolist()
+        table = invoke_cli(["rank-reg", "--formula", formula, "--format", "csv"], stdin=stdin)
+        assert table.code == 0
+        names = [row[0] for row in csv.reader(io.StringIO(table.stdout))][1:]
+        assert names == list(summary.names)
 
 
 class TestMisc:

@@ -3,6 +3,7 @@ per-cell reading through the csv module (`oracles.csv_columns`) and
 `json.dumps(indent=2, ensure_ascii=False)`."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_columns
 
-from rankinfer.cli.envelope import OutputEnvelope
+from rankinfer.cli.envelope import OutputEnvelope, RowNumbers
 from rankinfer.cli.io import parse_table, read_covariance
 from rankinfer.errors import RankInferError
 
@@ -163,6 +164,89 @@ class TestParserOracle:
         assert read_covariance("c\n2.5\n", 1).tolist() == [[2.5]]
 
 
+# Characters for text cells served from byte offsets: ASCII, multi-byte
+# UTF-8, spaces, and characters other line splitters treat as line ends.
+# The csv module before Python 3.11 refuses NUL, so the oracle sees NUL
+# only where it reads it.
+_NUL = ["\x00"] if sys.version_info >= (3, 11) else []
+_TEXT_CHARS = ["a", "b", "A", "0", "-", ".", "_", " ", "\t", "ä", "é", "ß", "日", "本", "😀",
+               "\u2028", "\x0b", "\x0c", "\x1c", "\x85", "\x7f", *_NUL]
+_TEXT_CELLS = st.one_of(
+    st.sampled_from(["", " ", "  ", "a", " a", "a ", "ä", "日本", *(c + "a" for c in _NUL)]),
+    st.text(st.sampled_from(_TEXT_CHARS), max_size=12),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters=',"\r\n' + ("" if _NUL else "\x00")),
+            max_size=20),
+)
+
+
+@st.composite
+def text_tables(draw):
+    """Plain CSV text (no quotes, no lone carriage return) with text
+    cells, blank lines, CRLF or LF line ends, with or without a final
+    newline, from one row up."""
+    k = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(k)]
+    pool = draw(st.lists(_TEXT_CELLS, min_size=1, max_size=6))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        cells = [draw(st.sampled_from(pool)) for _ in range(k)]
+        if k == 1 and cells[0] == "":
+            cells[0] = " "  # an empty line is blank, not a row
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text, header
+
+
+class TestTextColumns:
+    # the fields of a text column come from the newline and comma offsets
+    # of the encoded bytes; the csv module reading each row is the oracle
+    @given(text_tables())
+    @settings(deadline=None, max_examples=400)
+    def test_matches_csv_module(self, case):
+        text, header = case
+        want = csv_columns(text, [])
+        assert want[0] == "ok", want
+        table = parse_table(text)
+        assert table._text is not None  # the byte-offset path
+        assert (table.names, table.n) == want[1:3]
+        for name in header:
+            cells, codes = table.codes(name)
+            assert len(set(cells)) == len(cells)
+            assert codes.dtype == np.intp and codes.shape == (table.n,)
+            assert [cells[c] for c in codes.tolist()] == want[4][name]
+            assert table.raw(name).tolist() == want[4][name]
+
+    @pytest.mark.parametrize("text", [
+        "g\nb\na\nä\n \n a\na\n",
+        "g,v\n,1\nb,2\n,3\n a,4\nä,5",
+        "g,v\r\nx,1\r\n\r\nyy,2\r\nx,3\r\n",
+        "v,g\n1,only\n",
+        "g,v\n" + "".join(f"{'w' * (i % 11)}{i % 3},{i}\n" for i in range(40)),
+        "g,v\n" + "long-label-" * 30 + ",1\nshort,2\n" + "long-label-" * 30 + ",3\n",
+    ])
+    def test_fixed_cases(self, text):
+        want = csv_columns(text, [])
+        table = parse_table(text)
+        for name in table.names:
+            assert table.raw(name).tolist() == want[4][name]
+
+    def test_nul_bytes_tell_cells_apart(self):
+        # fixed-width gathering pads with zeros; a NUL inside a field
+        # must still make it a different cell
+        text = "g,v\na,1\na\x00,2\n\x00a,3\na,4\n\x00,5\n,6\n" + "b\x00" * 5 + ",7\n"
+        table = parse_table(text)
+        assert table.raw("g").tolist() == ["a", "a\x00", "\x00a", "a", "\x00", "",
+                                           "b\x00" * 5]
+        cells, codes = table.codes("g")
+        assert len(cells) == 6 and codes[0] == codes[3]
+
+
 _leaves = (
     st.none()
     | st.booleans()
@@ -248,6 +332,18 @@ class TestEncoderOracle:
             env = self._envelope({"values": wrap(values), "n": size})
             want = self._envelope({"values": wrap(values.tolist()), "n": size})
             assert env.to_json() == want.to_json() == self._reference(want)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, (1 << 14) - 1, 1 << 14,
+                                   (1 << 14) + 1, 99_999, 100_000, 100_001])
+    def test_row_numbers_encode_as_their_strings(self, n):
+        # RowNumbers(n) is written as the list "1" ... "n", across slice
+        # and digit-count boundaries, at any nesting level
+        numbers = [str(k) for k in range(1, n + 1)]
+        for wrap in (lambda v: v, lambda v: {"inner": [v, 1], "after": v}):
+            env = self._envelope({"labels": wrap(RowNumbers(n)), "n": n})
+            want = self._envelope({"labels": wrap(numbers), "n": n})
+            assert env.to_json() == self._reference(want)
+        assert list(RowNumbers(n)) == numbers
 
     def test_array_with_non_finite_value_raises(self):
         values = np.zeros((1 << 14) + 5)
