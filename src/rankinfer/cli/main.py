@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 input/parse error, 3 statistical-domain error,
 """
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -57,10 +58,21 @@ def _common_io(fn):
     return fn
 
 
+class _UnitRange(click.FloatRange):
+    """A FloatRange that also refuses NaN, which fails neither of its
+    bound comparisons."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return number
+
+
 def _coverage_option(fn):
     return click.option(
         "--coverage",
-        type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+        type=_UnitRange(0.0, 1.0, min_open=True, max_open=True),
         default=0.95,
         show_default=True,
     )(fn)
@@ -189,7 +201,7 @@ def cli():
 @click.option("--column", required=True, help="Numeric column to rank.")
 @click.option(
     "--omega",
-    type=click.FloatRange(0.0, 1.0),
+    type=_UnitRange(0.0, 1.0),
     default=0.0,
     show_default=True,
     help="Tie handling: 0 counts strict predecessors only, 1 counts ties too.",
@@ -486,7 +498,7 @@ def cmd_csranks_multinom(
 )
 @click.option(
     "--omega",
-    type=click.FloatRange(0.0, 1.0),
+    type=_UnitRange(0.0, 1.0),
     default=1.0,
     show_default=True,
     help="Tie handling for the rank transforms.",

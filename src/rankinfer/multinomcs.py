@@ -9,6 +9,7 @@ every sample size, no asymptotics involved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -36,6 +37,9 @@ _SETTLE_RTOL = 1e-12
 # Most cells of the distinct-count grid one kernel call scans when the
 # table is pruned (from_counts with alpha < 1/2).
 _BLOCK_CELLS = 1 << 16
+# Relative margin by which a pair's Hoeffding exponent must pass its
+# cutoff before the pair is screened from the tail kernel (see _screened).
+_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +94,8 @@ class PairwisePValueTable:
     values: FloatArray
 
     @classmethod
-    def from_counts(cls, data: MultinomialCounts,
-                    alpha: float | None = None) -> "PairwisePValueTable":
+    def from_counts(cls, data: MultinomialCounts, alpha: float | None = None,
+                    family: int | None = None) -> "PairwisePValueTable":
         """The table of `data`'s counts. A p-value depends on the pair's
         two counts alone, so the kernel runs once per pair of distinct
         counts and each cell reads its pair's entry: the same arguments,
@@ -119,6 +123,40 @@ class PairwisePValueTable:
           decides its pruned pairs exactly, as not rejected (see
           _exact_rejections).
 
+        Given also the size m = `family` of the Holm or Bonferroni
+        families the table feeds (2(p - 1) marginal, p(p - 1)
+        simultaneous), a pair with x_k > x_l whose Hoeffding bound
+        certifies p <= alpha / (2m) holds 0.0 and skips the kernel (see
+        _screened). Against the pruned table T, the screened table T'
+        keeps every decision. Call a cell small when T holds less than
+        c = alpha / (2m) there, large otherwise:
+
+        - A screened pair's exact p-value is at most c e^(-1.3e-9), so,
+          at a relative error of at most 1.7e-13, T holds less than c
+          there: screened cells are small in T and 0 in T'. Every other
+          cell holds the same value in both tables.
+        - A small value v times any multiplier up to m is at most alpha/2
+          once rounded, since m v < alpha/2 and alpha/2 is a float.
+        - Bonferroni: a screened cell's adjusted value is at most alpha/2
+          in T and 0 in T'; both reject, and neither is within 1e-12 of
+          alpha. Every other adjusted value keeps its bits.
+        - Holm: a small cell's step (m - pos) v is at most alpha/2 at any
+          position, in either table. A large cell sorts after every
+          small cell in both tables, and after the same large cells, so
+          its tie run takes the same positions and the same steps. Its
+          running max is the larger of its large predecessors' steps,
+          the same in both tables, and of small steps, at most alpha/2.
+          So every adjusted value above alpha/2 keeps its bits, and
+          every other one is at most alpha/2 in both tables: a small
+          cell's adjusted value is the max of small steps.
+        - A decision is adjusted <= alpha, so none changes. The settle
+          band |adjusted - alpha| <= 1e-12 alpha lies above alpha/2, so
+          the same families are settled, in rational arithmetic on the
+          counts, which reads no table.
+
+        Every rank bound, and so every envelope, keeps its bytes. From
+        counts alone, or with alpha >= 1/2, there is no screen.
+
         Raises DomainError for more than MAX_CATEGORIES categories,
         before anything of table size is allocated.
         """
@@ -140,10 +178,34 @@ class PairwisePValueTable:
                 stop = min(u, start + rows)
                 k, l = np.nonzero(np.arange(stop) < np.arange(start, stop)[:, None])
                 k += start
+                if family is not None:
+                    screened = _screened(values[k], values[l], family, alpha)
+                    distinct[k[screened], l[screened]] = 0.0
+                    k, l = k[~screened], l[~screened]
                 distinct[k, l] = binom_tail(values[k], values[k] + values[l])
         table = distinct.take(code, axis=0).take(code, axis=1)
         np.fill_diagonal(table, 1.0)
         return cls(values=table)
+
+
+def _screened(xk: np.ndarray, xl: np.ndarray, family: int, alpha: float) -> np.ndarray:
+    """Which pairs of counts xk > xl have p = P(Binomial(s, 1/2) >= xk)
+    <= alpha / (2 family), s = xk + xl, by Hoeffding's inequality:
+    p <= exp(-2t^2 / s) with t = xk - s/2, so 2t^2 / s = d^2 / (2s) with
+    d = xk - xl.
+
+    d and 2s are exact float64 integers (s <= 2**53), so the computed
+    exponent carries two roundings, d * d and the division, and the
+    cutoff ln(2 family / alpha) three, the quotient, the log and the
+    margin: well under 1e-14 relative in all. The cutoff is above
+    ln 4 > 1.3 (family >= 1, alpha < 1/2); raised by the relative margin
+    _SCREEN_RTOL = 1e-9, it leaves every screened pair an exact exponent
+    above ln(2 family / alpha) + 1.3e-9, so p <= alpha / (2 family)
+    times e^(-1.3e-9), with room for the kernel's 1.7e-13 besides.
+    """
+    d = (xk - xl).astype(np.float64)
+    cutoff = math.log(2.0 * family / alpha) * (1.0 + _SCREEN_RTOL)
+    return d * d / (2.0 * (xk + xl)) >= cutoff
 
 
 def _adjusted_rows(pvals: FloatArray, method: Method) -> FloatArray:
@@ -254,7 +316,8 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
     alpha = 1.0 - coverage
     p = data.p
     wanted = _normalize_indices(indices, p)
-    table = PairwisePValueTable.from_counts(data, alpha).values
+    family = 2 * (p - 1) if mode == "marginal" else p * (p - 1)
+    table = PairwisePValueTable.from_counts(data, alpha, family=family).values
 
     counts = data.counts
     picked = list(wanted)

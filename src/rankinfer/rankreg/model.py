@@ -223,8 +223,10 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         if model.group not in data:
             raise MissingColumn(f"group column '{model.group}' not found in the data")
         raw_group = data[model.group]
-        if not isinstance(raw_group, CodedColumn):
-            raw_group = np.asarray(raw_group)
+        if not isinstance(raw_group, (CodedColumn, np.ndarray)):
+            # as objects, labels stay whole: a fixed-width str array would
+            # drop trailing NULs and fit "a" and "a\x00" as one level
+            raw_group = np.asarray(raw_group, dtype=object)
         if raw_group.size != n:
             raise InputError(f"column '{model.group}' has inconsistent length")
         levels, codes = _group_codes(raw_group)

@@ -114,6 +114,17 @@ def exact_rank_bounds(counts, coverage, mode, method, tail=exact_binom_tail):
     return lower, upper
 
 
+def hoeffding_kept_pairs(counts, alpha, family, rtol):
+    """How many pairs of distinct counts a > b a Hoeffding screen leaves
+    to the tail kernel: those whose exponent (a - b)^2 / (2(a + b)) lies
+    below ln(2 family / alpha) raised by the relative margin rtol,
+    compared in rational arithmetic."""
+    cutoff = Fraction(math.log(2 * family / alpha)) * (1 + Fraction(rtol))
+    values = sorted({int(c) for c in counts})
+    return sum(Fraction((a - b) ** 2, 2 * (a + b)) < cutoff
+               for i, a in enumerate(values) for b in values[:i])
+
+
 def naive_holm(pvals):
     """Step-down adjustment straight from the definition."""
     pvals = list(pvals)

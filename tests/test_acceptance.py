@@ -13,6 +13,7 @@ import numpy as np
 
 from oracles import (
     exact_binom_tail,
+    hoeffding_kept_pairs,
     naive_corrected_vcov,
     naive_indicator_matvec,
     spearman_rho,
@@ -508,12 +509,20 @@ def test_c18_multinomial_p1000_budget():
 
 
 def test_c22_multinomial_kernel_cells(monkeypatch):
-    # C18's counts: at coverage 0.95 the tail kernel sees each pair of
-    # distinct counts with x_k > x_l once, u(u - 1)/2 cells, in either
-    # mode; at coverage 0.4 a set can reject a pair whose p-value is
-    # above 1/2, so the kernel sees all u x u pairs
+    # C18's counts: at coverage 0.95 the tail kernel sees only the pairs
+    # of distinct counts with x_k > x_l that the Hoeffding screen keeps,
+    # those with (x_k - x_l)^2 / (2 s) below ln(2m / alpha): 8526 for the
+    # marginal families (m = 2(p - 1)), 10361 for the simultaneous one
+    # (m = p(p - 1)), of u(u - 1)/2 = 24090; at coverage 0.4 a set can
+    # reject a pair whose p-value is above 1/2, so the kernel sees all
+    # u x u pairs
     data = _zipf_p1000()
+    p = data.p
     u = np.unique(data.counts).size
+
+    def kept(m):
+        return hoeffding_kept_pairs(data.counts, 1.0 - 0.95, m, multinomcs._SCREEN_RTOL)
+
     cells = []
 
     def counting(x, s):
@@ -527,10 +536,13 @@ def test_c22_multinomial_kernel_cells(monkeypatch):
         cells.clear()
         cs_ranks_multinomial(data, coverage=coverage, mode=mode, method="holm")
         seen[coverage, mode] = sum(cells)
-    assert seen[0.95, "marginal"] == seen[0.95, "simultaneous"] == u * (u - 1) // 2
+    assert seen[0.95, "marginal"] == kept(2 * (p - 1)) == 8526
+    assert seen[0.95, "simultaneous"] == kept(p * (p - 1)) == 10361
     assert seen[0.4, "marginal"] == u * u
-    _report("C22", f"p=1000 Zipf counts ({u} distinct): kernel on {u * (u - 1) // 2} "
-            f"cells at coverage 0.95, {u * u} at 0.4, of {data.p ** 2}", time.perf_counter() - t0)
+    _report("C22", f"p=1000 Zipf counts ({u} distinct): kernel on "
+            f"{seen[0.95, 'marginal']} (marginal) and {seen[0.95, 'simultaneous']} "
+            f"(simultaneous) of {u * (u - 1) // 2} cells at coverage 0.95, {u * u} at 0.4, "
+            f"of {p ** 2}", time.perf_counter() - t0)
 
 
 def test_c20_ranks_against_memory(tmp_path):

@@ -620,6 +620,35 @@ class TestUpFrontBounds:
         assert calls == [(4, 2)]
 
 
+class TestNaNFlags:
+    """NaN passes both bound comparisons of a float range, so every
+    bounded float flag refuses it itself: a bad flag exits 2."""
+
+    ESTIMATES = ["--estimates", "e", "--se", "se", "--seed", "1"]
+    CASES = [
+        (["ranks", "--column", "x"], "--omega", "x\n1\n2\n"),
+        (["rank-reg", "--formula", "r(y) ~ r(x)"], "--omega", "y,x\n1,2\n2,1\n3,3\n"),
+        (["rank-reg", "--formula", "r(y) ~ r(x)"], "--coverage", "y,x\n1,2\n2,1\n3,3\n"),
+        (["cs-ranks", *ESTIMATES], "--coverage", "e,se\n1,1\n2,1\n"),
+        (["cs-ranks", "--simul", *ESTIMATES], "--coverage", "e,se\n1,1\n2,1\n"),
+        (["cs-taubest", "--tau", "1", *ESTIMATES], "--coverage", "e,se\n1,1\n2,1\n"),
+        (["cs-tauworst", "--tau", "1", *ESTIMATES], "--coverage", "e,se\n1,1\n2,1\n"),
+        (["cs-multinom"], "--coverage", "count\n3\n1\n"),
+        (["cs-multinom", "--simul"], "--coverage", "count\n3\n1\n"),
+    ]
+
+    @pytest.mark.parametrize("spelling", ["nan", "NaN"])
+    @pytest.mark.parametrize("command,flag,stdin", CASES, ids=[
+        "-".join([command[0], *(["simul"] if "--simul" in command else []), flag.lstrip("-")])
+        for command, flag, _ in CASES])
+    def test_nan_exits_2(self, invoke_cli, command, flag, stdin, spelling):
+        res = invoke_cli([*command, flag, spelling], stdin=stdin)
+        assert res.code == 2, res.stderr
+        assert res.stdout == ""
+        assert f"Invalid value for '{flag}'" in res.stderr
+        assert invoke_cli([*command, flag, "0.5"], stdin=stdin).code == 0
+
+
 class TestTauCommands:
     def test_taubest_members(self, invoke_cli):
         res = invoke_cli(

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from oracles import (
     exact_binom_tail,
     exact_binom_tails,
     exact_rank_bounds,
+    hoeffding_kept_pairs,
     naive_bonferroni,
     naive_holm,
 )
@@ -487,15 +489,24 @@ class TestKnifeEdgesAtLargeTotals:
 
 @st.composite
 def pruning_cases(draw):
-    """p <= 6 counts in 0-60 with ties and zeros, a coverage on either
-    side of 1/2 (knife edges of small dyadic p-values included), both
-    modes and methods, and a random subset of indices."""
+    """p <= 6 counts with ties and zeros, at one of three scales: 0-60,
+    0-1000, or near-equal counts up to 2**53 / 6, 2**28 apart at most,
+    whose Hoeffding exponents fall on both sides of every cutoff; a
+    coverage on either side of 1/2 (knife edges of small dyadic p-values
+    included), both modes and methods, and a random subset of indices."""
     p = draw(st.integers(2, 6))
-    pool = draw(st.lists(st.integers(0, 60), min_size=1, max_size=p)) + [0]
+    scale = draw(st.sampled_from(("small", "wide", "huge")))
+    if scale == "huge":
+        base = draw(st.integers(0, (1 << 53) // 6 - (1 << 28)))
+        offsets = st.integers(0, 1 << 28).map(lambda off: base + off)
+    else:
+        offsets = st.integers(0, 60 if scale == "small" else 1000)
+    pool = draw(st.lists(offsets, min_size=1, max_size=p)) + [0]
     counts = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
     if sum(counts) == 0:
         counts[draw(st.integers(0, p - 1))] = 1
-    coverage = draw(st.sampled_from((0.03125, 0.125, 0.25, 0.4, 0.5) + COVERAGES))
+    coverage = draw(st.sampled_from(
+        (0.03125, 0.125, 0.25, 0.4, 0.5) + COVERAGES + (0.999, 0.999999, 1.0 - 2.0**-53)))
     mode = draw(st.sampled_from(("marginal", "simultaneous")))
     method = draw(st.sampled_from(("holm", "bonferroni")))
     indices = draw(st.none() | st.permutations(range(p)).flatmap(
@@ -505,11 +516,13 @@ def pruning_cases(draw):
 
 class TestPrunedTable:
     @given(pruning_cases())
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=400)
     def test_pruning_keeps_every_decision(self, case):
         counts, coverage, mode, method, indices = case
         data = MultinomialCounts(np.array(counts))
         alpha = 1.0 - coverage
+        p = len(counts)
+        family = 2 * (p - 1) if mode == "marginal" else p * (p - 1)
         cells = []
 
         def counting(x, s):
@@ -529,25 +542,63 @@ class TestPrunedTable:
             mp.setattr(multinomcs, "binom_tail", counting)
             got = bounds()
             kernel_cells = sum(cells)
-            mp.setattr(PairwisePValueTable, "from_counts",
-                       classmethod(lambda cls, data, alpha=None: full_table(cls, data)))
+            mp.setattr(PairwisePValueTable, "from_counts", classmethod(
+                lambda cls, data, alpha=None, family=None: full_table(cls, data)))
             assert bounds() == got
         if isinstance(got, str):
             # above alpha = 1/2 a Holm family can reject both (k, l) and
             # (l, k), and the set is then refused
             assert alpha > 0.5 and method == "holm" and "too low" in got
-        else:
-            picked = range(len(counts)) if indices is None else indices
-            lower, upper = exact_rank_bounds(counts, coverage, mode, method)
+        elif max(counts) <= 1000:
+            picked = range(p) if indices is None else indices
+            lower, upper = exact_rank_bounds(counts, coverage, mode, method,
+                                             tail=functools.cache(exact_binom_tail))
             assert got == ([lower[j] for j in picked], [upper[j] for j in picked])
 
         u = np.unique(data.counts).size
-        assert kernel_cells == (u * (u - 1) // 2 if alpha < 0.5 else u * u)
+        kept = hoeffding_kept_pairs(counts, alpha, family, multinomcs._SCREEN_RTOL)
+        assert kernel_cells == (kept if alpha < 0.5 else u * u)
         every = _kernel_on_every_cell(data)
         assert np.array_equal(PairwisePValueTable.from_counts(data).values, every)
         above = data.counts[:, None] > data.counts[None, :]
-        assert np.array_equal(PairwisePValueTable.from_counts(data, alpha).values,
-                              np.where(above, every, 1.0) if alpha < 0.5 else every)
+        pruned = np.where(above, every, 1.0) if alpha < 0.5 else every
+        assert np.array_equal(PairwisePValueTable.from_counts(data, alpha).values, pruned)
+        screened = PairwisePValueTable.from_counts(data, alpha, family=family).values
+        zeros = screened == 0.0
+        assert np.array_equal(np.where(zeros, pruned, screened), pruned)
+        # a screened cell's float p-value is below alpha / (2 family)
+        assert np.all(pruned[zeros] < alpha / (2 * family))
+
+    # (family, alpha) of real sets: marginal families 2(p - 1) for p = 2,
+    # 4, 10, 40, 150, 1000 and MAX_CATEGORIES, simultaneous ones p(p - 1)
+    # for p = 40, 150, 1000 and MAX_CATEGORIES, at levels from just below
+    # 1/2 down to the smallest alpha a float coverage gives
+    CUTOFFS = [(m, alpha)
+               for m in (2, 6, 18, 78, 298, 1998, 16382, 1560, 22350, 999000, 67100672)
+               for alpha in (0.5 - 2.0**-53, 0.4, 0.1, 0.05, 0.01, 0.001, 1e-6, 2.0**-53)]
+
+    def test_screened_tails_certified_exactly(self):
+        # every pair with pair total s <= 2000 and x > s/2: for each s the
+        # screened x form a tail x >= x0, and the exact tail is falling in
+        # x, so P(Bin(s, 1/2) >= x0) <= alpha / (2m) certifies them all
+        totals = np.arange(1, 2001)
+        x = np.concatenate([np.arange(t // 2 + 1, t + 1) for t in totals])
+        s = np.repeat(totals, totals - totals // 2)
+        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        first = {}
+        for m, alpha in self.CUTOFFS:
+            screened = multinomcs._screened(x, s - x, m, alpha)
+            assert not np.any(screened[:-1] & ~screened[1:] & (s[1:] == s[:-1])), (m, alpha)
+            kept = np.add.reduceat(~screened, starts)
+            for total, x0 in zip(totals, x[starts] + kept):
+                if x0 <= total:
+                    first.setdefault(int(total), []).append((int(x0), m, alpha))
+        # every cutoff screens some pairs
+        assert len(first[2000]) == len(self.CUTOFFS)
+        for total, cases in first.items():
+            tails = exact_binom_tails(total, [x0 for x0, _, _ in cases])
+            for x0, m, alpha in cases:
+                assert tails[x0] * 2 * m <= Fraction(alpha), (x0, total, m, alpha)
 
     def test_blocks_cover_the_triangle(self, monkeypatch):
         # blocks of one row, and of more rows than the table has

@@ -202,6 +202,23 @@ def test_group_codes_memory_independent_of_label_length():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("labels,levels", [
+    (["a", "a\x00"] * 4, ["a", "a\x00"]),  # differ only by a trailing NUL
+    (["b", "", "a", "b", "", "a"], ["", "a", "b"]),
+    ([2, 1] * 4, [1, 2]),
+])
+def test_list_labels_fit_as_object_array(labels, levels):
+    rng = np.random.default_rng(5)
+    data = {"Y": rng.normal(size=len(labels)), "X": rng.normal(size=len(labels))}
+    fits = [fit(model_from("r(Y) ~ r(X):G"), {**data, "G": group})
+            for group in (labels, np.asarray(labels, dtype=object))]
+    for result in fits:
+        assert result.design.colnames == tuple(
+            f"{name}:{level}" for name in ("r(X)", INTERCEPT_NAME) for level in levels)
+        assert not result.design.warnings
+    assert np.array_equal(fits[0].coefficients, fits[1].coefficients)
+
+
 def test_tiny_group_rejected():
     data = {
         "Y": np.arange(5, dtype=float),
