@@ -26,8 +26,8 @@ Mode = Literal["marginal", "simultaneous"]
 # Largest total count: up to here every pair total and count is an
 # exact float64, as the tail kernel's arguments must be.
 MAX_TOTAL = 1 << 53
-# Most categories a p-value table is built for: its p x p doubles then
-# take at most 512 MiB, and a set holds a few tables' worth besides.
+# Most categories a set is built for: with every count distinct, its
+# simultaneous family then holds 2**26 p-values, 512 MiB of doubles.
 MAX_CATEGORIES = 1 << 13
 # Families with an adjusted p-value this close to alpha, relative to
 # alpha, are decided again in exact rational arithmetic; the float
@@ -87,105 +87,97 @@ class MultinomialCounts:
 
 @dataclass(frozen=True, eq=False)
 class PairwisePValueTable:
-    """p x p table of pairwise p-values; entry (k, l) tests whether
-    category k's probability is at most category l's. Diagonal fixed
-    at 1 (never rejected)."""
+    """Pairwise p-values over the u ascending distinct `counts`: entry
+    (a, b) of the u x u `values` tests whether a category holding
+    counts[a] has a probability at most that of one holding counts[b]."""
 
     values: FloatArray
+    counts: np.ndarray
 
     @classmethod
-    def from_counts(cls, data: MultinomialCounts, alpha: float | None = None,
-                    family: int | None = None) -> "PairwisePValueTable":
-        """The table of `data`'s counts. A p-value depends on the pair's
-        two counts alone, so the kernel runs once per pair of distinct
-        counts and each cell reads its pair's entry: the same arguments,
-        so the same bits, as a kernel call on every cell.
+    def from_counts(cls, data: MultinomialCounts, alpha: float,
+                    family: int) -> "PairwisePValueTable":
+        """The grid of `data`'s distinct counts, for sets at level alpha
+        whose Holm or Bonferroni families have size m = `family`
+        (2(p - 1) marginal, p(p - 1) simultaneous).
 
-        With no alpha, or alpha >= 1/2, the kernel runs on all u x u
-        pairs of the u distinct counts. Given a level alpha < 1/2, it
-        runs only on the u(u - 1)/2 pairs with x_k > x_l, in blocks of
-        rows, and every other cell holds 1. No decision at that level
-        changes, for three reasons:
+        At alpha >= 1/2 the kernel runs on all u x u pairs of the u
+        distinct counts. Below 1/2 it runs only on the u(u - 1)/2 pairs
+        with x_k > x_l, in blocks of rows, and every other cell holds 1.
+        No decision at that level changes, for three reasons:
 
         - The median of Binomial(s, 1/2) is s/2, so x_k > s/2 gives an
           exact p-value of at most 1/2, and x_k <= s/2 one above 1/2 by
           at least P(X = floor(s/2)) / 2 > 4e-9 for s <= 2**53.
         - The kernel's relative error is at most 1.7e-13, far inside
-          that margin, so in the full float table every pruned cell lies
+          that margin, so in the full float grid every pruned cell lies
           above 1/2 + 4e-9 and every computed cell below 1/2 + 1e-13.
         - Bonferroni multiplies a pruned cell by m >= 1, so both its old
           value and 1 exceed alpha. Holm's ascending order puts every
-          pruned cell after all computed cells, in both tables, so no
+          pruned cell after all computed cells, in both grids, so no
           computed cell's position or running max changes; a pruned
           cell's adjusted value is at least its p-value, again above
-          alpha. Neither table puts a pruned cell within the 1e-12
+          alpha. Neither grid puts a pruned cell within the 1e-12
           settle band of alpha, and a family settled for another cell
           decides its pruned pairs exactly, as not rejected (see
           _exact_rejections).
 
-        Given also the size m = `family` of the Holm or Bonferroni
-        families the table feeds (2(p - 1) marginal, p(p - 1)
-        simultaneous), a pair with x_k > x_l whose Hoeffding bound
+        Below 1/2, too, a pair with x_k > x_l whose Hoeffding bound
         certifies p <= alpha / (2m) holds 0.0 and skips the kernel (see
-        _screened). Against the pruned table T, the screened table T'
+        _screened). Against the pruned grid T, the screened grid T'
         keeps every decision. Call a cell small when T holds less than
         c = alpha / (2m) there, large otherwise:
 
         - A screened pair's exact p-value is at most c e^(-1.3e-9), so,
           at a relative error of at most 1.7e-13, T holds less than c
           there: screened cells are small in T and 0 in T'. Every other
-          cell holds the same value in both tables.
+          cell holds the same value in both grids.
         - A small value v times any multiplier up to m is at most alpha/2
           once rounded, since m v < alpha/2 and alpha/2 is a float.
         - Bonferroni: a screened cell's adjusted value is at most alpha/2
           in T and 0 in T'; both reject, and neither is within 1e-12 of
           alpha. Every other adjusted value keeps its bits.
         - Holm: a small cell's step (m - pos) v is at most alpha/2 at any
-          position, in either table. A large cell sorts after every
-          small cell in both tables, and after the same large cells, so
-          its tie run takes the same positions and the same steps. Its
-          running max is the larger of its large predecessors' steps,
-          the same in both tables, and of small steps, at most alpha/2.
-          So every adjusted value above alpha/2 keeps its bits, and
-          every other one is at most alpha/2 in both tables: a small
-          cell's adjusted value is the max of small steps.
+          position, in either grid. A large cell sorts after every small
+          cell in both grids, and after the same large cells, so its tie
+          run takes the same positions and the same steps. Its running
+          max is the larger of its large predecessors' steps, the same
+          in both grids, and of small steps, at most alpha/2. So every
+          adjusted value above alpha/2 keeps its bits, and every other
+          one is at most alpha/2 in both grids: a small cell's adjusted
+          value is the max of small steps.
         - A decision is adjusted <= alpha, so none changes. The settle
           band |adjusted - alpha| <= 1e-12 alpha lies above alpha/2, so
           the same families are settled, in rational arithmetic on the
-          counts, which reads no table.
+          counts, which reads no grid.
 
-        Every rank bound, and so every envelope, keeps its bytes. From
-        counts alone, or with alpha >= 1/2, there is no screen.
+        Every rank bound, and so every envelope, keeps its bytes.
 
         Raises DomainError for more than MAX_CATEGORIES categories,
-        before anything of table size is allocated.
+        before anything of grid size is allocated.
         """
         if data.p > MAX_CATEGORIES:
             raise DomainError(
                 f"{data.p} categories exceed the {MAX_CATEGORIES} that a "
                 f"{MAX_CATEGORIES} x {MAX_CATEGORIES} p-value table allows"
             )
-        values, code = np.unique(data.counts, return_inverse=True)
-        if alpha is None or alpha >= 0.5:
-            x = values[:, None]
-            distinct = binom_tail(x, x + values[None, :])
-        else:
-            # values ascend, so x_k > x_l is the strict lower triangle
-            u = values.size
-            distinct = np.ones((u, u))
-            rows = max(1, _BLOCK_CELLS // u)
-            for start in range(1, u, rows):
-                stop = min(u, start + rows)
-                k, l = np.nonzero(np.arange(stop) < np.arange(start, stop)[:, None])
-                k += start
-                if family is not None:
-                    screened = _screened(values[k], values[l], family, alpha)
-                    distinct[k[screened], l[screened]] = 0.0
-                    k, l = k[~screened], l[~screened]
-                distinct[k, l] = binom_tail(values[k], values[k] + values[l])
-        table = distinct.take(code, axis=0).take(code, axis=1)
-        np.fill_diagonal(table, 1.0)
-        return cls(values=table)
+        counts = np.unique(data.counts)
+        if alpha >= 0.5:
+            x = counts[:, None]
+            return cls(values=binom_tail(x, x + counts[None, :]), counts=counts)
+        # counts ascend, so x_k > x_l is the strict lower triangle
+        u = counts.size
+        grid = np.ones((u, u))
+        rows = max(1, _BLOCK_CELLS // u)
+        for start in range(1, u, rows):
+            stop = min(u, start + rows)
+            k, l = np.nonzero(np.arange(stop) < np.arange(start, stop)[:, None])
+            k += start
+            screened = _screened(counts[k], counts[l], family, alpha)
+            grid[k[screened], l[screened]] = 0.0
+            k, l = k[~screened], l[~screened]
+            grid[k, l] = binom_tail(counts[k], counts[k] + counts[l])
+        return cls(values=grid, counts=counts)
 
 
 def _screened(xk: np.ndarray, xl: np.ndarray, family: int, alpha: float) -> np.ndarray:
@@ -208,22 +200,33 @@ def _screened(xk: np.ndarray, xl: np.ndarray, family: int, alpha: float) -> np.n
     return d * d / (2.0 * (xk + xl)) >= cutoff
 
 
-def _adjusted_rows(pvals: FloatArray, method: Method) -> FloatArray:
-    """Adjusted p-values, uncapped, of every row of pvals as one family.
+def _adjusted_rows(pvals: FloatArray, weights: np.ndarray, method: Method) -> FloatArray:
+    """Adjusted p-values, uncapped, of every row of pvals as one family
+    whose cells stand for as many hypotheses each as weights says; m is
+    a row's total weight.
 
-    Holm's sort need not be stable: a run of tied p-values at sorted
-    positions pos, pos + 1, ... has steps (m - pos) p >= (m - pos - 1) p
-    >= ..., so the running max of every member is max(running max before
-    the run, (m - pos) p), the same bits whichever member sorts first.
+    A tie run of p-values at sorted positions pos, pos + 1, ... has steps
+    (m - pos) p >= (m - pos - 1) p >= ..., so every member's running max
+    is max(running max before the run, (m - pos) p): the same bits in any
+    sort order and however the run splits into cells. So a cell's
+    position is the weight sorted before it, and a zero-weight cell
+    takes step 0.
     """
-    m = pvals.shape[1]
+    m = weights.sum(axis=1, keepdims=True)
     if method == "bonferroni":
-        return m * pvals
+        return np.where(weights > 0, m, 0) * pvals
     if method != "holm":
         raise ValueError("method must be 'holm' or 'bonferroni'")
     order = np.argsort(pvals, axis=1)
+    taken = np.take_along_axis(weights, order, axis=1)
+    # m - pos, the multiplier of a cell's first hypothesis
+    left = m - np.cumsum(taken, axis=1)
+    left += taken
+    left[taken == 0] = 0
+    del taken
     steps = np.take_along_axis(pvals, order, axis=1)
-    steps *= m - np.arange(m, dtype=np.float64)
+    steps *= left
+    del left
     np.maximum.accumulate(steps, axis=1, out=steps)
     out = np.empty_like(steps)
     np.put_along_axis(out, order, steps, axis=1)
@@ -247,11 +250,12 @@ def _tail_count(x: int, s: int) -> int:
     return head if upper else (1 << s) - head
 
 
-def _exact_rejections(x: list[int], s: list[int], method: Method,
+def _exact_rejections(x: list[int], s: list[int], w: list[int], method: Method,
                       alpha: float) -> np.ndarray:
     """Holm or Bonferroni decisions for one family in rational arithmetic:
-    exact p-values P(Binomial(s, 1/2) >= x) against the exact value of
-    the float alpha.
+    exact p-values P(Binomial(s, 1/2) >= x) of cells standing for w
+    hypotheses each (see _adjusted_rows) against the exact value of the
+    float alpha.
 
     Below alpha = 1/2 only pairs with 2x > s get exact tails: any other
     pair has an exact p-value above 1/2, so Bonferroni never rejects it,
@@ -262,32 +266,32 @@ def _exact_rejections(x: list[int], s: list[int], method: Method,
     # start of the CLI would load it otherwise
     from fractions import Fraction
 
-    m = len(x)
+    m = sum(w)
     pvals = {i: Fraction(_tail_count(x[i], s[i]), 1 << s[i])
-             for i in range(m) if alpha >= 0.5 or 2 * x[i] > s[i]}
+             for i in range(len(x)) if w[i] and (alpha >= 0.5 or 2 * x[i] > s[i])}
     bound = Fraction(alpha)
-    reject = np.zeros(m, dtype=bool)
-    if method == "bonferroni":
-        for i, value in pvals.items():
-            reject[i] = m * value <= bound
-        return reject
-    for pos, i in enumerate(sorted(pvals, key=pvals.__getitem__)):
+    reject = np.zeros(len(x), dtype=bool)
+    # Bonferroni's multiplier stays m, so it too stops at its first miss
+    pos = 0
+    for i in sorted(pvals, key=pvals.__getitem__):
         if (m - pos) * pvals[i] > bound:
             break
         reject[i] = True
+        pos += w[i] if method == "holm" else 0
     return reject
 
 
-def _decide(adjusted: FloatArray, counts: np.ndarray, k: np.ndarray, l: np.ndarray,
-            method: Method, alpha: float) -> np.ndarray:
-    """Rejections of the families in the rows of adjusted, whose entries
-    test the pairs (k, l). A family with an adjusted value within
-    _SETTLE_RTOL of alpha is decided again exactly."""
+def _decide(pvals: FloatArray, weights: np.ndarray, cells, method: Method,
+            alpha: float) -> np.ndarray:
+    """Rejections of the families in the rows of pvals (see
+    _adjusted_rows). A family with an adjusted value within _SETTLE_RTOL
+    of alpha is decided again exactly, on the x and s that cells(i) gives."""
+    adjusted = _adjusted_rows(pvals, weights, method)
     reject = adjusted <= alpha
     edge = np.abs(adjusted - alpha) <= _SETTLE_RTOL * alpha
     for i in np.flatnonzero(edge.any(axis=1)):
-        xk = counts[k[i]]
-        reject[i] = _exact_rejections(xk.tolist(), (xk + counts[l[i]]).tolist(),
+        x, s = cells(i)
+        reject[i] = _exact_rejections(x.tolist(), s.tolist(), weights[i].tolist(),
                                       method, alpha)
     return reject
 
@@ -316,41 +320,39 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
     alpha = 1.0 - coverage
     p = data.p
     wanted = _normalize_indices(indices, p)
-    family = 2 * (p - 1) if mode == "marginal" else p * (p - 1)
-    table = PairwisePValueTable.from_counts(data, alpha, family=family).values
-
-    counts = data.counts
     picked = list(wanted)
-    if mode == "simultaneous":
-        k, l = np.nonzero(~np.eye(p, dtype=bool))
-        k, l = k[None, :], l[None, :]
-        reject = np.zeros((p, p), dtype=bool)
-        reject[k, l] = _decide(_adjusted_rows(table[k, l], method), counts, k, l,
-                               method, alpha)
-        lower = 1 + reject.sum(axis=0)[picked]
-        upper = p - reject.sum(axis=1)[picked]
-    else:
-        # category j's family: (k, j) for every k != j, then (j, k); in
-        # blocks of p // 8 families the temporaries stay near two copies
-        # of the table
-        rows = np.asarray(picked, dtype=np.int64)
-        lower = np.empty(rows.size, dtype=np.int64)
-        upper = np.empty(rows.size, dtype=np.int64)
-        block = max(1, p // 8)
-        ahead = np.arange(p - 1)[None, :]
-        for start in range(0, rows.size, block):
-            j = rows[start:start + block, None]
-            others = ahead + (ahead >= j)
-            same = np.broadcast_to(j, others.shape)
-            k = np.concatenate([others, same], axis=1)
-            l = np.concatenate([same, others], axis=1)
-            reject = _decide(_adjusted_rows(table[k, l], method), counts, k, l,
-                             method, alpha)
-            stop = start + j.shape[0]
-            lower[start:stop] = 1 + reject[:, :p - 1].sum(axis=1)
-            upper[start:stop] = p - reject[:, p - 1:].sum(axis=1)
+    family = 2 * (p - 1) if mode == "marginal" else p * (p - 1)
+    table = PairwisePValueTable.from_counts(data, alpha, family)
+    grid, counts = table.values, table.counts
+    u = counts.size
+    code = np.searchsorted(counts, data.counts)
+    size = np.bincount(code, minlength=u)
 
-    rank = irank(counts.astype(np.float64), REPORT_RULE).values[picked]
+    # into[b, a] and out_of[a, b]: whether a family of count a rejects
+    # (b, a) and (a, b), a hypothesis for each of the size[b] - [a == b]
+    # other categories holding count b
+    if mode == "simultaneous":
+        weights = (size[:, None] * (size - np.eye(u, dtype=bool))).reshape(1, -1)
+        into = out_of = _decide(
+            grid.reshape(1, -1), weights,
+            lambda i: (np.repeat(counts, u), (counts[:, None] + counts).ravel()),
+            method, alpha).reshape(u, u)
+    else:
+        # the family of count a: (b, a) for every b, then (a, b); in
+        # eight blocks of families a temporary holds a quarter grid
+        into, out_of = np.zeros((2, u, u), dtype=bool)
+        rows = np.unique(code[picked])
+        for a in np.array_split(rows, min(8, rows.size)):
+            weights = np.tile(size - (np.arange(u) == a[:, None]), 2)
+            reject = _decide(
+                np.concatenate([grid[:, a].T, grid[a]], axis=1), weights,
+                lambda i: (np.r_[counts, np.full(u, counts[a[i]])],
+                           np.tile(counts + counts[a[i]], 2)),
+                method, alpha)
+            into[:, a], out_of[a] = reject[:, :u].T, reject[:, u:]
+    lower = (1 + size @ into - into.diagonal())[code[picked]]
+    upper = (p - out_of @ size + out_of.diagonal())[code[picked]]
+    rank = irank(data.counts.astype(np.float64), REPORT_RULE).values[picked]
     if np.any(lower > np.ceil(rank)) or np.any(upper < np.floor(rank)):
         raise DomainError(
             f"coverage {coverage} is too low: a family rejects both orders of "

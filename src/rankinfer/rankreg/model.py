@@ -47,15 +47,12 @@ class RankRegressionModel:
     response: str
     response_ranked: bool
     regressors: tuple[tuple[str, bool], ...]
-    intercept: bool = True
     group: str | None = None
     omega: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
-        if len(self.regressors) == 0 and not self.intercept:
-            raise ValueError("model needs at least one regressor or an intercept")
         ranked = [name for name, is_ranked in self.regressors if is_ranked]
         if len(ranked) > 1:
             raise FormulaError(
@@ -84,7 +81,6 @@ class RankRegressionModel:
             response=parsed.response,
             response_ranked=parsed.response_ranked,
             regressors=parsed.terms,
-            intercept=True,
             group=parsed.group,
             omega=omega,
         )
@@ -215,8 +211,7 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     for name, is_ranked in model.regressors:
         if not is_ranked:
             base.append((name, columns[name]))
-    if model.intercept:
-        base.append((INTERCEPT_NAME, np.ones(n)))
+    base.append((INTERCEPT_NAME, np.ones(n)))
 
     group_codes: np.ndarray | None = None
     if model.group is not None:

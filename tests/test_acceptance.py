@@ -1,4 +1,4 @@
-"""Release gate: twenty-two end-to-end checks, each printing one summary line.
+"""Release gate: twenty-three end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -141,9 +141,9 @@ def test_c04_multinomial_coverage():
 
 def test_c05_pvalue_closed_forms():
     t0 = time.perf_counter()
-    # the kernel, and the table of counts 0..60, whose cell (k, l) tests
+    # the kernel, and the grid of counts 0..60, whose cell (k, l) tests
     # count k against count l
-    table = PairwisePValueTable.from_counts(MultinomialCounts(np.arange(61))).values
+    table = PairwisePValueTable.from_counts(MultinomialCounts(np.arange(61)), 0.5, 120).values
     for s in range(1, 61):
         assert binom_tail(0, s) == table[0, s] == 1.0
         assert binom_tail(s, s) == table[s, 0] == 2.0 ** (-s)
@@ -480,16 +480,21 @@ def test_c17_gaussian_draws_memory():
             time.perf_counter() - t0)
 
 
-def _zipf_p1000():
-    """Zipf(0.8) counts at p=1000, n=1e5, as in C13: about 220 distinct
-    counts, so the p-value kernel runs on a few percent of the table."""
-    p, n = 1000, 100_000
+def _zipf_counts(p, n, seed):
+    """Zipf(0.8) expected counts: integer parts plus a seeded multinomial
+    draw of the remainder, in a seeded order."""
     probs = 1.0 / np.arange(1, p + 1) ** 0.8
     probs /= probs.sum()
-    rng = np.random.default_rng(18)
+    rng = np.random.default_rng(seed)
     counts = np.floor(n * probs).astype(np.int64)
     counts += rng.multinomial(n - int(counts.sum()), probs)
     return MultinomialCounts(rng.permutation(counts))
+
+
+def _zipf_p1000():
+    """Zipf(0.8) counts at p=1000, n=1e5, as in C13: about 220 distinct
+    counts, so the p-value kernel runs on a few percent of the table."""
+    return _zipf_counts(1000, 100_000, 18)
 
 
 def test_c18_multinomial_p1000_budget():
@@ -658,3 +663,38 @@ def test_c23_ranks_formats_each_run_once(tmp_path, monkeypatch):
     assert body["results"]["irank"] == (n - distinct + 0.5).tolist()
     _report("C23", f"ranks on a 1e5-row column with {m} distinct values formats "
             f"{m_values + 2 * m} floats for {3 * n} value and rank cells", seconds)
+
+
+def test_c24_multinomial_sets_follow_distinct_counts():
+    # each family is decided once per distinct count, so a set's time
+    # and memory follow the u distinct counts, not the p categories.
+    # Measured before these bounds were set (2-vCPU Xeon, numpy 2.4.6,
+    # five runs): on Zipf(0.8) counts at p=3000, n=1e6 (672 distinct),
+    # marginal Holm took 0.18-0.28 s and peaked at 9.8 MiB, simultaneous
+    # 0.20-0.26 s and 20.8 MiB, where a p x p table with one family per
+    # category took 1.4-1.9 s and peaked at 183 and 558 MiB. With every
+    # count distinct (p = u = 2000) the peaks were 85.1 and 183.2 MiB,
+    # and may not pass that table's 96176664 and 259977320 bytes
+    t0 = time.perf_counter()
+    # (counts, seconds or None, peak MiB by mode)
+    cases = [(_zipf_counts(3000, 1_000_000, 24), 0.75, {"marginal": 15, "simultaneous": 32}),
+             (MultinomialCounts(np.random.default_rng(24).permutation(2000) * 3 + 1), None,
+              {"marginal": 96176664 / 2**20, "simultaneous": 259977320 / 2**20})]
+    lines = []
+    for data, budget, bounds in cases:
+        u = np.unique(data.counts).size
+        for mode, bound in bounds.items():
+            t1 = time.perf_counter()
+            tracemalloc.start()
+            try:
+                cs = cs_ranks_multinomial(data, coverage=0.95, mode=mode, method="holm")
+                peak = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            elapsed = time.perf_counter() - t1
+            assert np.all((cs.lower <= cs.rank) & (cs.rank <= cs.upper))
+            assert peak <= bound, f"p={data.p}, u={u} {mode} Holm peaked at {peak:.1f} MiB"
+            if budget is not None:
+                assert elapsed < budget, f"p={data.p} {mode} Holm took {elapsed:.2f}s"
+            lines.append(f"p={data.p}, u={u} {mode} {elapsed:.2f}s, {peak:.1f} MiB")
+    _report("C24", "; ".join(lines), time.perf_counter() - t0)

@@ -1,11 +1,12 @@
 import functools
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankinfer.errors import DomainError, InsufficientCategories
@@ -29,8 +30,19 @@ from oracles import (
 )
 
 
-def _table(*counts, alpha=None):
-    return PairwisePValueTable.from_counts(MultinomialCounts(np.array(counts)), alpha).values
+def _table(*counts, alpha=0.5):
+    """The grid over the distinct counts, ascending; at alpha >= 1/2 the
+    kernel runs on every cell."""
+    family = 2 * (len(counts) - 1)
+    return PairwisePValueTable.from_counts(MultinomialCounts(np.array(counts)), alpha,
+                                           family).values
+
+
+def _pvalue(xk, xl, alpha=0.5):
+    """The grid's p-value for a category holding xk against one holding xl."""
+    table = PairwisePValueTable.from_counts(MultinomialCounts(np.array([xk, xl])), alpha, 2)
+    k, l = np.searchsorted(table.counts, [xk, xl])
+    return table.values[k, l]
 
 
 class TestPairwisePValue:
@@ -46,15 +58,17 @@ class TestPairwisePValue:
 
     def test_small_closed_form(self):
         # Binomial(4, 1/2) at least 3: (4 + 1) / 16
-        assert _table(3, 1)[0, 1] == 0.3125
+        assert _pvalue(3, 1) == 0.3125
 
     def test_matches_fraction_arithmetic(self):
-        # every count twice, so equal counts meet off the diagonal too
+        # every count twice: the grid holds each once, and its diagonal
+        # is the p-value of two categories holding the same count
         table = _table(*np.repeat(np.arange(31), 2))
+        assert table.shape == (31, 31)
         for xk in range(0, 31):
             for xl in range(0, 31):
                 want = float(exact_binom_tail(xk, xk + xl))
-                got = table[2 * xk, 2 * xl + 1]
+                got = table[xk, xl]
                 assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
 
     def test_exact_and_log_paths_agree_at_boundary(self):
@@ -63,14 +77,17 @@ class TestPairwisePValue:
             xk = s // 2 + 10
             xl = s - xk
             want = float(exact_binom_tail(xk, s))
-            got = _table(xk, xl)[0, 1]
+            got = _pvalue(xk, xl)
             assert math.isclose(got, want, rel_tol=1e-14)
 
     def test_largest_total(self):
         # every argument of the kernel is still an exact float64 here
         assert binom_tail(5, 2**53) > 0.5
-        table = _table(5, 2**53 - 5, alpha=0.05)
+        table = _table(5, 2**53 - 5)
         assert table[1, 0] < 1e-300
+        assert table[0, 1] > 0.5
+        table = _table(5, 2**53 - 5, alpha=0.05)
+        assert table[1, 0] == 0.0  # screened: Hoeffding certifies it
         assert table[0, 1] == 1.0  # pruned: its p-value exceeds 1/2
 
     def test_negative_counts_rejected(self):
@@ -87,8 +104,7 @@ class TestPairwisePValue:
                 lhs = exact_binom_tail(a, s) + exact_binom_tail(s - a, s)
                 rhs = 1 + Fraction(math.comb(s, a), 2**s)
                 assert lhs == rhs
-                table = _table(a, s - a)
-                got = table[0, 1] + table[1, 0]
+                got = _pvalue(a, s - a) + _pvalue(s - a, a)
                 assert math.isclose(got, float(rhs), rel_tol=1e-14)
 
 
@@ -126,28 +142,38 @@ def counts_near_the_largest_total(draw):
 
 
 def _kernel_on_every_cell(data):
-    x = data.counts[:, None]
-    table = binom_tail(x, x + data.counts[None, :])
-    np.fill_diagonal(table, 1.0)
-    return table
+    """The full grid: the kernel on every pair of distinct counts."""
+    values = np.unique(data.counts)
+    return binom_tail(values[:, None], values[:, None] + values[None, :])
+
+
+def _pruned(data, alpha):
+    """The full grid with 1 on every cell that cannot be rejected below
+    alpha = 1/2, where x_k <= x_l."""
+    every = _kernel_on_every_cell(data)
+    if alpha >= 0.5:
+        return every
+    values = np.unique(data.counts)
+    return np.where(values[:, None] > values[None, :], every, 1.0)
 
 
 class TestPValueTable:
     def test_matches_scalar_calls(self):
-        counts = [12, 3, 7, 7]
-        table = _table(*counts)
-        for k in range(4):
-            assert table[k, k] == 1.0
-            for l in range(4):
-                if k != l:
-                    assert table[k, l] == binom_tail(counts[k], counts[k] + counts[l])
+        table = PairwisePValueTable.from_counts(MultinomialCounts(np.array([12, 3, 7, 7])),
+                                                0.5, 6)
+        values = [3, 7, 12]
+        assert table.counts.tolist() == values
+        for a, xk in enumerate(values):
+            for b, xl in enumerate(values):
+                assert table.values[a, b] == binom_tail(xk, xk + xl)
 
     @given(count_vectors())
     @settings(deadline=None, max_examples=200)
     def test_matches_kernel_on_every_cell(self, counts):
         data = MultinomialCounts(counts)
-        assert np.array_equal(PairwisePValueTable.from_counts(data).values,
-                              _kernel_on_every_cell(data))
+        table = PairwisePValueTable.from_counts(data, 0.5, 2 * (data.p - 1))
+        assert np.array_equal(table.counts, np.unique(counts))
+        assert np.array_equal(table.values, _kernel_on_every_cell(data))
 
     @given(counts_near_the_largest_total())
     @settings(deadline=None, max_examples=15)
@@ -155,7 +181,7 @@ class TestPValueTable:
         # near-balanced pair totals this large cost the kernel up to 40 ms
         # per cell, and for some of them it returns NaN, which must match
         data = MultinomialCounts(counts)
-        assert np.array_equal(PairwisePValueTable.from_counts(data).values,
+        assert np.array_equal(PairwisePValueTable.from_counts(data, 0.5, 1).values,
                               _kernel_on_every_cell(data), equal_nan=True)
 
     def test_kernel_sees_distinct_count_pairs(self, monkeypatch):
@@ -167,23 +193,30 @@ class TestPValueTable:
 
         monkeypatch.setattr(multinomcs, "binom_tail", recording)
         counts = np.array([5, 0, 12, 5, 5, 12, 40, 0, 5])  # 4 distinct values
-        table = PairwisePValueTable.from_counts(MultinomialCounts(counts)).values
+        table = PairwisePValueTable.from_counts(MultinomialCounts(counts), 0.5, 16)
         assert seen == [(4, 4)]
-        assert table.shape == (9, 9)
+        assert table.values.shape == (4, 4)
+        assert table.counts.tolist() == [0, 5, 12, 40]
 
     def test_too_many_categories(self, monkeypatch):
-        # checked before the table is allocated
+        # checked before the grid is allocated
         monkeypatch.setattr(multinomcs, "binom_tail", None)
         data = MultinomialCounts(np.ones(MAX_CATEGORIES + 1, dtype=np.int64))
         with pytest.raises(DomainError, match="categories"):
-            PairwisePValueTable.from_counts(data)
+            PairwisePValueTable.from_counts(data, 0.05, 2 * MAX_CATEGORIES)
         with pytest.raises(DomainError, match="categories"):
             cs_ranks_multinomial(data)
 
 
+def _adjusted_rows(rows, method):
+    """Adjusted p-values of rows whose cells stand for one hypothesis each."""
+    rows = np.asarray(rows)
+    return multinomcs._adjusted_rows(rows, np.ones(rows.shape, dtype=np.int64), method)
+
+
 def _adjusted(p, method):
     """Adjusted p-values of one family, capped at 1."""
-    return np.minimum(1.0, multinomcs._adjusted_rows(np.asarray(p)[None, :], method)[0])
+    return np.minimum(1.0, _adjusted_rows(np.asarray(p)[None, :], method)[0])
 
 
 class TestAdjustPValues:
@@ -218,8 +251,8 @@ class TestAdjustPValues:
     @settings(deadline=None, max_examples=200)
     def test_holm_dominated_by_bonferroni(self, p):
         rows = np.array([p])
-        holm = multinomcs._adjusted_rows(rows, "holm")
-        bonf = multinomcs._adjusted_rows(rows, "bonferroni")
+        holm = _adjusted_rows(rows, "holm")
+        bonf = _adjusted_rows(rows, "bonferroni")
         assert np.all(holm <= bonf + 1e-15)
         assert np.all(holm >= rows - 1e-15)
 
@@ -230,11 +263,11 @@ class TestAdjustPValues:
 
     def test_empty_passthrough(self):
         for method in ("holm", "bonferroni"):
-            assert multinomcs._adjusted_rows(np.empty((3, 0)), method).shape == (3, 0)
+            assert _adjusted_rows(np.empty((3, 0)), method).shape == (3, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):
-            multinomcs._adjusted_rows(np.array([[0.5]]), "sidak")
+            _adjusted_rows(np.array([[0.5]]), "sidak")
         with pytest.raises(ValueError, match="method"):
             cs_ranks_multinomial(MultinomialCounts(np.array([5, 3])), method="sidak")
 
@@ -421,6 +454,78 @@ class TestExactDecisions:
                 cs_ranks_multinomial(counts, mode=mode, method=method)
 
 
+_cached_tail = functools.cache(exact_binom_tail)
+
+
+def _indices(p):
+    return st.none() | st.permutations(range(p)).flatmap(
+        lambda order: st.integers(1, p).map(lambda size: order[:size]))
+
+
+@st.composite
+def knife_edges_on_repeated_counts(draw):
+    """p <= 8 counts from a pool of one to three values below 40, so that
+    most categories share a count, and alpha equal to the exact adjusted
+    p-value of one hypothesis in a family the set decides: a Holm step
+    (m - pos) P or a Bonferroni product m P of its pair's p-value P. The
+    level lies in [1/1000, 1), where 1 - (1 - alpha) in floats stays
+    within a relative 1.2e-13 of alpha, inside the settle band."""
+    p = draw(st.integers(2, 8))
+    pool = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
+    assume(sum(counts) > 0)
+    mode = draw(st.sampled_from(("marginal", "simultaneous")))
+    method = draw(st.sampled_from(("holm", "bonferroni")))
+    indices = draw(_indices(p))
+    if mode == "simultaneous":
+        family = [(k, l) for k in range(p) for l in range(p) if k != l]
+    else:
+        j = draw(st.sampled_from(range(p) if indices is None else indices))
+        others = [k for k in range(p) if k != j]
+        family = [(k, j) for k in others] + [(j, k) for k in others]
+    pvals = sorted(_cached_tail(counts[k], counts[k] + counts[l]) for k, l in family)
+    m = len(pvals)
+    if method == "bonferroni":
+        adjusted = [m * v for v in pvals]
+    else:
+        adjusted = itertools.accumulate(((m - pos) * v for pos, v in enumerate(pvals)), max)
+    levels = sorted({a for a in adjusted if Fraction(1, 1000) <= a and float(a) < 1})
+    assume(levels)
+    alpha = draw(st.sampled_from(levels))
+    return counts, 1.0 - float(alpha), mode, method, indices
+
+
+class TestKnifeEdgesOnRepeatedCounts:
+    @given(knife_edges_on_repeated_counts())
+    @settings(deadline=None, max_examples=300)
+    def test_settled_exactly(self, case):
+        counts, coverage, mode, method, indices = case
+        settled = []
+        exact = multinomcs._exact_rejections
+
+        def spy(*args):
+            settled.append(args)
+            return exact(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multinomcs, "_exact_rejections", spy)
+            try:
+                cs = cs_ranks_multinomial(MultinomialCounts(np.array(counts)), coverage,
+                                          mode=mode, method=method, indices=indices)
+            except DomainError as err:
+                cs = str(err)
+        assert settled
+        if isinstance(cs, str):
+            # above alpha = 1/2 a Holm family can reject both orders of a
+            # pair, and the set is then refused
+            assert coverage < 0.5 and method == "holm" and "too low" in cs
+            return
+        picked = range(len(counts)) if indices is None else indices
+        lower, upper = exact_rank_bounds(counts, coverage, mode, method, tail=_cached_tail)
+        assert cs.lower.tolist() == [lower[j] for j in picked]
+        assert cs.upper.tolist() == [upper[j] for j in picked]
+
+
 def _recurrence_tail(x, s):
     return Fraction(multinomcs._tail_count(x, s), 1 << s)
 
@@ -438,9 +543,9 @@ class TestKnifeEdgesAtLargeTotals:
         settled = []
         exact = multinomcs._exact_rejections
 
-        def spy(x, s, method, alpha):
+        def spy(x, s, w, method, alpha):
             settled.append(list(x))
-            return exact(x, s, method, alpha)
+            return exact(x, s, w, method, alpha)
 
         monkeypatch.setattr(multinomcs, "_exact_rejections", spy)
         t0 = time.perf_counter()
@@ -509,8 +614,7 @@ def pruning_cases(draw):
         (0.03125, 0.125, 0.25, 0.4, 0.5) + COVERAGES + (0.999, 0.999999, 1.0 - 2.0**-53)))
     mode = draw(st.sampled_from(("marginal", "simultaneous")))
     method = draw(st.sampled_from(("holm", "bonferroni")))
-    indices = draw(st.none() | st.permutations(range(p)).flatmap(
-        lambda order: st.integers(1, p).map(lambda size: order[:size])))
+    indices = draw(_indices(p))
     return counts, coverage, mode, method, indices
 
 
@@ -537,13 +641,13 @@ class TestPrunedTable:
                 return str(err)
             return cs.lower.tolist(), cs.upper.tolist()
 
-        full_table = PairwisePValueTable.from_counts.__func__
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(multinomcs, "binom_tail", counting)
             got = bounds()
             kernel_cells = sum(cells)
             mp.setattr(PairwisePValueTable, "from_counts", classmethod(
-                lambda cls, data, alpha=None, family=None: full_table(cls, data)))
+                lambda cls, data, alpha, family: cls(_kernel_on_every_cell(data),
+                                                     np.unique(data.counts))))
             assert bounds() == got
         if isinstance(got, str):
             # above alpha = 1/2 a Holm family can reject both (k, l) and
@@ -558,12 +662,8 @@ class TestPrunedTable:
         u = np.unique(data.counts).size
         kept = hoeffding_kept_pairs(counts, alpha, family, multinomcs._SCREEN_RTOL)
         assert kernel_cells == (kept if alpha < 0.5 else u * u)
-        every = _kernel_on_every_cell(data)
-        assert np.array_equal(PairwisePValueTable.from_counts(data).values, every)
-        above = data.counts[:, None] > data.counts[None, :]
-        pruned = np.where(above, every, 1.0) if alpha < 0.5 else every
-        assert np.array_equal(PairwisePValueTable.from_counts(data, alpha).values, pruned)
-        screened = PairwisePValueTable.from_counts(data, alpha, family=family).values
+        pruned = _pruned(data, alpha)
+        screened = PairwisePValueTable.from_counts(data, alpha, family).values
         zeros = screened == 0.0
         assert np.array_equal(np.where(zeros, pruned, screened), pruned)
         # a screened cell's float p-value is below alpha / (2 family)
@@ -601,29 +701,45 @@ class TestPrunedTable:
                 assert tails[x0] * 2 * m <= Fraction(alpha), (x0, total, m, alpha)
 
     def test_blocks_cover_the_triangle(self, monkeypatch):
-        # blocks of one row, and of more rows than the table has
+        # blocks of one row, and of more rows than the grid has; every
+        # cell of the strict lower triangle is screened to 0 or computed
         counts = MultinomialCounts(np.array([0, 3, 3, 9, 14, 2, 40, 41, 7]))
-        every = _kernel_on_every_cell(counts)
-        above = counts.counts[:, None] > counts.counts[None, :]
+        pruned = _pruned(counts, 0.05)
         for cells in (1, 7, 1 << 16):
             monkeypatch.setattr(multinomcs, "_BLOCK_CELLS", cells)
-            table = PairwisePValueTable.from_counts(counts, alpha=0.05).values
-            assert np.array_equal(table, np.where(above, every, 1.0))
+            table = PairwisePValueTable.from_counts(counts, 0.05, 16).values
+            zeros = table == 0.0
+            assert 0 < zeros.sum() < 28
+            assert np.array_equal(np.where(zeros, pruned, table), pruned)
 
     @given(
         pool=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4),
+        method=st.sampled_from(("holm", "bonferroni")),
         data=st.data(),
     )
-    @settings(deadline=None, max_examples=200)
-    def test_holm_ties_in_any_order(self, pool, data):
-        # rows of tied p-values, then the same rows shuffled: the unstable
-        # sort may order each tie run differently, and must not matter
+    @settings(deadline=None, max_examples=300)
+    def test_weighted_cells_match_written_out_copies(self, pool, method, data):
+        # rows of tied p-values whose cells stand for 0 to 3 hypotheses
+        # each, then the same rows shuffled: the unstable sort may order
+        # each tie run differently, and must not matter to a cell of
+        # positive weight. Such a cell gets the bits of its copies written
+        # out one per hypothesis; a zero-weight cell gets 0 or another
+        # cell's value
         m = data.draw(st.integers(1, 40))
         rows = np.array(data.draw(st.lists(
             st.lists(st.sampled_from(pool), min_size=m, max_size=m), min_size=1, max_size=5)))
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+            min_size=rows.shape[0], max_size=rows.shape[0])))
         order = np.array(data.draw(st.permutations(range(m))))
-        adjusted = multinomcs._adjusted_rows(rows, "holm")
-        assert np.array_equal(multinomcs._adjusted_rows(rows[:, order], "holm"),
-                              adjusted[:, order])
-        for row, got in zip(rows, adjusted):
-            assert np.allclose(np.minimum(1.0, got), naive_holm(row), atol=1e-12)
+        adjusted = multinomcs._adjusted_rows(rows, weights, method)
+        shuffled = multinomcs._adjusted_rows(rows[:, order], weights[:, order], method)
+        stands = weights[:, order] > 0
+        assert np.array_equal(shuffled[stands], adjusted[:, order][stands])
+        for row, w, got in zip(rows, weights, adjusted):
+            copies = _adjusted_rows(np.repeat(row, w)[None, :], method)[0]
+            assert np.array_equal(np.repeat(got, w), copies)
+            assert set(got[w == 0].tolist()) <= set(copies.tolist()) | {0.0}
+            if method == "holm" and w.sum():
+                assert np.allclose(np.minimum(1.0, copies), naive_holm(np.repeat(row, w)),
+                                   atol=1e-12)
