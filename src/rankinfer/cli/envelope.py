@@ -103,7 +103,8 @@ def _float_texts(values: np.ndarray) -> list[str]:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
 # Elements per slice of an array value: each slice becomes a list of
-# Python floats only while the C encoder writes it.
+# Python floats only while the C encoder writes it, or, when every value
+# in it is integral and below 1e16 in size, digit arrays.
 _ARRAY_SLICE = 1 << 14
 
 
@@ -114,8 +115,9 @@ def _encode(value, level: int, chunks: list[str]) -> None:
     here every scalar, every flat list of scalars and every slice of a
     1-D float64 array goes through the C encoder instead, with the
     newline and indent of its level as the item separator. A RunColumn's
-    rows are joined with that separator from their runs' texts, and
-    RowNumbers' rows are written from arrays of their digits.
+    rows are joined with that separator from their runs' texts. A slice
+    of integral floats below 1e16 in size, and RowNumbers' rows, are
+    written from arrays of their digits.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -125,11 +127,20 @@ def _encode(value, level: int, chunks: list[str]) -> None:
             chunks.append("[]")
             return
         encoder = _flat_encoder(level + 1)
+        item_separator = ",\n" + _INDENT * (level + 1)
         separator = "[\n" + _INDENT * (level + 1)
         for start in range(0, value.size, _ARRAY_SLICE):
-            inner = encoder.encode(value[start:start + _ARRAY_SLICE].tolist())
-            chunks.append(separator + inner[1:-1])
-            separator = ",\n" + _INDENT * (level + 1)
+            part = value[start:start + _ARRAY_SLICE]
+            size = np.abs(part)
+            if (size < 1e16).all() and (size == np.floor(size)).all():
+                # the repr of an integral float below 1e16 is its sign,
+                # its digits and ".0"
+                inner = _digit_texts(size.astype(np.int64), ".0" + item_separator,
+                                     np.signbit(part))[:-len(item_separator)]
+            else:
+                inner = encoder.encode(part.tolist())[1:-1]
+            chunks.append(separator + inner)
+            separator = item_separator
         chunks.append("\n" + _INDENT * level + "]")
     elif kind is RunColumn:
         if 2 * value.values.size >= value.code.size:
@@ -155,8 +166,8 @@ def _encode(value, level: int, chunks: list[str]) -> None:
         separator = '",\n' + _INDENT * (level + 1) + '"'
         chunks.append("[\n" + _INDENT * (level + 1) + '"')
         for start in range(1, value.n + 1, _ARRAY_SLICE):
-            chunks.append(_number_texts(start, min(start + _ARRAY_SLICE, value.n + 1),
-                                        separator))
+            numbers = np.arange(start, min(start + _ARRAY_SLICE, value.n + 1))
+            chunks.append(_digit_texts(numbers, separator))
         chunks[-1] = chunks[-1][:-len(separator)]
         chunks.append('"\n' + _INDENT * level + "]")
     elif kind is list or kind is tuple:
@@ -189,24 +200,32 @@ def _encode(value, level: int, chunks: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _number_texts(start: int, stop: int, separator: str) -> str:
-    """The decimal texts of start .. stop - 1 (start >= 1), each followed
-    by the ASCII `separator`, made from arrays of their digits rather
-    than a Python string per number."""
-    tail = np.frombuffer(separator.encode("ascii"), dtype=np.uint8)
-    parts = []
-    digits = len(str(start))
-    while start < stop:
-        end = min(stop, 10**digits)
-        values = np.arange(start, end)
-        block = np.empty((values.size, digits + tail.size), dtype=np.uint8)
-        block[:, digits:] = tail
-        for j in range(digits - 1, -1, -1):
-            values, block[:, j] = np.divmod(values, 10)
-        block[:, :digits] += ord("0")
-        parts.append(block.tobytes().decode("ascii"))
-        start, digits = end, digits + 1
-    return "".join(parts)
+def _digit_texts(values: np.ndarray, tail: str, negative: np.ndarray | None = None) -> str:
+    """The decimal texts of the nonnegative integers `values`, each after
+    a "-" where `negative` is set and followed by the ASCII `tail`, made
+    from arrays of their digits rather than a Python string per number.
+
+    The numbers are written right-aligned into rows of one width, after
+    a sign column if any is negative; signs not set and leading zeros
+    are then dropped.
+    """
+    signed = int(negative is not None and bool(negative.any()))
+    digits = len(str(int(values.max())))
+    block = np.empty((values.size, signed + digits + len(tail)), dtype=np.uint8)
+    block[:, :signed] = ord("-")
+    block[:, signed + digits:] = np.frombuffer(tail.encode("ascii"), dtype=np.uint8)
+    rest = values
+    for j in range(signed + digits - 1, signed - 1, -1):
+        rest, block[:, j] = np.divmod(rest, 10)
+    block[:, signed:signed + digits] += ord("0")
+    if not signed and (digits == 1 or int(values.min()) >= 10 ** (digits - 1)):
+        return block.tobytes().decode("ascii")
+    keep = np.ones(block.shape, dtype=bool)
+    if signed:
+        keep[:, 0] = negative
+    # a number's digits start at its leading one; 0 keeps its units digit
+    keep[:, signed:signed + digits - 1] = values[:, None] >= 10 ** np.arange(digits - 1, 0, -1)
+    return block[keep].tobytes().decode("ascii")
 
 
 def _flat_encoder(level: int) -> json.JSONEncoder:

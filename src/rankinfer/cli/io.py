@@ -1,18 +1,19 @@
 """CSV ingestion and atomic file output for the command line.
 
-Dialect is fixed: comma separator, first row is the header, UTF-8,
-'.' decimal point, '"' quoting as in the csv module's default dialect.
-There are no comment lines ('#' is data); blank lines are skipped.
+Dialect is fixed: comma separator, first row is the header, UTF-8
+(one leading byte-order mark is skipped), '.' decimal point, '"'
+quoting as in the csv module's default dialect. There are no comment
+lines ('#' is data); blank lines are skipped.
 
-Text without quotes or lone carriage returns is never split into
-per-row lists: `parse_table` checks the field count of every line in
-one pass over the encoded bytes, `TableData.numeric` converts the
-requested columns in one `np.loadtxt` call, and `TableData.codes` reads
-a text column's fields from the newline and comma offsets of that scan,
-made again when a text column is asked for, so that the table holds no
-offsets while `loadtxt` runs. Any other text goes through the csv
-module, and any column `loadtxt` cannot convert exactly goes through
-`float()` cell by cell, which also words every error.
+Input without quotes or lone carriage returns stays UTF-8 bytes and is
+never split into per-row lists: `parse_table` finds every newline and
+comma in one scan of the bytes and checks the field count of every
+line from those offsets, which the table keeps. `TableData.numeric`
+converts the requested columns in one `np.loadtxt` call over the bytes,
+and `TableData.codes` reads a text column's fields from the kept
+offsets. Any other input goes through the csv module, and any column
+`loadtxt` cannot convert exactly goes through `float()` cell by cell,
+which also words every error.
 """
 from __future__ import annotations
 
@@ -35,16 +36,21 @@ _MISSING = {"", "NA", "NaN", "nan"}
 class TableData:
     """Header names, row count and cells of a CSV table.
 
-    Built from plain text (no quotes, '\\n' line ends), the cells stay
-    in that text until a column is asked for; built by the csv module,
-    all arrive as `columns`.
+    Built from plain bytes (no quotes, '\\n' line ends), the cells stay
+    in those bytes until a column is asked for: `delims` holds the offset
+    of every comma and newline, plus the end of the bytes when no newline
+    ends them, and `row_ends` the index into `delims` of each row's line
+    end. Built by the csv module, all cells arrive as `columns`.
     """
 
-    def __init__(self, names: tuple[str, ...], n: int, text: str | None = None,
+    def __init__(self, names: tuple[str, ...], n: int, data: bytes | None = None,
+                 delims: np.ndarray | None = None, row_ends: np.ndarray | None = None,
                  columns: dict[str, list[str]] | None = None):
         self.names = names
         self.n = n
-        self._text = text
+        self._data = data
+        self._delims = delims
+        self._row_ends = row_ends
         self._columns = columns
 
     def codes(self, name: str) -> tuple[list[str], np.ndarray]:
@@ -54,28 +60,19 @@ class TableData:
             raise MissingColumn(
                 f"no column {name!r}; available: {', '.join(self.names)}"
             )
-        if self._text is None:
+        if self._data is None:
             index: dict[str, int] = {}
             codes = np.fromiter((index.setdefault(cell, len(index))
                                  for cell in self._columns[name]),
                                 dtype=np.intp, count=self.n)
             return list(index), codes
-        data = np.frombuffer(self._text.encode("utf-8"), dtype=np.uint8)
-        ends = _line_ends(data)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        rows = ends > starts  # blank lines are skipped
-        rows[0] = False
-        first, stop = starts[rows], ends[rows]
-        width, i = len(self.names), self.names.index(name)
-        if width > 1:
-            # every line but a blank one holds one comma fewer than the
-            # header has names, so row r's commas are row r + 1 here
-            commas = np.flatnonzero(data == ord(",")).reshape(-1, width - 1)[1:]
-            if i > 0:
-                first = commas[:, i - 1] + 1
-            if i < width - 1:
-                stop = commas[:, i]
-        return _distinct_fields(data, first, stop - first)
+        # a row's fields end at its last `width` delimiters, and the one
+        # before them ends the line above (the header or a blank line)
+        after = len(self.names) - 1 - self.names.index(name)
+        first = self._delims[self._row_ends - after - 1] + 1
+        stop = self._delims[self._row_ends - after]
+        return _distinct_fields(np.frombuffer(self._data, dtype=np.uint8),
+                                first, stop - first)
 
     def raw(self, name: str) -> np.ndarray:
         """Column as strings (categorical use: group labels, names)."""
@@ -102,13 +99,15 @@ class TableData:
         numpy does not parse (e.g. '1_0', which float() accepts, or 'NA'),
         a non-finite value whose error the per-cell path words, or rows
         that numpy splits differently from the csv module."""
-        if self._text is None or not all(name in self.names for name in names):
+        if self._data is None or not all(name in self.names for name in names):
             return None
         if self.n == 0:
             return np.empty((len(names), 0))
         try:
+            # numpy iterates the byte lines and decodes each one
             values = np.loadtxt(
-                io.StringIO(self._text),
+                io.BytesIO(self._data),
+                encoding="utf-8",
                 dtype=np.float64,
                 delimiter=",",
                 comments=None,
@@ -185,15 +184,6 @@ def _distinct_fields(data: np.ndarray, starts: np.ndarray,
     return cells, codes
 
 
-def _line_ends(data: np.ndarray) -> np.ndarray:
-    """Offsets of the line ends in UTF-8 bytes; the text's end closes a
-    last line without a newline."""
-    ends = np.flatnonzero(data == ord("\n"))
-    if ends.size == 0 or ends[-1] != data.size - 1:
-        ends = np.append(ends, data.size)
-    return ends
-
-
 def _header(cells: list[str]) -> tuple[str, ...]:
     names = tuple(h.strip() for h in cells)
     if not names or all(name == "" for name in names):
@@ -210,32 +200,48 @@ def _wrong_width(lineno: int, fields: int, width: int) -> CsvFormatError:
     return CsvFormatError(f"row {lineno} has {fields} fields, expected {width}")
 
 
-def parse_table(text: str) -> TableData:
-    """Check the header and the field count of every row; cells are
-    converted later, per column, by `TableData`."""
-    plain = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in plain or "\r" in plain:
-        return _parse_with_csv(text)
-    data = np.frombuffer(plain.encode("utf-8"), dtype=np.uint8)
-    ends = _line_ends(data)
-    lengths = np.diff(ends, prepend=-1) - 1
+_BOM = b"\xef\xbb\xbf"
+
+
+def parse_table(source: bytes | str) -> TableData:
+    """Check the header and the field count of every row of UTF-8 bytes,
+    or of a text, which is encoded; cells are converted later, per
+    column, by `TableData`. One leading byte-order mark is skipped."""
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    elif not source.isascii():
+        decode(source)  # refuse invalid UTF-8 at its offset in the input
+    start = len(_BOM) if source.startswith(_BOM) else 0
+    plain = source.replace(b"\r\n", b"\n") if b"\r" in source else source
+    if b'"' in plain or b"\r" in plain:
+        return _parse_with_csv(source[start:])
+    data = np.frombuffer(plain, dtype=np.uint8)
+    delims = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    lines = np.flatnonzero(data[delims] == ord("\n"))  # each line's end in delims
+    if not data.size or data[-1] != ord("\n"):
+        # the end of the bytes closes a last line without a newline
+        lines = np.append(lines, delims.size)
+        delims = np.append(delims, data.size)
+    ends = delims[lines]
+    lengths = np.diff(ends, prepend=start - 1) - 1
     if int(lengths.max()) > csv.field_size_limit():
-        return _parse_with_csv(text)  # let the csv module refuse the field
-    commas = np.flatnonzero(data == ord(","))
-    names = _header(plain.split("\n", 1)[0].split(","))
-    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+        # let the csv module refuse the field
+        return _parse_with_csv(source[start:])
+    names = _header(plain[start:ends[0]].decode("utf-8").split(","))
+    fields = np.diff(lines, prepend=-1)  # a line's commas and its end
     rows = lengths > 0  # blank lines are skipped
     rows[0] = False
     bad = np.flatnonzero(rows & (fields != len(names)))
     if bad.size:
         raise _wrong_width(int(bad[0]) + 1, int(fields[bad[0]]), len(names))
-    return TableData(names, int(np.count_nonzero(rows)), text=plain)
+    return TableData(names, int(np.count_nonzero(rows)), data=plain, delims=delims,
+                     row_ends=lines[rows])
 
 
-def _parse_with_csv(text: str) -> TableData:
-    """Text with quotes or lone carriage returns: the csv module splits
-    the rows, and the cells are kept per column."""
-    reader = csv.reader(io.StringIO(text))
+def _parse_with_csv(data: bytes) -> TableData:
+    """Input with quotes or lone carriage returns: the csv module splits
+    the decoded rows, and the cells are kept per column."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
     try:
         names = _header(next(reader, []))
         rows: list[list[str]] = []
@@ -269,10 +275,10 @@ def decode(raw: bytes) -> str:
         raise CsvFormatError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def read_covariance(text: str, p: int) -> np.ndarray:
+def read_covariance(source: bytes | str, p: int) -> np.ndarray:
     """Full covariance matrix CSV: header row (names ignored), then p
     rows of p numeric fields."""
-    table = parse_table(text)
+    table = parse_table(source)
     if len(table.names) != p or table.n != p:
         raise CsvFormatError(
             f"covariance file must be {p}x{p} to match the estimates, "

@@ -26,7 +26,7 @@ from ..ranking import TieRule, _TieRuns, irank_against
 from ..rankreg.formula import format_formula_error
 from ..rankreg.model import CodedColumn, RankRegressionModel, confint, fit, summarize
 from .envelope import OutputEnvelope, RowNumbers, RunColumn, input_digest, render_csv
-from .io import decode, parse_table, read_bytes, read_covariance, write_text
+from .io import parse_table, read_bytes, read_covariance, write_text
 
 _SEED_MAX = 2**64 - 1
 
@@ -222,7 +222,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     """Integer and fractional ranks of one column."""
     raw = read_bytes(input_path)
     digest = input_digest(raw)
-    table = parse_table(decode(raw))
+    table = parse_table(raw)
     del raw  # the digest and the table hold all the command reads from it
     rule = TieRule(omega, "increasing" if increasing else "decreasing")
     if against is None:
@@ -276,7 +276,7 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
     if (se_col is None) == (cov_path is None):
         raise click.UsageError("provide exactly one of --se or --cov")
     raw = read_bytes(input_path)
-    table = parse_table(decode(raw))
+    table = parse_table(raw)
     theta = table.numeric(estimates_col)
     if theta.size == 0:
         raise InputError("data has no rows")
@@ -294,7 +294,7 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
         digest = input_digest(raw)
     else:
         cov_raw = read_bytes(cov_path)
-        sigma = read_covariance(decode(cov_raw), len(theta))
+        sigma = read_covariance(cov_raw, len(theta))
         digest = input_digest(raw, cov_raw)
     try:
         est = EstimatesWithCovariance(theta, sigma, labels=tuple(labels))
@@ -456,7 +456,7 @@ def cmd_csranks_multinom(
 ):
     """Exact finite-sample confidence sets for multinomial category ranks."""
     raw = read_bytes(input_path)
-    table = parse_table(decode(raw))
+    table = parse_table(raw)
     if column is None:
         numeric_names = [n for n in table.names if n != label_col]
         if len(numeric_names) != 1:
@@ -542,7 +542,7 @@ def _fit_input(input_path: str, formula: str, omega: float):
     parsed table and the data columns are freed on return, before the
     covariance, the largest allocation of the command, is formed."""
     raw = read_bytes(input_path)
-    table = parse_table(decode(raw))
+    table = parse_table(raw)
     try:
         model = RankRegressionModel.from_formula(formula, omega=omega)
     except FormulaError as exc:

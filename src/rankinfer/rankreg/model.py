@@ -66,6 +66,13 @@ class RankRegressionModel:
                 term = f"r({name})" if is_ranked else name
                 raise FormulaError(f"duplicate term {term}")
             seen.add(key)
+        if self.group is not None and self.group in (
+                self.response, *(name for name, _ in self.regressors)):
+            # a variable constant within each group has no slope in it
+            raise FormulaError(
+                f"column {self.group!r} is the group and may not also be the "
+                "response or a regressor"
+            )
 
     @property
     def ranked_regressor(self) -> str | None:

@@ -245,6 +245,44 @@ class TestRanks:
             f"{i},{label},{v!r},{r!r},{f!r}\n"
             for i, label, v, r, f in zip(range(1, n + 1), labels, cells, iranks, franks))
 
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+    def test_against_matches_per_row_rendering(self, invoke_cli, omega):
+        # integer ranks against a reference are integral at omega 0 and 1,
+        # and written from digits; at 0.5 half of them are half-integers,
+        # and slices holding one are written as floats. The rows span
+        # three writer slices
+        rng = np.random.default_rng(7)
+        n = 2 * (1 << 14) + 5
+        reference = np.round(rng.normal(size=300), 1)
+        values = np.round(rng.normal(size=n), 1)
+        values[:3] = [-0.0, reference.max() + 1.0, reference.min() - 1.0]
+        stdin = "v,ref\n" + "".join(f"{v!r},{r!r}\n" for v, r in
+                                    zip(values.tolist(), np.resize(reference, n).tolist()))
+        reference = np.resize(reference, n)
+        weak = np.searchsorted(np.sort(-reference), -values, side="right")
+        strict = np.searchsorted(np.sort(-reference), -values, side="left")
+        iranks = (omega * weak + (1.0 - omega) * strict + (1.0 - omega)).tolist()
+        body = {
+            "procedure": "ranks",
+            "input_digest": input_digest(stdin.encode("utf-8")),
+            "seed": None,
+            "coverage": None,
+            "results": {
+                "column": "v",
+                "omega": omega,
+                "direction": "decreasing",
+                "labels": [str(i) for i in range(1, n + 1)],
+                "values": values.tolist(),
+                "irank": iranks,
+                "frank": [r / n for r in iranks],
+            },
+            "warnings": [],
+        }
+        res = invoke_cli(["ranks", "--column", "v", "--against", "ref", "--omega", repr(omega)],
+                         stdin=stdin)
+        assert res.code == 0, res.stderr
+        assert res.stdout == json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+
     def test_missing_column(self, invoke_cli):
         res = invoke_cli(["ranks", "--column", "nope"], stdin=COUNTRY_CSV)
         assert res.code == 2
@@ -281,6 +319,24 @@ class TestCsvErrors:
         res = invoke_cli(["ranks", "--column", "a"], stdin=payload)
         assert res.code == code
         assert fragment in res.stderr
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_byte_order_mark(self, invoke_cli, newline, quoted):
+        # Excel's "CSV UTF-8" starts with a byte-order mark: the reader
+        # skips it on either path, and the digest covers the raw bytes
+        header = '"Y",X' if quoted else "Y,X"
+        text = newline.join([header, "1,2", "3,4", "3,5", ""])
+        args = ["ranks", "--column", "Y", "--label", "X"]
+        plain = invoke_cli(args, stdin=text)
+        marked = invoke_cli(args, stdin=b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert plain.code == marked.code == 0, marked.stderr
+        plain_body, marked_body = parse_envelope(plain.stdout), parse_envelope(marked.stdout)
+        assert marked_body["results"] == plain_body["results"]
+        assert marked_body["input_digest"] == input_digest(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert marked_body["input_digest"] != plain_body["input_digest"]
+        table = invoke_cli([*args, "--format", "csv"], stdin=b"\xef\xbb\xbf" + text.encode())
+        assert table.stdout == invoke_cli([*args, "--format", "csv"], stdin=text).stdout
 
     def test_invalid_utf8(self, invoke_cli):
         res = invoke_cli(["ranks", "--column", "a"], stdin=b"\xff\xfe\x00")
@@ -849,6 +905,15 @@ class TestRankReg:
         )
         assert res.code == 2
         assert "^" in res.stderr
+
+    def test_group_column_in_formula_rejected(self, invoke_cli):
+        # W is numeric: the error names the formula, not the column's type
+        stdin = "Y,X,W\n" + "".join(f"{i % 7},{i % 5},{i % 2}\n" for i in range(20))
+        res = invoke_cli(["rank-reg", "--formula", "r(Y) ~ (r(X) + W):W"], stdin=stdin)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: column 'W' is the group and may not also be the "
+                              "response or a regressor\n")
 
     def test_formula_column_not_in_data(self, invoke_cli):
         res = invoke_cli(

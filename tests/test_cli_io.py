@@ -1,9 +1,11 @@
 """The CLI's columnar CSV reader and JSON encoder against their references:
 per-cell reading through the csv module (`oracles.csv_columns`) and
 `json.dumps(indent=2, ensure_ascii=False)`."""
+import io
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import csv_columns
 
 from rankinfer.cli.envelope import OutputEnvelope, RowNumbers
+import rankinfer.cli.io as cli_io
 from rankinfer.cli.io import parse_table, read_covariance
 from rankinfer.errors import RankInferError
 
@@ -146,11 +149,37 @@ class TestParserOracle:
             "a,b\n",
             "",
             "a," + "x" * 200_000 + "\n1,2\n",
+            # multi-byte names and labels
+            "a,ä,日本\n1,2,ü\n3,4,日本\n",
+            "a,b\n1,ä\n2,😀\n",
+            "ä,b\n1,2\n",
         ],
     )
     def test_fixed_cases(self, text):
         for names in (["a"], ["b", "a"], ["a", "b", "a"], ["zz", "a"]):
             _assert_same(_outcome(text, names), csv_columns(text, names))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\r\n1,2\r\n\r\n3,4\r\n",
+            "a,b\r\n1,2\r\n3,4",
+            'a,b\r\n"1,5",2\r\n3,4\r\n',
+            "a,b\n1,2\n3,x\n",
+            "a,ä,日本\r\n1,2,ü\r\n3,4,日本\r\n",
+            "\ufeffa,b\n1,2\n",
+            "a,b\n",
+            "\n1,2\n",
+            "",
+        ],
+    )
+    def test_byte_order_mark(self, text):
+        # one leading byte-order mark is skipped on either path: the
+        # marked text, as text or as bytes, reads as the text without it
+        for names in (["a"], ["b", "a"], ["ä", "日本"]):
+            want = csv_columns(text, names)
+            _assert_same(_outcome("\ufeff" + text, names), want)
+            _assert_same(_outcome(("\ufeff" + text).encode("utf-8"), names), want)
 
     def test_covariance_single_pass_matches_columns(self):
         rng = np.random.default_rng(3)
@@ -213,7 +242,7 @@ class TestTextColumns:
         want = csv_columns(text, [])
         assert want[0] == "ok", want
         table = parse_table(text)
-        assert table._text is not None  # the byte-offset path
+        assert table._data is not None  # the byte-offset path
         assert (table.names, table.n) == want[1:3]
         for name in header:
             cells, codes = table.codes(name)
@@ -229,12 +258,35 @@ class TestTextColumns:
         "v,g\n1,only\n",
         "g,v\n" + "".join(f"{'w' * (i % 11)}{i % 3},{i}\n" for i in range(40)),
         "g,v\n" + "long-label-" * 30 + ",1\nshort,2\n" + "long-label-" * 30 + ",3\n",
+        "名前,v\n日本,1\nä,2\n日本,3\n😀,4\nä ,5\n",
+        "v,ä\r\n1,日本\r\n\r\n2,日\r\n3,本",
     ])
     def test_fixed_cases(self, text):
         want = csv_columns(text, [])
-        table = parse_table(text)
-        for name in table.names:
-            assert table.raw(name).tolist() == want[4][name]
+        for source in (text, "\ufeff" + text, ("\ufeff" + text).encode("utf-8")):
+            # a leading byte-order mark is not part of the first name
+            table = parse_table(source)
+            assert table._data is not None  # the byte-offset path
+            assert (table.names, table.n) == want[1:3]
+            for name in table.names:
+                assert table.raw(name).tolist() == want[4][name]
+
+    def test_plain_path_holds_bytes_and_scans_once(self, monkeypatch):
+        # the table keeps the input's bytes and one scan's offsets: no
+        # decoded copy, no StringIO, and one search for delimiters
+        text = "g,v,w\r\nä,1,x\r\n\r\nb,2.5,日本\r\nä,-3,x"
+        data = text.replace("\r\n", "\n").encode("utf-8")
+        monkeypatch.setattr(cli_io, "io", types.SimpleNamespace(BytesIO=io.BytesIO))
+        scans = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero",
+                            lambda a: scans.append(np.size(a)) or flatnonzero(a))
+        table = parse_table(text.encode("utf-8"))
+        assert table.numeric(["v", "v"]).tolist() == [[1.0, 2.5, -3.0]] * 2
+        assert [table.raw(name).tolist() for name in ("g", "w")] == [["ä", "b", "ä"],
+                                                                     ["x", "日本", "x"]]
+        assert scans.count(len(data)) == 1
+        assert not any(isinstance(value, str) for value in vars(table).values())
 
     def test_nul_bytes_tell_cells_apart(self):
         # fixed-width gathering pads with zeros; a NUL inside a field
@@ -344,6 +396,40 @@ class TestEncoderOracle:
             want = self._envelope({"labels": wrap(numbers), "n": n})
             assert env.to_json() == self._reference(want)
         assert list(RowNumbers(n)) == numbers
+
+    # integral floats whose repr is their sign, digits and ".0", and the
+    # values next to them that print otherwise
+    _INTEGRAL = [0.0, -0.0, 1.0, -1.0, 9.0, -9.0, 10.0, -10.0, 99.0, 100.0, 123456.0,
+                 999999999999999.0, -999999999999999.0, 2.0**53, -(2.0**53),
+                 9999999999999998.0, -9999999999999998.0]
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
+    @pytest.mark.parametrize("odd", [None, 1e16, -1e16, 0.5, -2.5, 1e300, 5e-324])
+    def test_integral_arrays_encode_as_their_lists(self, size, odd):
+        # integral arrays are written from digit arrays, slice by slice,
+        # with the bytes json.dumps gives their lists; a value of 1e16 or
+        # more in size, or one that is not integral, puts its slice on the
+        # float path
+        rng = np.random.default_rng(size)
+        values = rng.choice(self._INTEGRAL, size=size)
+        values[size // 3:] = np.trunc(rng.normal(size=size - size // 3)
+                                      * 10.0 ** rng.integers(0, 16, size - size // 3))
+        if size:
+            values[:min(size, len(self._INTEGRAL))] = self._INTEGRAL[:size]
+            if odd is not None:
+                values[rng.integers(size)] = odd
+        for wrap in (lambda v: v, lambda v: {"inner": [v, {"deeper": v}], "after": 1}):
+            env = self._envelope({"values": wrap(values), "n": size})
+            want = self._envelope({"values": wrap(values.tolist()), "n": size})
+            assert env.to_json() == self._reference(want)
+
+    @pytest.mark.parametrize("size", [1, 2, (1 << 14) + 1])
+    def test_integral_array_with_non_finite_value_raises(self, size):
+        values = np.arange(size, dtype=np.float64)
+        for bad in (math.nan, math.inf, -math.inf):
+            values[size // 2] = bad
+            with pytest.raises(ValueError):
+                self._envelope({"values": values}).to_json()
 
     def test_array_with_non_finite_value_raises(self):
         values = np.zeros((1 << 14) + 5)

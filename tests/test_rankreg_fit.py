@@ -277,6 +277,15 @@ def test_model_validation():
         )
 
 
+@pytest.mark.parametrize("formula", ["r(Y) ~ (r(X) + W):W", "r(Y) ~ r(W):W", "r(W) ~ r(X):W",
+                                     "W ~ (r(X) + W):W"])
+def test_group_column_in_formula_rejected(formula):
+    # a variable constant within each group has no slope there: the model
+    # is refused up front, not fitted to a collinear design
+    with pytest.raises(FormulaError, match="column 'W' is the group"):
+        RankRegressionModel.from_formula(formula)
+
+
 def test_summarize_table():
     rng = np.random.default_rng(5)
     n = 120
