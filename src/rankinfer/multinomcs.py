@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DomainError, InsufficientCategories
 from .numerics import FloatArray, binom_tail
@@ -35,10 +36,13 @@ MAX_CATEGORIES = 1 << 13
 # 1.7e-13 for s in [2^52, 2^53] (see numerics.binom_tail).
 _SETTLE_RTOL = 1e-12
 # Most cells of the distinct-count grid one kernel call scans when the
-# table is pruned (from_counts with alpha < 1/2).
+# table is pruned (from_counts with alpha < 1/2), and the cells of
+# marginal families decided per block, up to eight blocks
+# (cs_ranks_multinomial).
 _BLOCK_CELLS = 1 << 16
-# Relative margin by which a pair's Hoeffding exponent must pass its
-# cutoff before the pair is screened from the tail kernel (see _screened).
+# Relative margin by which a pair's Zubkov-Serov bound must pass its
+# cutoff, alpha / (2m) or alpha, before the pair skips the tail kernel
+# (see PairwisePValueTable.from_counts).
 _SCREEN_RTOL = 1e-9
 
 
@@ -122,34 +126,84 @@ class PairwisePValueTable:
           decides its pruned pairs exactly, as not rejected (see
           _exact_rejections).
 
-        Below 1/2, too, a pair with x_k > x_l whose Hoeffding bound
-        certifies p <= alpha / (2m) holds 0.0 and skips the kernel (see
-        _screened). Against the pruned grid T, the screened grid T'
-        keeps every decision. Call a cell small when T holds less than
-        c = alpha / (2m) there, large otherwise:
+        Below 1/2, too, the kernel skips every pair with x_k > x_l whose
+        decision the bounds of Zubkov & Serov (Theory Probab. Appl. 57,
+        2013) settle. For X ~ Binomial(s, 1/2), s = x_k + x_l, and
+        e(x) = 2s H(x/s) with H(q) = q ln 2q + (1 - q) ln 2(1 - q), they
+        give Phi(-sqrt(e(x_k))) <= P(X >= x_k) <= Phi(-sqrt(e(x_k - 1))),
+        the upper bound for x_k - 1 >= s/2. With c = alpha / (2m) and
+        the relative margin r = _SCREEN_RTOL = 1e-9:
 
-        - A screened pair's exact p-value is at most c e^(-1.3e-9), so,
-          at a relative error of at most 1.7e-13, T holds less than c
-          there: screened cells are small in T and 0 in T'. Every other
-          cell holds the same value in both grids.
+        - a pair whose upper bound is at most c (1 - r) is certainly
+          rejected and holds 0.0;
+        - a pair whose lower bound exceeds alpha (1 + r) is never
+          rejected and holds 1.0, as the x_k <= x_l cells do.
+
+        The test runs on exponents: z_c = -ndtri(c (1 - r)) and
+        z_a = -ndtri(alpha (1 + r)), or 0 where alpha (1 + r) >= 1/2,
+        are computed once per set; a pair is rejected when
+        e(x_k - 1) >= z_c^2 (e taken as 0 below x_k - 1 = s/2) and never
+        rejected when e(x_k) < z_a^2 (see _exponent).
+
+        Rounding. Against 50-digit mpmath, Phi(-z) for the computed z^2
+        was within 2.8e-14 of its target, relative, for targets from
+        1e-25 to 1/2. Every set cs_ranks_multinomial builds has
+        c > 2**-53 / (2 * 8192^2) = 2**-80, so every cutoff z^2 is below
+        105. The computed e = s(2a atanh(a) + log1p(-a^2)), with
+        a = (2x - s)/s, carries the rounding of a harmlessly
+        (de/da = 2s atanh(a)), and that of a * a, at most
+        2**-53 / (1 - a^2) relative: 4e-10 at s = 2e8, x_l = 1. Measured,
+        it was within 1e-15 wherever e < 110 and 4.3e-15 wherever
+        e < 1500 (every pair with s <= 400, 40000 random pairs up to
+        s = 2**53). A pair with e near a cutoff has 1 - a >= 4.7e-3,
+        since e >= s a^2 and s >= 2 / (1 - a) for x_l >= 1, so its loss
+        is below 2.4e-14. Any other pair with 1 - a < 4.7e-3 has
+        s > 420, a bracket error below 2**-54 s <= 1/2, and so a computed
+        e above 0.8 s, past every cutoff. x_l = 0 (a = 1) is taken as
+        e = 2s ln 2. A relative error eps in e moves Phi(-sqrt(e)) by at
+        most (1 + e) eps / 2 relative, 53 eps below 105. So each screened
+        pair's exact p-value lies past its cutoff, c or alpha, by more
+        than 0.99e-9 relative.
+
+        Against the pruned grid T, the screened grid T' keeps every
+        decision. Call a cell small when T holds less than c there,
+        large otherwise; a rejected pair's exact p-value is at most
+        c (1 - 0.99e-9), so, at a relative error of at most 1.7e-13, its
+        cell is small in T. Call a cell high when T holds more than
+        b = alpha (1 + 2e-12) there, low otherwise: a never-rejected pair
+        is high, as is every pruned cell (b < 1/2).
+
         - A small value v times any multiplier up to m is at most alpha/2
           once rounded, since m v < alpha/2 and alpha/2 is a float.
-        - Bonferroni: a screened cell's adjusted value is at most alpha/2
+        - Bonferroni: a rejected cell's adjusted value is at most alpha/2
           in T and 0 in T'; both reject, and neither is within 1e-12 of
-          alpha. Every other adjusted value keeps its bits.
-        - Holm: a small cell's step (m - pos) v is at most alpha/2 at any
-          position, in either grid. A large cell sorts after every small
-          cell in both grids, and after the same large cells, so its tie
-          run takes the same positions and the same steps. Its running
-          max is the larger of its large predecessors' steps, the same
-          in both grids, and of small steps, at most alpha/2. So every
-          adjusted value above alpha/2 keeps its bits, and every other
-          one is at most alpha/2 in both grids: a small cell's adjusted
-          value is the max of small steps.
-        - A decision is adjusted <= alpha, so none changes. The settle
-          band |adjusted - alpha| <= 1e-12 alpha lies above alpha/2, so
-          the same families are settled, in rational arithmetic on the
-          counts, which reads no grid.
+          alpha. A never-rejected cell stands for one hypothesis at
+          least (a cell of weight 0 lies on the diagonal), so its
+          adjusted value is above b in both grids: neither rejects nor
+          lies in the settle band. Every other adjusted value keeps its
+          bits.
+        - Holm, rejected pairs: a small cell's step (m - pos) v is at
+          most alpha/2 at any position, in either grid. A large cell
+          sorts after every small cell in both grids, and after the same
+          large cells, so its tie run takes the same positions and the
+          same steps. Its running max is the larger of its large
+          predecessors' steps, the same in both grids, and of small
+          steps, at most alpha/2. So every adjusted value above alpha/2
+          keeps its bits, and every other one is at most alpha/2 in both
+          grids.
+        - Holm, never-rejected pairs, against the grid with only the
+          0.0 cells written: a low cell sorts before every high cell in
+          both grids, at the same position, so its step and running max
+          keep their bits. A high cell of positive weight has a step,
+          and so an adjusted value, above b in both grids. Any other
+          adjusted value, a high cell's of weight 0, is the running max
+          of every low step and of steps that are 0 or above b; where it
+          is at most b it equals the last low cell's adjusted value.
+        - A decision is adjusted <= alpha, so none of a cell of positive
+          weight changes; a cell of weight 0 stands for no hypothesis.
+          The settle band |adjusted - alpha| <= 1e-12 alpha lies above
+          alpha/2 and below b, so the same families are settled, in
+          rational arithmetic on the counts, which reads no grid.
 
         Every rank bound, and so every envelope, keeps its bytes.
 
@@ -165,6 +219,7 @@ class PairwisePValueTable:
         if alpha >= 0.5:
             x = counts[:, None]
             return cls(values=binom_tail(x, x + counts[None, :]), counts=counts)
+        rejected_from, doubted_from = _cutoffs(alpha, family)
         # counts ascend, so x_k > x_l is the strict lower triangle
         u = counts.size
         grid = np.ones((u, u))
@@ -173,31 +228,39 @@ class PairwisePValueTable:
             stop = min(u, start + rows)
             k, l = np.nonzero(np.arange(stop) < np.arange(start, stop)[:, None])
             k += start
-            screened = _screened(counts[k], counts[l], family, alpha)
-            grid[k[screened], l[screened]] = 0.0
-            k, l = k[~screened], l[~screened]
+            d = (counts[k] - counts[l]).astype(np.float64)
+            s = (counts[k] + counts[l]).astype(np.float64)
+            rejected = _exponent(np.maximum(d - 2.0, 0.0), s) >= rejected_from
+            grid[k[rejected], l[rejected]] = 0.0
+            doubt = ~rejected & (_exponent(d, s) >= doubted_from)
+            k, l = k[doubt], l[doubt]
             grid[k, l] = binom_tail(counts[k], counts[k] + counts[l])
         return cls(values=grid, counts=counts)
 
 
-def _screened(xk: np.ndarray, xl: np.ndarray, family: int, alpha: float) -> np.ndarray:
-    """Which pairs of counts xk > xl have p = P(Binomial(s, 1/2) >= xk)
-    <= alpha / (2 family), s = xk + xl, by Hoeffding's inequality:
-    p <= exp(-2t^2 / s) with t = xk - s/2, so 2t^2 / s = d^2 / (2s) with
-    d = xk - xl.
+def _cutoffs(alpha: float, family: int) -> tuple[float, float]:
+    """(z_c^2, z_a^2) of from_counts' screen at level alpha < 1/2 and
+    family size m: a pair x_k > x_l is certainly rejected when
+    e(x_k - 1) >= z_c^2 and never rejected when e(x_k) < z_a^2."""
+    rejected_from = ndtri(alpha / (2.0 * family) * (1.0 - _SCREEN_RTOL)) ** 2
+    doubted_from = max(0.0, -ndtri(alpha * (1.0 + _SCREEN_RTOL))) ** 2
+    return float(rejected_from), float(doubted_from)
 
-    d and 2s are exact float64 integers (s <= 2**53), so the computed
-    exponent carries two roundings, d * d and the division, and the
-    cutoff ln(2 family / alpha) three, the quotient, the log and the
-    margin: well under 1e-14 relative in all. The cutoff is above
-    ln 4 > 1.3 (family >= 1, alpha < 1/2); raised by the relative margin
-    _SCREEN_RTOL = 1e-9, it leaves every screened pair an exact exponent
-    above ln(2 family / alpha) + 1.3e-9, so p <= alpha / (2 family)
-    times e^(-1.3e-9), with room for the kernel's 1.7e-13 besides.
+
+def _exponent(d: FloatArray, s: FloatArray) -> FloatArray:
+    """e(x) = 2s H(x/s) at x = (s + d)/2, elementwise over floats
+    0 <= d <= s, s > 0, with H(q) = q ln 2q + (1 - q) ln 2(1 - q).
+
+    With a = d/s, e = s((1 + a) ln(1 + a) + (1 - a) ln(1 - a)), formed
+    as s(2a atanh(a) + log1p(-a^2)), which keeps its digits as a falls
+    to 0 (the first form loses them: 6e-8 relative at a = 1e-9), and
+    as 2s ln 2 at a = 1. See from_counts for its rounding.
     """
-    d = (xk - xl).astype(np.float64)
-    cutoff = math.log(2.0 * family / alpha) * (1.0 + _SCREEN_RTOL)
-    return d * d / (2.0 * (xk + xl)) >= cutoff
+    a = d / s
+    inner = a < 1.0
+    a = np.where(inner, a, 0.0)
+    return np.where(inner, s * (2.0 * a * np.arctanh(a) + np.log1p(-a * a)),
+                    2.0 * math.log(2.0) * s)
 
 
 def _adjusted_rows(pvals: FloatArray, weights: np.ndarray, method: Method) -> FloatArray:
@@ -338,11 +401,14 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
             lambda i: (np.repeat(counts, u), (counts[:, None] + counts).ravel()),
             method, alpha).reshape(u, u)
     else:
-        # the family of count a: (b, a) for every b, then (a, b); in
-        # eight blocks of families a temporary holds a quarter grid
+        # the family of count a: (b, a) for every b, then (a, b); one
+        # block of families per _BLOCK_CELLS cells, at most eight, so a
+        # small grid is decided at once and a temporary holds at most a
+        # quarter grid
         into, out_of = np.zeros((2, u, u), dtype=bool)
         rows = np.unique(code[picked])
-        for a in np.array_split(rows, min(8, rows.size)):
+        blocks = min(8, -(-rows.size * 2 * u // _BLOCK_CELLS))
+        for a in np.array_split(rows, blocks):
             weights = np.tile(size - (np.arange(u) == a[:, None]), 2)
             reject = _decide(
                 np.concatenate([grid[:, a].T, grid[a]], axis=1), weights,

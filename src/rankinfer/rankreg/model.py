@@ -73,6 +73,13 @@ class RankRegressionModel:
                 f"column {self.group!r} is the group and may not also be the "
                 "response or a regressor"
             )
+        if any(name == self.response for name, _ in self.regressors):
+            # the column explains itself: the fit is exact and its standard
+            # errors are rounding noise
+            raise FormulaError(
+                f"column {self.response!r} is the response and may not also be "
+                "a regressor"
+            )
 
     @property
     def ranked_regressor(self) -> str | None:

@@ -6,6 +6,7 @@ code with the package.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -114,15 +115,46 @@ def exact_rank_bounds(counts, coverage, mode, method, tail=exact_binom_tail):
     return lower, upper
 
 
-def hoeffding_kept_pairs(counts, alpha, family, rtol):
-    """How many pairs of distinct counts a > b a Hoeffding screen leaves
-    to the tail kernel: those whose exponent (a - b)^2 / (2(a + b)) lies
-    below ln(2 family / alpha) raised by the relative margin rtol,
-    compared in rational arithmetic."""
-    cutoff = Fraction(math.log(2 * family / alpha)) * (1 + Fraction(rtol))
-    values = sorted({int(c) for c in counts})
-    return sum(Fraction((a - b) ** 2, 2 * (a + b)) < cutoff
-               for i, a in enumerate(values) for b in values[:i])
+def zubkov_serov_kept_pairs(counts, alpha, family, rtol):
+    """How many pairs of distinct counts a > b the bounds of Zubkov and
+    Serov leave to the tail kernel, in 50-digit mpmath. With s = a + b,
+    e(x) = 2x ln(2x/s) + 2(s - x) ln(2(s - x)/s) and Phi the normal
+    distribution function, P(Binomial(s, 1/2) >= a) lies between
+    Phi(-sqrt(e(a))) and, for a - 1 >= s/2, Phi(-sqrt(e(a - 1))). A pair
+    is kept unless its upper bound is at most alpha / (2 family) times
+    (1 - rtol) or its lower bound exceeds alpha (1 + rtol). Each bound
+    is compared through its exponent: Phi(-sqrt(e)) <= c exactly when
+    e >= z^2, Phi(-z) = c."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        def cutoff(c):
+            return 2 * mpmath.erfinv(1 - 2 * c) ** 2
+
+        @functools.cache
+        def xlogx(n):
+            return n * mpmath.log(n) if n else mpmath.mpf(0)
+
+        def e(x, s):
+            return 2 * (xlogx(x) + xlogx(s - x) - xlogx(s)) + 2 * s * mpmath.log(2)
+
+        alpha = mpmath.mpf(alpha)
+        rtol = mpmath.mpf(rtol)
+        rejected_from = cutoff(alpha / (2 * family) * (1 - rtol))
+        never_below = alpha * (1 + rtol)
+        # a lower bound is at most Phi(0) = 1/2
+        never_below = cutoff(never_below) if never_below < 0.5 else 0
+        values = sorted({int(c) for c in counts})
+        kept = 0
+        for i, a in enumerate(values):
+            for b in values[:i]:
+                s = a + b
+                if 2 * (a - 1) >= s and e(a - 1, s) >= rejected_from:
+                    continue
+                if e(a, s) < never_below:
+                    continue
+                kept += 1
+        return kept
 
 
 def naive_holm(pvals):

@@ -915,6 +915,16 @@ class TestRankReg:
         assert res.stderr == ("error: column 'W' is the group and may not also be the "
                               "response or a regressor\n")
 
+    @pytest.mark.parametrize("formula", ["r(Y) ~ r(Y)", "Y ~ Y"])
+    def test_response_as_regressor_rejected(self, invoke_cli, formula):
+        # once fitted, these gave standard errors of order 1e-16 and p = 0
+        stdin = "Y,X\n" + "".join(f"{i},{i % 4}\n" for i in (3, 1, 4, 1, 5, 9))
+        res = invoke_cli(["rank-reg", "--formula", formula], stdin=stdin)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: column 'Y' is the response and may not also be "
+                              "a regressor\n")
+
     def test_formula_column_not_in_data(self, invoke_cli):
         res = invoke_cli(
             ["rank-reg", "--formula", "r(Y) ~ r(Z)"], stdin=self.IDENT_CSV

@@ -24,9 +24,9 @@ from oracles import (
     exact_binom_tail,
     exact_binom_tails,
     exact_rank_bounds,
-    hoeffding_kept_pairs,
     naive_bonferroni,
     naive_holm,
+    zubkov_serov_kept_pairs,
 )
 
 
@@ -87,7 +87,7 @@ class TestPairwisePValue:
         assert table[1, 0] < 1e-300
         assert table[0, 1] > 0.5
         table = _table(5, 2**53 - 5, alpha=0.05)
-        assert table[1, 0] == 0.0  # screened: Hoeffding certifies it
+        assert table[1, 0] == 0.0  # screened: the upper bound certifies it
         assert table[0, 1] == 1.0  # pruned: its p-value exceeds 1/2
 
     def test_negative_counts_rejected(self):
@@ -155,6 +155,24 @@ def _pruned(data, alpha):
         return every
     values = np.unique(data.counts)
     return np.where(values[:, None] > values[None, :], every, 1.0)
+
+
+def _assert_screened(table, data, alpha, family):
+    """The screened cells of from_counts' table, as masks (zeros, ones):
+    every other cell holds the pruned grid's value, the float p-value of
+    a 0.0 cell is below alpha / (2 family), and that of a 1.0 cell with
+    x_k > x_l is above alpha (1 + 2e-12), past the 1e-12 settle band."""
+    pruned = _pruned(data, alpha)
+    if alpha >= 0.5:
+        assert np.array_equal(table, pruned)
+        return np.zeros_like(table, dtype=bool), np.zeros_like(table, dtype=bool)
+    values = np.unique(data.counts)
+    zeros = table == 0.0
+    ones = (table == 1.0) & (values[:, None] > values[None, :])
+    assert np.array_equal(np.where(zeros | ones, pruned, table), pruned)
+    assert np.all(pruned[zeros] < alpha / (2 * family))
+    assert np.all(pruned[ones] > alpha * (1 + 2e-12))
+    return zeros, ones
 
 
 class TestPValueTable:
@@ -596,7 +614,7 @@ class TestKnifeEdgesAtLargeTotals:
 def pruning_cases(draw):
     """p <= 6 counts with ties and zeros, at one of three scales: 0-60,
     0-1000, or near-equal counts up to 2**53 / 6, 2**28 apart at most,
-    whose Hoeffding exponents fall on both sides of every cutoff; a
+    whose screening exponents fall on both sides of every cutoff; a
     coverage on either side of 1/2 (knife edges of small dyadic p-values
     included), both modes and methods, and a random subset of indices."""
     p = draw(st.integers(2, 6))
@@ -660,14 +678,10 @@ class TestPrunedTable:
             assert got == ([lower[j] for j in picked], [upper[j] for j in picked])
 
         u = np.unique(data.counts).size
-        kept = hoeffding_kept_pairs(counts, alpha, family, multinomcs._SCREEN_RTOL)
+        kept = zubkov_serov_kept_pairs(counts, alpha, family, multinomcs._SCREEN_RTOL)
         assert kernel_cells == (kept if alpha < 0.5 else u * u)
-        pruned = _pruned(data, alpha)
-        screened = PairwisePValueTable.from_counts(data, alpha, family).values
-        zeros = screened == 0.0
-        assert np.array_equal(np.where(zeros, pruned, screened), pruned)
-        # a screened cell's float p-value is below alpha / (2 family)
-        assert np.all(pruned[zeros] < alpha / (2 * family))
+        _assert_screened(PairwisePValueTable.from_counts(data, alpha, family).values,
+                         data, alpha, family)
 
     # (family, alpha) of real sets: marginal families 2(p - 1) for p = 2,
     # 4, 10, 40, 150, 1000 and MAX_CATEGORIES, simultaneous ones p(p - 1)
@@ -678,39 +692,65 @@ class TestPrunedTable:
                for alpha in (0.5 - 2.0**-53, 0.4, 0.1, 0.05, 0.01, 0.001, 1e-6, 2.0**-53)]
 
     def test_screened_tails_certified_exactly(self):
-        # every pair with pair total s <= 2000 and x > s/2: for each s the
-        # screened x form a tail x >= x0, and the exact tail is falling in
-        # x, so P(Bin(s, 1/2) >= x0) <= alpha / (2m) certifies them all
+        # every pair with pair total s <= 2000 and x > s/2, against the
+        # cutoffs of from_counts' screen. For each s the certainly
+        # rejected x form a run x >= x0 and the never rejected x a run
+        # x < x1, and the exact tail falls in x, so the tails at x0 and
+        # x1 - 1 certify them all: past alpha / (2m) and alpha by the
+        # 0.99e-9 that the screen's rounding analysis leaves
         totals = np.arange(1, 2001)
         x = np.concatenate([np.arange(t // 2 + 1, t + 1) for t in totals])
         s = np.repeat(totals, totals - totals // 2)
+        d = (2 * x - s).astype(np.float64)
+        upper = multinomcs._exponent(np.maximum(d - 2.0, 0.0), s.astype(np.float64))
+        lower = multinomcs._exponent(d, s.astype(np.float64))
         starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        first = {}
+        same = s[1:] == s[:-1]
+        margin = Fraction(99, 10**11)
+        edges = {}
         for m, alpha in self.CUTOFFS:
-            screened = multinomcs._screened(x, s - x, m, alpha)
-            assert not np.any(screened[:-1] & ~screened[1:] & (s[1:] == s[:-1])), (m, alpha)
-            kept = np.add.reduceat(~screened, starts)
-            for total, x0 in zip(totals, x[starts] + kept):
-                if x0 <= total:
-                    first.setdefault(int(total), []).append((int(x0), m, alpha))
-        # every cutoff screens some pairs
-        assert len(first[2000]) == len(self.CUTOFFS)
-        for total, cases in first.items():
-            tails = exact_binom_tails(total, [x0 for x0, _, _ in cases])
-            for x0, m, alpha in cases:
-                assert tails[x0] * 2 * m <= Fraction(alpha), (x0, total, m, alpha)
+            rejected_from, doubted_from = multinomcs._cutoffs(alpha, m)
+            rejected = upper >= rejected_from
+            never = lower < doubted_from
+            assert not np.any(rejected[:-1] & ~rejected[1:] & same), (m, alpha)
+            assert not np.any(~never[:-1] & never[1:] & same), (m, alpha)
+            x0 = x[starts] + np.add.reduceat(~rejected, starts)
+            x1 = x[starts] + np.add.reduceat(never, starts)
+            for total, first, after in zip(totals.tolist(), x0.tolist(), x1.tolist()):
+                if first <= total:
+                    edges.setdefault(total, []).append((first, "rejected", m, alpha))
+                if after > total // 2 + 1:
+                    edges.setdefault(total, []).append((after - 1, "never", m, alpha))
+        # every cutoff rejects some pairs, and every one but alpha just
+        # below 1/2 never rejects some
+        kinds = [(kind, m, alpha) for _, kind, m, alpha in edges[2000]]
+        assert sum(kind == "rejected" for kind, _, _ in kinds) == len(self.CUTOFFS)
+        assert {(m, alpha) for kind, m, alpha in kinds if kind == "never"} == {
+            (m, alpha) for m, alpha in self.CUTOFFS if alpha < 0.5 - 2.0**-53}
+        for total, cases in edges.items():
+            tails = exact_binom_tails(total, [edge for edge, _, _, _ in cases])
+            for edge, kind, m, alpha in cases:
+                if kind == "rejected":
+                    assert tails[edge] * 2 * m <= Fraction(alpha) * (1 - margin), (edge, total)
+                else:
+                    assert tails[edge] > Fraction(alpha) * (1 + margin), (edge, total, alpha)
 
     def test_blocks_cover_the_triangle(self, monkeypatch):
         # blocks of one row, and of more rows than the grid has; every
-        # cell of the strict lower triangle is screened to 0 or computed
+        # cell of the strict lower triangle is screened to 0 or 1, or
+        # computed. The marginal families are decided in one block per
+        # family (1 and 7 cells), four blocks (40) or one: the same bounds
         counts = MultinomialCounts(np.array([0, 3, 3, 9, 14, 2, 40, 41, 7]))
-        pruned = _pruned(counts, 0.05)
-        for cells in (1, 7, 1 << 16):
+        sets = {}
+        for cells in (1, 7, 40, 1 << 16):
             monkeypatch.setattr(multinomcs, "_BLOCK_CELLS", cells)
             table = PairwisePValueTable.from_counts(counts, 0.05, 16).values
-            zeros = table == 0.0
-            assert 0 < zeros.sum() < 28
-            assert np.array_equal(np.where(zeros, pruned, table), pruned)
+            zeros, ones = _assert_screened(table, counts, 0.05, 16)
+            assert 0 < zeros.sum() and 0 < ones.sum() and zeros.sum() + ones.sum() < 28
+            for method in ("holm", "bonferroni"):
+                cs = cs_ranks_multinomial(counts, 0.95, method=method)
+                sets.setdefault(method, set()).add((tuple(cs.lower), tuple(cs.upper)))
+        assert all(len(bounds) == 1 for bounds in sets.values())
 
     @given(
         pool=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4),

@@ -286,6 +286,15 @@ def test_group_column_in_formula_rejected(formula):
         RankRegressionModel.from_formula(formula)
 
 
+@pytest.mark.parametrize("formula", ["r(Y) ~ r(Y)", "Y ~ Y", "r(Y) ~ Y", "Y ~ r(Y)",
+                                     "r(Y) ~ r(X) + Y", "r(Y) ~ (X + r(Y)):G"])
+def test_response_as_regressor_rejected(formula):
+    # the response explains itself exactly, ranked or not: the model is
+    # refused up front, not fitted to standard errors of rounding size
+    with pytest.raises(FormulaError, match="column 'Y' is the response"):
+        RankRegressionModel.from_formula(formula)
+
+
 def test_summarize_table():
     rng = np.random.default_rng(5)
     n = 120
