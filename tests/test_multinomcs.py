@@ -735,6 +735,38 @@ class TestPrunedTable:
                 else:
                     assert tails[edge] > Fraction(alpha) * (1 + margin), (edge, total, alpha)
 
+    @pytest.mark.parametrize("x, s", [(700, 1200), (5, 5), (10_100, 20_000)])
+    def test_margin_places_the_cutoffs(self, x, s):
+        # alpha set so that one bound of the pair (x, s - x) lies half the
+        # margin, or twice it, inside its cutoff, from the bounds in
+        # 50-digit mpmath: only the second is screened, so the margin has
+        # the size r = 1e-9 that from_counts' rounding analysis counts on,
+        # and its sign, on both sides
+        import mpmath
+
+        r = 1e-9
+        data = MultinomialCounts(np.array([x, s - x]))
+        m = 2
+        with mpmath.workdps(50):
+            def bound(y):
+                e = 2 * y * mpmath.log(mpmath.mpf(2 * y) / s)
+                if y < s:
+                    e += 2 * (s - y) * mpmath.log(mpmath.mpf(2 * (s - y)) / s)
+                return mpmath.ncdf(-mpmath.sqrt(e))
+
+            upper, lower = bound(x - 1), bound(x)
+            for k, screened in ((0.5, False), (2.0, True)):
+                # upper bound at c (1 - k r), c = alpha / (2m): rejected
+                # once k > 1
+                alpha = float(2 * m * upper / (1 - k * r))
+                assert alpha < 0.5
+                cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
+                assert (cell == 0.0) == screened, (k, cell)
+                # lower bound at alpha (1 + k r): never rejected once k > 1
+                alpha = float(lower / (1 + k * r))
+                cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
+                assert (cell == 1.0) == screened, (k, cell)
+
     def test_blocks_cover_the_triangle(self, monkeypatch):
         # blocks of one row, and of more rows than the grid has; every
         # cell of the strict lower triangle is screened to 0 or 1, or
