@@ -10,6 +10,7 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -115,28 +116,39 @@ def exact_rank_bounds(counts, coverage, mode, method, tail=exact_binom_tail):
     return lower, upper
 
 
+@functools.cache
+def _xlogx(n):
+    with mpmath.workdps(50):
+        return n * mpmath.log(n) if n else mpmath.mpf(0)
+
+
+def zubkov_serov_exponent(x, s):
+    """e(x) = 2x ln(2x/s) + 2(s - x) ln(2(s - x)/s), 0 <= x <= s, in
+    50-digit mpmath."""
+    with mpmath.workdps(50):
+        return 2 * (_xlogx(x) + _xlogx(s - x) - _xlogx(s)) + 2 * s * mpmath.log(2)
+
+
+def zubkov_serov_bounds(a, s):
+    """The bounds of Zubkov and Serov on P(Binomial(s, 1/2) >= a), for
+    a - 1 >= s/2, in 50-digit mpmath: (upper, lower) = (Phi(-sqrt(e(a -
+    1))), Phi(-sqrt(e(a)))), Phi the normal distribution function."""
+    with mpmath.workdps(50):
+        return tuple(mpmath.ncdf(-mpmath.sqrt(zubkov_serov_exponent(x, s)))
+                     for x in (a - 1, a))
+
+
 def zubkov_serov_kept_pairs(counts, alpha, family, rtol):
     """How many pairs of distinct counts a > b the bounds of Zubkov and
-    Serov leave to the tail kernel, in 50-digit mpmath. With s = a + b,
-    e(x) = 2x ln(2x/s) + 2(s - x) ln(2(s - x)/s) and Phi the normal
-    distribution function, P(Binomial(s, 1/2) >= a) lies between
-    Phi(-sqrt(e(a))) and, for a - 1 >= s/2, Phi(-sqrt(e(a - 1))). A pair
-    is kept unless its upper bound is at most alpha / (2 family) times
-    (1 - rtol) or its lower bound exceeds alpha (1 + rtol). Each bound
-    is compared through its exponent: Phi(-sqrt(e)) <= c exactly when
-    e >= z^2, Phi(-z) = c."""
-    import mpmath
-
+    Serov (`zubkov_serov_bounds`, s = a + b; the upper one holds only
+    for a - 1 >= s/2) leave to the tail kernel. A pair is kept unless
+    its upper bound is at most alpha / (2 family) times (1 - rtol) or
+    its lower bound exceeds alpha (1 + rtol). Each bound is compared
+    through its exponent: Phi(-sqrt(e)) <= c exactly when e >= z^2,
+    Phi(-z) = c."""
     with mpmath.workdps(50):
         def cutoff(c):
             return 2 * mpmath.erfinv(1 - 2 * c) ** 2
-
-        @functools.cache
-        def xlogx(n):
-            return n * mpmath.log(n) if n else mpmath.mpf(0)
-
-        def e(x, s):
-            return 2 * (xlogx(x) + xlogx(s - x) - xlogx(s)) + 2 * s * mpmath.log(2)
 
         alpha = mpmath.mpf(alpha)
         rtol = mpmath.mpf(rtol)
@@ -149,9 +161,9 @@ def zubkov_serov_kept_pairs(counts, alpha, family, rtol):
         for i, a in enumerate(values):
             for b in values[:i]:
                 s = a + b
-                if 2 * (a - 1) >= s and e(a - 1, s) >= rejected_from:
+                if 2 * (a - 1) >= s and zubkov_serov_exponent(a - 1, s) >= rejected_from:
                     continue
-                if e(a, s) < never_below:
+                if zubkov_serov_exponent(a, s) < never_below:
                     continue
                 kept += 1
         return kept

@@ -26,6 +26,7 @@ from oracles import (
     exact_rank_bounds,
     naive_bonferroni,
     naive_holm,
+    zubkov_serov_bounds,
     zubkov_serov_kept_pairs,
 )
 
@@ -742,30 +743,21 @@ class TestPrunedTable:
         # 50-digit mpmath: only the second is screened, so the margin has
         # the size r = 1e-9 that from_counts' rounding analysis counts on,
         # and its sign, on both sides
-        import mpmath
-
         r = 1e-9
         data = MultinomialCounts(np.array([x, s - x]))
         m = 2
-        with mpmath.workdps(50):
-            def bound(y):
-                e = 2 * y * mpmath.log(mpmath.mpf(2 * y) / s)
-                if y < s:
-                    e += 2 * (s - y) * mpmath.log(mpmath.mpf(2 * (s - y)) / s)
-                return mpmath.ncdf(-mpmath.sqrt(e))
-
-            upper, lower = bound(x - 1), bound(x)
-            for k, screened in ((0.5, False), (2.0, True)):
-                # upper bound at c (1 - k r), c = alpha / (2m): rejected
-                # once k > 1
-                alpha = float(2 * m * upper / (1 - k * r))
-                assert alpha < 0.5
-                cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
-                assert (cell == 0.0) == screened, (k, cell)
-                # lower bound at alpha (1 + k r): never rejected once k > 1
-                alpha = float(lower / (1 + k * r))
-                cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
-                assert (cell == 1.0) == screened, (k, cell)
+        upper, lower = zubkov_serov_bounds(x, s)
+        for k, screened in ((0.5, False), (2.0, True)):
+            # upper bound at c (1 - k r), c = alpha / (2m): rejected once
+            # k > 1
+            alpha = float(2 * m * upper / (1 - k * r))
+            assert alpha < 0.5
+            cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
+            assert (cell == 0.0) == screened, (k, cell)
+            # lower bound at alpha (1 + k r): never rejected once k > 1
+            alpha = float(lower / (1 + k * r))
+            cell = PairwisePValueTable.from_counts(data, alpha, m).values[1, 0]
+            assert (cell == 1.0) == screened, (k, cell)
 
     def test_blocks_cover_the_triangle(self, monkeypatch):
         # blocks of one row, and of more rows than the grid has; every

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import warnings
 
@@ -378,8 +377,6 @@ class TestBinomTailNear2To53:
         assert np.all((table >= 0.0) & (table <= 1.0))
         assert table[0, 1] + table[1, 0] > 1.0  # they overlap in P(X = x)
 
-    @pytest.mark.skipif(importlib.util.find_spec("mpmath") is None,
-                        reason="the 40-digit reference needs mpmath")
     @given(st.integers(2**52, 2**53), st.integers(-10**6, 10**6))
     @settings(deadline=None, max_examples=150)
     def test_matches_normal_reference(self, s, offset):
