@@ -299,20 +299,25 @@ def _write_slices(stream, text: str) -> None:
 
 def write_text(path: str | None, text: str) -> None:
     """Write to stdout, or atomically to a file (temp + rename), in
-    bounded slices."""
+    bounded slices. A file that cannot be written, such as a directory
+    or a path in a missing directory, is an InputError and leaves no
+    temp file."""
     if path is None or path == "-":
         _write_slices(sys.stdout, text)
         return
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rankinfer-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            _write_slices(handle, text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rankinfer-", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                _write_slices(handle, text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -5,11 +5,11 @@ Exit codes: 0 success, 2 input/parse error, 3 statistical-domain error,
 """
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
 
-import click
 import numpy as np
 
 from .. import __version__
@@ -31,51 +31,126 @@ from .io import parse_table, read_bytes, read_covariance, write_text
 _SEED_MAX = 2**64 - 1
 
 
-def _common_io(fn):
-    fn = click.option(
-        "--input",
-        "-i",
-        "input_path",
-        default="-",
-        show_default=True,
-        help="Input CSV path, or - for stdin.",
-    )(fn)
-    fn = click.option(
-        "--output",
-        "-o",
-        "output_path",
-        default=None,
-        help="Write result here (atomic temp+rename) instead of stdout.",
-    )(fn)
-    fn = click.option(
-        "--format",
-        "out_format",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="JSON envelope or bare CSV table.",
-    )(fn)
-    return fn
+class _Checked(argparse.Action):
+    """Stores a flag's value as `convert` reads it from the flag's text; a
+    ValueError from `convert` is a usage error that names the flag."""
+
+    def __init__(self, option_strings, dest, convert, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.convert = convert
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            value = self.convert(text)
+        except ValueError as exc:
+            parser.error(f"Invalid value for '{option_string}': {exc}")
+        setattr(namespace, self.dest, value)
 
 
-class _UnitRange(click.FloatRange):
-    """A FloatRange that also refuses NaN, which fails neither of its
-    bound comparisons."""
+def _float_range(low: float, high: float, *, open_interval: bool = False):
+    """A reader of floats in [low, high], or in (low, high) when
+    `open_interval`. NaN, which fails neither bound comparison, is
+    refused too."""
+    op = "<" if open_interval else "<="
 
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if math.isnan(number):
-            self.fail(f"{value!r} is not a number.", param, ctx)
-        return number
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid float.") from None
+        if math.isnan(value):
+            raise ValueError(f"{text!r} is not a number.")
+        if not (low < value < high if open_interval else low <= value <= high):
+            raise ValueError(f"{value} is not in the range {low}{op}x{op}{high}.")
+        return value
+
+    return convert
 
 
-def _coverage_option(fn):
-    return click.option(
-        "--coverage",
-        type=_UnitRange(0.0, 1.0, min_open=True, max_open=True),
-        default=0.95,
-        show_default=True,
-    )(fn)
+def _int_range(low: int, high: int | None = None):
+    """A reader of integers from `low` up to `high`, or unbounded above."""
+    shown = f"x>={low}" if high is None else f"{low}<=x<={high}"
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid integer.") from None
+        if value < low or (high is not None and value > high):
+            raise ValueError(f"{value} is not in the range {shown}.")
+        return value
+
+    return convert
+
+
+def _flag(*names, **options):
+    """The arguments of one `add_argument` call on a command's parser."""
+    return names, options
+
+
+_IO_FLAGS = (
+    _flag("-i", "--input", dest="input_path", metavar="PATH", default="-",
+          help="Input CSV path, or - for stdin (default: %(default)s)."),
+    _flag("-o", "--output", dest="output_path", metavar="PATH",
+          help="Write result here (atomic temp+rename) instead of stdout."),
+    _flag("--format", dest="out_format", choices=("json", "csv"), default="json",
+          help="JSON envelope or bare CSV table (default: %(default)s)."),
+)
+_COVERAGE = _flag("--coverage", action=_Checked, default=0.95,
+                  convert=_float_range(0.0, 1.0, open_interval=True),
+                  help="Confidence level, strictly between 0 and 1 (default: %(default)s).")
+
+
+def _omega(default: float, text: str):
+    return _flag("--omega", action=_Checked, convert=_float_range(0.0, 1.0), default=default,
+                 help=f"{text} (default: %(default)s).")
+
+
+class _Command:
+    """A subcommand: `callback` takes its parsed flags as keyword arguments."""
+
+    def __init__(self, callback):
+        self.callback = callback
+
+
+class _Cli:
+    """The `rankinfer` parser, built once at import, and its commands by
+    name."""
+
+    def __init__(self, description: str):
+        self.parser = argparse.ArgumentParser(prog="rankinfer", description=description,
+                                              allow_abbrev=False)
+        self.parser.add_argument("--version", action="version",
+                                 version=f"rankinfer, version {__version__}")
+        self._subparsers = self.parser.add_subparsers(dest="command", metavar="COMMAND",
+                                                      required=True)
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, name: str, *flags, doc: str | None = None):
+        """Register the decorated function as the command `name`, taking
+        `flags` (made by `_flag`); its help is `doc` or its docstring."""
+
+        def register(callback):
+            text = doc or callback.__doc__
+            # allow_abbrev=False: `--cover 0.9` is refused, not read as --coverage
+            parser = self._subparsers.add_parser(name, help=text, description=text,
+                                                 allow_abbrev=False)
+            for names, options in flags:
+                parser.add_argument(*names, **options)
+            self.commands[name] = _Command(callback)
+            return callback
+
+        return register
+
+    def run(self, argv) -> None:
+        """Parse `argv` (sys.argv[1:] when None) and call its command.
+        argparse raises SystemExit: 0 after --help or --version, 2 with
+        its message on stderr for a usage error."""
+        flags = vars(self.parser.parse_args(argv))
+        self.commands[flags.pop("command")].callback(**flags)
+
+
+cli = _Cli("Confidence sets for ranks and regressions on ranked variables.")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -96,14 +171,14 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
         try:
             k = int(part)
         except ValueError:
-            raise click.UsageError(f"--indices must be integers, got {part!r}")
+            raise InputError(f"--indices must be integers, got {part!r}")
         if not 1 <= k <= p:
-            raise click.UsageError(f"--indices entry {k} outside 1..{p}")
+            raise InputError(f"--indices entry {k} outside 1..{p}")
         if k - 1 in out:
-            raise click.UsageError(f"--indices entry {k} is repeated")
+            raise InputError(f"--indices entry {k} is repeated")
         out.append(k - 1)
     if not out:
-        raise click.UsageError("--indices is empty")
+        raise InputError("--indices is empty")
     return tuple(out)
 
 
@@ -190,34 +265,20 @@ def _integer_counts(table, column: str) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-@click.group(name="rankinfer")
-@click.version_option(__version__, prog_name="rankinfer")
-def cli():
-    """Confidence sets for ranks and regressions on ranked variables."""
-
-
-@cli.command("ranks")
-@_common_io
-@click.option("--column", required=True, help="Numeric column to rank.")
-@click.option(
-    "--omega",
-    type=_UnitRange(0.0, 1.0),
-    default=0.0,
-    show_default=True,
-    help="Tie handling: 0 counts strict predecessors only, 1 counts ties too.",
+@cli.command(
+    "ranks",
+    *_IO_FLAGS,
+    _flag("--column", required=True,
+          help="Numeric column to rank; write --column=-x for a name that starts with -."),
+    _omega(0.0, "Tie handling: 0 counts strict predecessors only, 1 counts ties too"),
+    _flag("--increasing", dest="increasing", action="store_true", default=False,
+          help="Rank the smallest value 1."),
+    _flag("--decreasing", dest="increasing", action="store_false", default=False,
+          help="Rank the largest value 1 (the default)."),
+    _flag("--against",
+          help="Rank --column within this reference column instead of within itself."),
+    _flag("--label", dest="label_col", metavar="COLUMN", help="Column with row names."),
 )
-@click.option(
-    "--increasing/--decreasing",
-    "increasing",
-    default=False,
-    help="Rank direction; default ranks the largest value 1.",
-)
-@click.option(
-    "--against",
-    default=None,
-    help="Rank --column within this reference column instead of within itself.",
-)
-@click.option("--label", "label_col", default=None, help="Column with row names.")
 def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, against, label_col):
     """Integer and fractional ranks of one column."""
     raw = read_bytes(input_path)
@@ -274,7 +335,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
 def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
     """Shared loader for the Gaussian commands; returns (est, digest, labels)."""
     if (se_col is None) == (cov_path is None):
-        raise click.UsageError("provide exactly one of --se or --cov")
+        raise InputError("provide exactly one of --se or --cov")
     raw = read_bytes(input_path)
     table = parse_table(raw)
     theta = table.numeric(estimates_col)
@@ -304,34 +365,31 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
     return est, digest, labels
 
 
-def _gaussian_options(fn):
-    fn = click.option("--estimates", "estimates_col", required=True, help="Point-estimate column.")(fn)
-    fn = click.option("--se", "se_col", default=None, help="Standard-error column (diagonal covariance).")(fn)
-    fn = click.option("--cov", "cov_path", default=None, help="CSV file with the full covariance matrix.")(fn)
-    fn = click.option(
-        "--draws",
-        type=click.IntRange(min=100),
-        default=1000,
-        show_default=True,
-        help="Parametric bootstrap draws.",
-    )(fn)
-    fn = click.option(
-        "--seed",
-        type=click.IntRange(0, _SEED_MAX),
-        default=None,
-        help="RNG seed; omitted, one is drawn from OS entropy and recorded.",
-    )(fn)
-    fn = click.option("--label", "label_col", default=None, help="Column with population names.")(fn)
-    return fn
+_GAUSSIAN_FLAGS = (
+    *_IO_FLAGS,
+    _flag("--estimates", dest="estimates_col", metavar="COLUMN", required=True,
+          help="Point-estimate column."),
+    _flag("--se", dest="se_col", metavar="COLUMN",
+          help="Standard-error column (diagonal covariance)."),
+    _flag("--cov", dest="cov_path", metavar="PATH",
+          help="CSV file with the full covariance matrix."),
+    _flag("--draws", action=_Checked, convert=_int_range(100), default=1000,
+          help="Parametric bootstrap draws, at least 100 (default: %(default)s)."),
+    _flag("--seed", action=_Checked, convert=_int_range(0, _SEED_MAX),
+          help="RNG seed below 2**64; omitted, one is drawn from OS entropy and recorded."),
+    _flag("--label", dest="label_col", metavar="COLUMN", help="Column with population names."),
+    _COVERAGE,
+)
 
 
-@cli.command("cs-ranks")
-@_common_io
-@_gaussian_options
-@_coverage_option
-@click.option("--simul", is_flag=True, help="Simultaneous over all populations instead of marginal.")
-@click.option("--indices", default=None, help="Comma-separated 1-based populations to report.")
-@click.option("--svg", "svg_path", default=None, help="Also write an SVG interval chart here.")
+@cli.command(
+    "cs-ranks",
+    *_GAUSSIAN_FLAGS,
+    _flag("--simul", action="store_true",
+          help="Simultaneous over all populations instead of marginal."),
+    _flag("--indices", help="Comma-separated 1-based populations to report."),
+    _flag("--svg", dest="svg_path", metavar="PATH", help="Also write an SVG interval chart here."),
+)
 def cmd_csranks(
     input_path,
     output_path,
@@ -372,11 +430,13 @@ def cmd_csranks(
 
 
 def _tau_command(name, chooser, doc):
-    @cli.command(name, help=doc)
-    @_common_io
-    @_gaussian_options
-    @_coverage_option
-    @click.option("--tau", type=click.IntRange(min=1), required=True)
+    @cli.command(
+        name,
+        *_GAUSSIAN_FLAGS,
+        _flag("--tau", action=_Checked, convert=_int_range(1), required=True,
+              help="Size of the top or bottom group, at least 1."),
+        doc=doc,
+    )
     def _cmd(
         input_path,
         output_path,
@@ -394,7 +454,7 @@ def _tau_command(name, chooser, doc):
             input_path, estimates_col, se_col, cov_path, label_col
         )
         if tau > est.p:
-            raise click.UsageError(f"--tau {tau} exceeds the {est.p} populations")
+            raise InputError(f"--tau {tau} exceeds the {est.p} populations")
         used_seed = _resolve_seed(seed)
         cfg = BootstrapConfig(draws=draws, coverage=coverage, seed=used_seed)
         result = chooser(est, cfg, tau)
@@ -429,20 +489,18 @@ _tau_command(
 )
 
 
-@cli.command("cs-multinom")
-@_common_io
-@_coverage_option
-@click.option("--column", default=None, help="Count column; defaults to the only column.")
-@click.option("--simul", is_flag=True, help="Simultaneous over all categories instead of marginal.")
-@click.option(
-    "--multcorr",
-    type=click.Choice(["holm", "bonferroni"]),
-    default="holm",
-    show_default=True,
-    help="Multiple-testing correction.",
+@cli.command(
+    "cs-multinom",
+    *_IO_FLAGS,
+    _COVERAGE,
+    _flag("--column", help="Count column; defaults to the only column."),
+    _flag("--simul", action="store_true",
+          help="Simultaneous over all categories instead of marginal."),
+    _flag("--multcorr", choices=("holm", "bonferroni"), default="holm",
+          help="Multiple-testing correction (default: %(default)s)."),
+    _flag("--indices", help="Comma-separated 1-based categories to report."),
+    _flag("--label", dest="label_col", metavar="COLUMN", help="Column with category names."),
 )
-@click.option("--indices", default=None, help="Comma-separated 1-based categories to report.")
-@click.option("--label", "label_col", default=None, help="Column with category names.")
 def cmd_csranks_multinom(
     input_path,
     output_path,
@@ -460,9 +518,7 @@ def cmd_csranks_multinom(
     if column is None:
         numeric_names = [n for n in table.names if n != label_col]
         if len(numeric_names) != 1:
-            raise click.UsageError(
-                "--column is required when the input has several columns"
-            )
+            raise InputError("--column is required when the input has several columns")
         column = numeric_names[0]
     counts = _integer_counts(table, column)
     if counts.size == 0:
@@ -489,21 +545,14 @@ def cmd_csranks_multinom(
     _emit(envelope, out_format, output_path, _interval_table(results))
 
 
-@cli.command("rank-reg")
-@_common_io
-@click.option(
-    "--formula",
-    required=True,
-    help='Model formula, e.g. "r(Y) ~ r(X) + W" or "r(Y) ~ (r(X) + W):G".',
+@cli.command(
+    "rank-reg",
+    *_IO_FLAGS,
+    _flag("--formula", required=True,
+          help='Model formula, e.g. "r(Y) ~ r(X) + W" or "r(Y) ~ (r(X) + W):G".'),
+    _omega(1.0, "Tie handling for the rank transforms"),
+    _COVERAGE,
 )
-@click.option(
-    "--omega",
-    type=_UnitRange(0.0, 1.0),
-    default=1.0,
-    show_default=True,
-    help="Tie handling for the rank transforms.",
-)
-@_coverage_option
 def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
     """Regression on ranked variables with corrected standard errors."""
     digest, fit_result = _fit_input(input_path, formula, omega)
@@ -562,14 +611,17 @@ def _records(columns: dict, keys: list[str]) -> list[dict]:
 def main(argv=None) -> int:
     """Run the CLI, mapping exceptions onto the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
+        cli.run(argv)
+    except SystemExit as exc:  # from argparse: --help, --version or a usage error
+        return exc.code
+    except KeyboardInterrupt:
         return 130
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
-        return 2
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: exit 1 quietly, with
+        # what is still buffered sent to devnull, or the flush at exit
+        # fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

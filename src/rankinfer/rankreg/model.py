@@ -18,6 +18,7 @@ from scipy.special import erfc, ndtri
 
 from ..errors import (
     DegenerateCovariance,
+    DomainError,
     EmptyGroup,
     FormulaError,
     InputError,
@@ -389,5 +390,8 @@ def confint(summary: CoefficientSummary, level: float = 0.95) -> FloatArray:
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     zq = float(ndtri((1.0 + level) / 2.0))
+    if math.isinf(zq):
+        # (1 + level) / 2 rounds to 1 at the largest double below 1
+        raise DomainError(f"coverage {level!r} is too close to 1 for finite interval bounds")
     est, se = summary.estimates, summary.std_errors
     return np.column_stack([est - zq * se, est + zq * se])

@@ -12,11 +12,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import rankinfer
 import rankinfer.multinomcs as multinomcs_mod
 import rankinfer.rankcs as rankcs_mod
 import rankinfer.rankreg.variance as variance_mod
 from oracles import naive_rank
 from rankinfer.cli.envelope import OutputEnvelope, RunColumn, input_digest, render_csv
+from rankinfer.numerics import SeededRng
+from rankinfer.rankcs import BootstrapConfig
+from rankinfer.ranking import TieRule
 from rankinfer.rankreg.model import RankRegressionModel, fit, summarize
 
 COUNTRY_CSV = (
@@ -350,6 +354,22 @@ class TestCsvErrors:
         assert res.code == 2
         assert "cannot read" in res.stderr
 
+    @pytest.mark.parametrize("flag", ["-o", "--svg"])
+    @pytest.mark.parametrize("target,reason", [
+        ("sub", "Is a directory"),
+        ("missing/out", "No such file or directory"),
+    ])
+    def test_unwritable_output(self, invoke_cli, tmp_path, flag, target, reason):
+        (tmp_path / "sub").mkdir()
+        path = str(tmp_path / target)
+        res = invoke_cli(["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1",
+                          flag, path], stdin=ESTIMATES_CSV)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: cannot write {path}: {reason}\n"
+        # no temp file is left beside the target
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub"]
+
     def test_unknown_format_flag(self, invoke_cli):
         res = invoke_cli(
             ["ranks", "--column", "a", "--format", "xml"], stdin="a\n1\n2\n"
@@ -678,7 +698,8 @@ class TestUpFrontBounds:
 
 class TestNaNFlags:
     """NaN passes both bound comparisons of a float range, so every
-    bounded float flag refuses it itself: a bad flag exits 2."""
+    bounded float flag refuses it itself: a bad flag exits 2. The same
+    holds for every bounded or choice flag at and past its bounds."""
 
     ESTIMATES = ["--estimates", "e", "--se", "se", "--seed", "1"]
     CASES = [
@@ -703,6 +724,62 @@ class TestNaNFlags:
         assert res.stdout == ""
         assert f"Invalid value for '{flag}'" in res.stderr
         assert invoke_cli([*command, flag, "0.5"], stdin=stdin).code == 0
+
+    COMMANDS = {
+        "ranks": (["ranks", "--column", "x"], "x\n1\n2\n"),
+        "rank-reg": (["rank-reg", "--formula", "r(y) ~ r(x)"], "y,x\n1,2\n2,1\n3,3\n"),
+        "cs-ranks": (["cs-ranks", *ESTIMATES], "e,se\n1,1\n2,1\n"),
+        "cs-taubest": (["cs-taubest", "--tau", "1", *ESTIMATES], "e,se\n1,1\n2,1\n"),
+        "cs-tauworst": (["cs-tauworst", "--tau", "1", *ESTIMATES], "e,se\n1,1\n2,1\n"),
+        "cs-multinom": (["cs-multinom"], "count\n3\n1\n"),
+    }
+    GAUSSIAN = ("cs-ranks", "cs-taubest", "cs-tauworst")
+    # flag: (the commands that take it, values at or inside its bounds,
+    # values at or just past them); every flag also refuses nan, inf, abc
+    BOUNDS = {
+        "--coverage": (("rank-reg", "cs-multinom", *GAUSSIAN),
+                       ["5e-324", "0.9999999999999999"],
+                       ["0", "1", "-5e-324", "1.0000000000000002"]),
+        "--omega": (("ranks", "rank-reg"), ["0", "1"], ["-5e-324", "1.0000000000000002"]),
+        "--draws": (GAUSSIAN, ["100"], ["99"]),
+        "--seed": (GAUSSIAN, ["0", str(2**64 - 1)], ["-1", str(2**64)]),
+        "--tau": (("cs-taubest", "cs-tauworst"), ["1"], ["0"]),
+        "--format": (tuple(COMMANDS), ["json", "csv"], ["JSON", "xml"]),
+        "--multcorr": (("cs-multinom",), ["holm", "bonferroni"], ["Holm", "sidak"]),
+    }
+    # the validators the library applies to the same values
+    LIBRARY = {
+        "--coverage": lambda text: BootstrapConfig(coverage=float(text)),
+        "--draws": lambda text: BootstrapConfig(draws=int(text)),
+        "--seed": lambda text: SeededRng(int(text)),
+        "--omega": lambda text: TieRule(float(text), "increasing"),
+    }
+    BATTERY = [(command, flag, value, value in accepted)
+               for flag, (commands, accepted, refused) in BOUNDS.items()
+               for command in commands
+               for value in [*accepted, *refused, "nan", "inf", "abc"]]
+
+    @pytest.mark.parametrize("command,flag,value,accepted", BATTERY, ids=[
+        f"{command}-{flag.lstrip('-')}={value}" for command, flag, value, _ in BATTERY])
+    def test_bounds(self, invoke_cli, command, flag, value, accepted):
+        args, stdin = self.COMMANDS[command]
+        # the = form hands a value that starts with - to the flag
+        res = invoke_cli([*args, f"{flag}={value}"], stdin=stdin)
+        if accepted:
+            # a domain error at most, such as a coverage too low for the
+            # counts; never a usage or an internal error
+            assert res.code in (0, 3), res.stderr
+        else:
+            assert res.code == 2, res.stderr
+            assert res.stdout == ""
+            assert flag in res.stderr
+        if flag in self.LIBRARY:
+            try:
+                self.LIBRARY[flag](value)
+            except ValueError:
+                assert not accepted
+            else:
+                assert accepted
 
 
 class TestTauCommands:
@@ -1073,7 +1150,47 @@ class TestMisc:
     def test_version_flag(self, invoke_cli):
         res = invoke_cli(["--version"])
         assert res.code == 0
-        assert "rankinfer" in res.stdout
+        assert res.stdout == f"rankinfer, version {rankinfer.__version__}\n"
+
+    @pytest.mark.parametrize("command", [[], *([name] for name in TestNaNFlags.COMMANDS)])
+    def test_help(self, invoke_cli, command):
+        res = invoke_cli([*command, "--help"])
+        assert res.code == 0
+        assert res.stdout.startswith(" ".join(["usage: rankinfer", *command]))
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("command,wrong,right", [
+        ("cs-multinom", ["--cover", "0.9"], ["--coverage", "0.9"]),
+        ("cs-ranks", ["--simu"], ["--simul"]),
+        ("ranks", ["--nope"], []),
+    ])
+    def test_unknown_or_abbreviated_flag_exits_2(self, invoke_cli, command, wrong, right):
+        args, stdin = TestNaNFlags.COMMANDS[command]
+        res = invoke_cli([*args, *wrong], stdin=stdin)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert wrong[0] in res.stderr
+        assert invoke_cli([*args, *right], stdin=stdin).code == 0
+
+    def test_value_starting_with_dash(self, invoke_cli):
+        stdin = "-x\n3\n1\n2\n"
+        res = invoke_cli(["ranks", "--column=-x"], stdin=stdin)
+        assert res.code == 0, res.stderr
+        assert parse_envelope(res.stdout)["results"]["irank"] == [1.0, 3.0, 2.0]
+        # without =, -x reads as a flag and --column lacks its value
+        res = invoke_cli(["ranks", "--column", "-x"], stdin=stdin)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert "--column" in res.stderr
+
+    def test_interrupt_exits_130(self, invoke_cli, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rankinfer.cli.main.read_bytes", interrupted)
+        res = invoke_cli(["ranks", "--column", "x"], stdin="x\n1\n")
+        assert res.code == 130
+        assert res.stdout == ""
 
     @pytest.mark.skipif(
         shutil.which("rankinfer") is None, reason="console script not installed"

@@ -23,11 +23,12 @@ _FROM_IMPORT = re.compile(
 )
 
 
-def _python(*args, stdin=b""):
+def _python(*args, stdin=b"", stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=120
+        [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env,
+        timeout=120,
     )
 
 
@@ -56,6 +57,19 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert json.loads(proc.stdout)["results"]["irank"] == [1.0, 3.0, 2.0]
 
 
+def test_closed_stdout_exits_1_quietly():
+    # as `rankinfer ... | head` does once head has read enough
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "rankinfer.cli.main", "ranks", "--column", "x",
+                       stdin=b"x\n3\n1\n2\n", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_package_import_loads_no_submodule():
     proc = _python(
         "-c",
@@ -69,19 +83,22 @@ def test_package_import_loads_no_submodule():
 def test_cli_import_leaves_out_unused_modules():
     # the SVG writer (xml.etree) loads only with --svg; scipy.linalg has
     # no caller, but scipy.special itself loads it before scipy 1.17, so
-    # only the modules the CLI adds to scipy.special's are checked
+    # only the modules the CLI adds to scipy.special's are checked; the
+    # flags are parsed by argparse, so click is never loaded
     proc = _python(
         "-c",
         "import json, sys, scipy.special; "
         "special = set(sys.modules); "
         "import rankinfer.cli.main; "
-        "print(json.dumps(sorted(set(sys.modules) - special)))",
+        "print(json.dumps([sorted(set(sys.modules) - special), "
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'click')]))",
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    added = json.loads(proc.stdout)
+    added, click = json.loads(proc.stdout)
     assert "rankinfer.cli.main" in added
     assert [m for m in added if m.split(".")[:2] in (["scipy", "linalg"], ["xml", "etree"])
             or m == "rankinfer.cli.svg"] == []
+    assert click == []
 
 
 def test_package_holds_only_its_version():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from rankinfer.errors import (
+    DomainError,
     EmptyGroup,
     FormulaError,
     InputError,
@@ -348,6 +349,9 @@ def test_confint_width_scales_with_level():
     assert np.all(est <= narrow[:, 1])
     with pytest.raises(ValueError):
         confint(summary, level=1.0)
+    # inside the range, but (1 + level) / 2 rounds to 1: no finite quantile
+    with pytest.raises(DomainError, match="too close to 1"):
+        confint(summary, level=math.nextafter(1.0, 0.0))
 
 
 def test_confint_matches_normal_quantile():
