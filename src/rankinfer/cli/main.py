@@ -612,6 +612,9 @@ def main(argv=None) -> int:
     """Run the CLI, mapping exceptions onto the documented exit codes."""
     try:
         cli.run(argv)
+        # a reply smaller than the buffer still sits in it: send it now, so
+        # that a closed stdout fails here and not in the flush at exit
+        sys.stdout.flush()
     except SystemExit as exc:  # from argparse: --help, --version or a usage error
         return exc.code
     except KeyboardInterrupt:

@@ -23,8 +23,14 @@ _FROM_IMPORT = re.compile(
 )
 
 
-def _python(*args, stdin=b"", stdout=subprocess.PIPE):
+def _python(*args, stdin=b"", stdout=subprocess.PIPE, unbuffered=None):
+    """Run the interpreter on `args`; `unbuffered` sets or clears
+    PYTHONUNBUFFERED in the child, None leaves it as it is here."""
     env = dict(os.environ)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env,
@@ -57,13 +63,15 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert json.loads(proc.stdout)["results"]["irank"] == [1.0, 3.0, 2.0]
 
 
-def test_closed_stdout_exits_1_quietly():
-    # as `rankinfer ... | head` does once head has read enough
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # as `rankinfer ... | head` does once head has read enough; the reply is
+    # smaller than stdout's buffer, so buffered it fails only on the flush
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = _python("-m", "rankinfer.cli.main", "ranks", "--column", "x",
-                       stdin=b"x\n3\n1\n2\n", stdout=write_end)
+                       stdin=b"x\n3\n1\n2\n", stdout=write_end, unbuffered=unbuffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
