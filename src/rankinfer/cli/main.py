@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input/parse error, 3 statistical-domain error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -18,6 +17,7 @@ from ..multinomcs import MAX_TOTAL, MultinomialCounts, cs_ranks_multinomial
 from ..rankcs import (
     BootstrapConfig,
     EstimatesWithCovariance,
+    check_bootstrap_size,
     cs_ranks,
     cs_tau_best,
     cs_tau_worst,
@@ -28,12 +28,11 @@ from ..rankreg.model import CodedColumn, RankRegressionModel, confint, fit, summ
 from .envelope import OutputEnvelope, RowNumbers, RunColumn, input_digest, render_csv
 from .io import parse_table, read_bytes, read_covariance, write_text
 
-_SEED_MAX = 2**64 - 1
-
 
 class _Checked(argparse.Action):
     """Stores a flag's value as `convert` reads it from the flag's text; a
-    ValueError from `convert` is a usage error that names the flag."""
+    ValueError from `convert`, such as a library validator's, is a usage
+    error that names the flag."""
 
     def __init__(self, option_strings, dest, convert, **kwargs):
         super().__init__(option_strings, dest, **kwargs)
@@ -47,40 +46,11 @@ class _Checked(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _float_range(low: float, high: float, *, open_interval: bool = False):
-    """A reader of floats in [low, high], or in (low, high) when
-    `open_interval`. NaN, which fails neither bound comparison, is
-    refused too."""
-    op = "<" if open_interval else "<="
-
-    def convert(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"{text!r} is not a valid float.") from None
-        if math.isnan(value):
-            raise ValueError(f"{text!r} is not a number.")
-        if not (low < value < high if open_interval else low <= value <= high):
-            raise ValueError(f"{value} is not in the range {low}{op}x{op}{high}.")
-        return value
-
-    return convert
-
-
-def _int_range(low: int, high: int | None = None):
-    """A reader of integers from `low` up to `high`, or unbounded above."""
-    shown = f"x>={low}" if high is None else f"{low}<=x<={high}"
-
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"{text!r} is not a valid integer.") from None
-        if value < low or (high is not None and value > high):
-            raise ValueError(f"{value} is not in the range {shown}.")
-        return value
-
-    return convert
+def _tau(text: str) -> int:
+    tau = int(text)
+    if tau < 1:
+        raise ValueError("tau must be at least 1")
+    return tau
 
 
 def _flag(*names, **options):
@@ -97,17 +67,18 @@ _IO_FLAGS = (
           help="JSON envelope or bare CSV table (default: %(default)s)."),
 )
 _COVERAGE = _flag("--coverage", action=_Checked, default=0.95,
-                  convert=_float_range(0.0, 1.0, open_interval=True),
+                  convert=lambda text: BootstrapConfig(coverage=float(text)).coverage,
                   help="Confidence level, strictly between 0 and 1 (default: %(default)s).")
 
 
 def _omega(default: float, text: str):
-    return _flag("--omega", action=_Checked, convert=_float_range(0.0, 1.0), default=default,
+    return _flag("--omega", action=_Checked, default=default,
+                 convert=lambda text: TieRule(float(text), "increasing").omega,
                  help=f"{text} (default: %(default)s).")
 
 
 class _Command:
-    """A subcommand: `callback` takes its parsed flags as keyword arguments."""
+    """A subcommand: `callback` takes the parsed `argparse.Namespace`."""
 
     def __init__(self, callback):
         self.callback = callback
@@ -146,18 +117,11 @@ class _Cli:
         """Parse `argv` (sys.argv[1:] when None) and call its command.
         argparse raises SystemExit: 0 after --help or --version, 2 with
         its message on stderr for a usage error."""
-        flags = vars(self.parser.parse_args(argv))
-        self.commands[flags.pop("command")].callback(**flags)
+        args = self.parser.parse_args(argv)
+        self.commands[args.command].callback(args)
 
 
 cli = _Cli("Confidence sets for ranks and regressions on ranked variables.")
-
-
-def _resolve_seed(seed: int | None) -> int:
-    # no --seed: derive one from OS entropy and record it in the envelope
-    if seed is None:
-        return int.from_bytes(os.urandom(8), "big")
-    return seed
 
 
 def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
@@ -182,15 +146,6 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _label_values(table, label_col: str, p: int) -> list[str]:
-    values = table.raw(label_col).tolist()
-    if len(values) != p:
-        raise InputError(
-            f"label column {label_col!r} has {len(values)} rows, expected {p}"
-        )
-    return values
-
-
 def _interval_columns(cs, labels: list[str]) -> dict:
     """The `results` entries shared by the rank confidence-set commands."""
     shown = [int(i) for i in cs.indices]
@@ -213,18 +168,18 @@ def _interval_table(results: dict) -> dict:
     }
 
 
-def _emit(envelope, out_format, output_path, csv_columns):
+def _emit(args, envelope, csv_columns):
     """Write the envelope, or with --format csv a table whose header is
     the keys of `csv_columns` and whose rows zip their values; a
     RunColumn gives its rows' float texts, written as they are."""
-    if out_format == "json":
-        write_text(output_path, envelope.to_json())
+    if args.out_format == "json":
+        write_text(args.output_path, envelope.to_json())
         return
     for warning in envelope.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     columns = [c.tolist() if isinstance(c, (np.ndarray, RunColumn)) else c
                for c in csv_columns.values()]
-    write_text(output_path, render_csv(list(csv_columns), zip(*columns)))
+    write_text(args.output_path, render_csv(list(csv_columns), zip(*columns)))
 
 
 def _value_runs(values: np.ndarray, runs: _TieRuns) -> RunColumn:
@@ -279,23 +234,24 @@ def _integer_counts(table, column: str) -> np.ndarray:
           help="Rank --column within this reference column instead of within itself."),
     _flag("--label", dest="label_col", metavar="COLUMN", help="Column with row names."),
 )
-def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, against, label_col):
+def cmd_ranks(args):
     """Integer and fractional ranks of one column."""
-    raw = read_bytes(input_path)
+    raw = read_bytes(args.input_path)
     digest = input_digest(raw)
     table = parse_table(raw)
     del raw  # the digest and the table hold all the command reads from it
-    rule = TieRule(omega, "increasing" if increasing else "decreasing")
-    if against is None:
-        values = table.numeric(column)
+    direction = "increasing" if args.increasing else "decreasing"
+    rule = TieRule(args.omega, direction)
+    if args.against is None:
+        values = table.numeric(args.column)
     else:
-        values, reference = table.numeric([column, against])
+        values, reference = table.numeric([args.column, args.against])
     if values.size == 0:
         raise InputError("data has no rows")
     n = len(values)
-    labels = RowNumbers(n) if label_col is None else _label_values(table, label_col, n)
+    labels = RowNumbers(n) if args.label_col is None else table.raw(args.label_col).tolist()
     del table  # not needed while the envelope is encoded
-    if against is None:
+    if args.against is None:
         # each tie run's value and rank are computed, and later
         # formatted, once
         runs = _TieRuns.of(values)
@@ -308,9 +264,9 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         ivals = irank_against(values, reference, rule).values
         fvals = ivals / len(reference)
     results = {
-        "column": column,
-        "omega": omega,
-        "direction": "increasing" if increasing else "decreasing",
+        "column": args.column,
+        "omega": args.omega,
+        "direction": direction,
         "labels": labels,
         "values": vals,
         "irank": ivals,
@@ -323,7 +279,7 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
         coverage=None,
         results=results,
     )
-    _emit(envelope, out_format, output_path, {
+    _emit(args, envelope, {
         "index": range(1, n + 1),
         "label": labels,
         "value": results["values"],
@@ -332,30 +288,34 @@ def cmd_ranks(input_path, output_path, out_format, column, omega, increasing, ag
     })
 
 
-def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
-    """Shared loader for the Gaussian commands; returns (est, digest, labels)."""
-    if (se_col is None) == (cov_path is None):
+def _load_estimates(args):
+    """Shared loader for the Gaussian commands; returns (est, digest,
+    labels). Refuses a bootstrap past the size bounds as soon as the
+    number of populations is known, before any p x p array exists."""
+    if (args.se_col is None) == (args.cov_path is None):
         raise InputError("provide exactly one of --se or --cov")
-    raw = read_bytes(input_path)
+    raw = read_bytes(args.input_path)
     table = parse_table(raw)
-    theta = table.numeric(estimates_col)
+    theta = table.numeric(args.estimates_col)
     if theta.size == 0:
         raise InputError("data has no rows")
     p = len(theta)
-    labels = list(RowNumbers(p)) if label_col is None else _label_values(table, label_col, p)
-    if se_col is not None:
-        se = table.numeric(se_col)
+    check_bootstrap_size(args.draws, p)
+    labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
+    if args.se_col is not None:
+        se = table.numeric(args.se_col)
         if np.any(se <= 0):
-            raise DomainError(f"column {se_col!r} must be positive standard errors")
+            raise DomainError(f"column {args.se_col!r} must be positive standard errors")
         with np.errstate(over="ignore"):
             var = se**2
         if not np.all(np.isfinite(var)):
-            raise DomainError(f"column {se_col!r} has a standard error whose square overflows")
+            raise DomainError(
+                f"column {args.se_col!r} has a standard error whose square overflows")
         sigma = np.diag(var)
         digest = input_digest(raw)
     else:
-        cov_raw = read_bytes(cov_path)
-        sigma = read_covariance(cov_raw, len(theta))
+        cov_raw = read_bytes(args.cov_path)
+        sigma = read_covariance(cov_raw, p)
         digest = input_digest(raw, cov_raw)
     try:
         est = EstimatesWithCovariance(theta, sigma, labels=tuple(labels))
@@ -363,6 +323,12 @@ def _load_estimates(input_path, estimates_col, se_col, cov_path, label_col):
         # the covariance file parsed but is unusable, e.g. not symmetric
         raise DomainError(str(exc)) from exc
     return est, digest, labels
+
+
+def _bootstrap(args) -> BootstrapConfig:
+    # no --seed: derive one from OS entropy and record it in the envelope
+    seed = int.from_bytes(os.urandom(8), "big") if args.seed is None else args.seed
+    return BootstrapConfig(draws=args.draws, coverage=args.coverage, seed=seed)
 
 
 _GAUSSIAN_FLAGS = (
@@ -373,9 +339,10 @@ _GAUSSIAN_FLAGS = (
           help="Standard-error column (diagonal covariance)."),
     _flag("--cov", dest="cov_path", metavar="PATH",
           help="CSV file with the full covariance matrix."),
-    _flag("--draws", action=_Checked, convert=_int_range(100), default=1000,
+    _flag("--draws", action=_Checked, default=1000,
+          convert=lambda text: BootstrapConfig(draws=int(text)).draws,
           help="Parametric bootstrap draws, at least 100 (default: %(default)s)."),
-    _flag("--seed", action=_Checked, convert=_int_range(0, _SEED_MAX),
+    _flag("--seed", action=_Checked, convert=lambda text: BootstrapConfig(seed=int(text)).seed,
           help="RNG seed below 2**64; omitted, one is drawn from OS entropy and recorded."),
     _flag("--label", dest="label_col", metavar="COLUMN", help="Column with population names."),
     _COVERAGE,
@@ -390,89 +357,58 @@ _GAUSSIAN_FLAGS = (
     _flag("--indices", help="Comma-separated 1-based populations to report."),
     _flag("--svg", dest="svg_path", metavar="PATH", help="Also write an SVG interval chart here."),
 )
-def cmd_csranks(
-    input_path,
-    output_path,
-    out_format,
-    estimates_col,
-    se_col,
-    cov_path,
-    draws,
-    seed,
-    label_col,
-    coverage,
-    simul,
-    indices,
-    svg_path,
-):
+def cmd_csranks(args):
     """Confidence sets for the ranks of Gaussian estimates."""
-    est, digest, labels = _load_estimates(input_path, estimates_col, se_col, cov_path, label_col)
-    used_seed = _resolve_seed(seed)
-    cfg = BootstrapConfig(draws=draws, coverage=coverage, seed=used_seed)
-    idx = _parse_indices(indices, est.p)
-    cs = cs_ranks(est, cfg, mode="simultaneous" if simul else "marginal", indices=idx)
+    est, digest, labels = _load_estimates(args)
+    cfg = _bootstrap(args)
+    idx = _parse_indices(args.indices, est.p)
+    cs = cs_ranks(est, cfg, mode="simultaneous" if args.simul else "marginal", indices=idx)
     results = {"mode": cs.mode, **_interval_columns(cs, labels)}
     envelope = OutputEnvelope(
         procedure="cs-ranks",
         input_digest=digest,
-        seed=used_seed,
-        coverage=coverage,
+        seed=cfg.seed,
+        coverage=args.coverage,
         results=results,
     )
-    if svg_path is not None:
+    if args.svg_path is not None:
         from .svg import interval_chart  # xml.etree loads only for a chart
 
         write_text(
-            svg_path,
+            args.svg_path,
             interval_chart(results["labels"], results["L"], results["rank"], results["U"]),
         )
-    _emit(envelope, out_format, output_path, _interval_table(results))
+    _emit(args, envelope, _interval_table(results))
 
 
 def _tau_command(name, chooser, doc):
     @cli.command(
         name,
         *_GAUSSIAN_FLAGS,
-        _flag("--tau", action=_Checked, convert=_int_range(1), required=True,
+        _flag("--tau", action=_Checked, convert=_tau, required=True,
               help="Size of the top or bottom group, at least 1."),
         doc=doc,
     )
-    def _cmd(
-        input_path,
-        output_path,
-        out_format,
-        estimates_col,
-        se_col,
-        cov_path,
-        draws,
-        seed,
-        label_col,
-        coverage,
-        tau,
-    ):
-        est, digest, labels = _load_estimates(
-            input_path, estimates_col, se_col, cov_path, label_col
-        )
-        if tau > est.p:
-            raise InputError(f"--tau {tau} exceeds the {est.p} populations")
-        used_seed = _resolve_seed(seed)
-        cfg = BootstrapConfig(draws=draws, coverage=coverage, seed=used_seed)
-        result = chooser(est, cfg, tau)
+    def _cmd(args):
+        est, digest, labels = _load_estimates(args)
+        if args.tau > est.p:
+            raise InputError(f"--tau {args.tau} exceeds the {est.p} populations")
+        cfg = _bootstrap(args)
+        result = chooser(est, cfg, args.tau)
         members = [int(j) for j in result.members]
         results = {
-            "tau": tau,
+            "tau": args.tau,
             "members": [j + 1 for j in members],
             "labels": [labels[j] for j in members],
         }
         envelope = OutputEnvelope(
             procedure=name,
             input_digest=digest,
-            seed=used_seed,
-            coverage=coverage,
+            seed=cfg.seed,
+            coverage=args.coverage,
             results=results,
         )
-        _emit(envelope, out_format, output_path,
-              {"index": results["members"], "label": results["labels"]})
+        _emit(args, envelope, {"index": results["members"], "label": results["labels"]})
 
     return _cmd
 
@@ -501,22 +437,13 @@ _tau_command(
     _flag("--indices", help="Comma-separated 1-based categories to report."),
     _flag("--label", dest="label_col", metavar="COLUMN", help="Column with category names."),
 )
-def cmd_csranks_multinom(
-    input_path,
-    output_path,
-    out_format,
-    coverage,
-    column,
-    simul,
-    multcorr,
-    indices,
-    label_col,
-):
+def cmd_csranks_multinom(args):
     """Exact finite-sample confidence sets for multinomial category ranks."""
-    raw = read_bytes(input_path)
+    raw = read_bytes(args.input_path)
     table = parse_table(raw)
+    column = args.column
     if column is None:
-        numeric_names = [n for n in table.names if n != label_col]
+        numeric_names = [n for n in table.names if n != args.label_col]
         if len(numeric_names) != 1:
             raise InputError("--column is required when the input has several columns")
         column = numeric_names[0]
@@ -524,25 +451,25 @@ def cmd_csranks_multinom(
     if counts.size == 0:
         raise InputError("data has no rows")
     p = len(counts)
-    labels = list(RowNumbers(p)) if label_col is None else _label_values(table, label_col, p)
+    labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
     data = MultinomialCounts(counts, labels=tuple(labels))
-    idx = _parse_indices(indices, data.p)
+    idx = _parse_indices(args.indices, data.p)
     cs = cs_ranks_multinomial(
         data,
-        coverage=coverage,
-        mode="simultaneous" if simul else "marginal",
-        method=multcorr,
+        coverage=args.coverage,
+        mode="simultaneous" if args.simul else "marginal",
+        method=args.multcorr,
         indices=idx,
     )
-    results = {"mode": cs.mode, "method": multcorr, **_interval_columns(cs, labels)}
+    results = {"mode": cs.mode, "method": args.multcorr, **_interval_columns(cs, labels)}
     envelope = OutputEnvelope(
         procedure="cs-multinom",
         input_digest=input_digest(raw),
         seed=None,
-        coverage=coverage,
+        coverage=args.coverage,
         results=results,
     )
-    _emit(envelope, out_format, output_path, _interval_table(results))
+    _emit(args, envelope, _interval_table(results))
 
 
 @cli.command(
@@ -553,11 +480,11 @@ def cmd_csranks_multinom(
     _omega(1.0, "Tie handling for the rank transforms"),
     _COVERAGE,
 )
-def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
+def cmd_rankreg(args):
     """Regression on ranked variables with corrected standard errors."""
-    digest, fit_result = _fit_input(input_path, formula, omega)
+    digest, fit_result = _fit_input(args)
     summary = summarize(fit_result)
-    intervals = confint(summary, level=coverage)
+    intervals = confint(summary, level=args.coverage)
     table_columns = {
         "name": list(summary.names),
         "estimate": summary.estimates.tolist(),
@@ -568,8 +495,8 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         "upper": intervals[:, 1].tolist(),
     }
     results = {
-        "formula": formula,
-        "omega": omega,
+        "formula": args.formula,
+        "omega": args.omega,
         "n": int(len(fit_result.residuals)),
         "coefficients": _records(table_columns, ["name", "estimate", "se", "z", "p"]),
         "vcov": summary.vcov.tolist(),
@@ -579,23 +506,23 @@ def cmd_rankreg(input_path, output_path, out_format, formula, omega, coverage):
         procedure="rank-reg",
         input_digest=digest,
         seed=None,
-        coverage=coverage,
+        coverage=args.coverage,
         results=results,
         warnings=tuple(summary.warnings),
     )
-    _emit(envelope, out_format, output_path, table_columns)
+    _emit(args, envelope, table_columns)
 
 
-def _fit_input(input_path: str, formula: str, omega: float):
+def _fit_input(args):
     """The input's digest and the model fitted to it. The input bytes, the
     parsed table and the data columns are freed on return, before the
     covariance, the largest allocation of the command, is formed."""
-    raw = read_bytes(input_path)
+    raw = read_bytes(args.input_path)
     table = parse_table(raw)
     try:
-        model = RankRegressionModel.from_formula(formula, omega=omega)
+        model = RankRegressionModel.from_formula(args.formula, omega=args.omega)
     except FormulaError as exc:
-        raise FormulaError(format_formula_error(formula, exc), exc.position) from exc
+        raise FormulaError(format_formula_error(args.formula, exc), exc.position) from exc
     numeric_names = list(dict.fromkeys([model.response, *(name for name, _ in model.regressors)]))
     data = dict(zip(numeric_names, table.numeric(numeric_names)))
     if model.group is not None:

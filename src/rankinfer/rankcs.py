@@ -31,8 +31,9 @@ Mode = Literal["marginal", "simultaneous"]
 REPORT_RULE = TieRule(omega=0.0, direction="decreasing")
 
 _SE_FLOOR = 1e-12
-# Most draws x p cells a bootstrap runs: the draws matrix then takes at
-# most 1 GiB, and a set's peak is about 2.5 to 4.3 times that.
+# Most draws x p cells, and p x p cells, a bootstrap runs: the draws matrix
+# or a p x p array then takes at most 1 GiB. A set's peak is about 2.5 to
+# 4.3 times the draws matrix, or 6 times a p x p array.
 MAX_DRAW_CELLS = 1 << 27
 
 
@@ -409,17 +410,26 @@ def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
     return lower, upper
 
 
+def check_bootstrap_size(draws: int, p: int) -> None:
+    """Raises DomainError when a bootstrap of p populations would hold
+    more than MAX_DRAW_CELLS cells in a p x p array or its draws x p one."""
+    if p * p > MAX_DRAW_CELLS:
+        raise DomainError(
+            f"{p} populations exceed the {MAX_DRAW_CELLS} p x p cells a bootstrap may hold"
+        )
+    if draws * p > MAX_DRAW_CELLS:
+        raise DomainError(
+            f"{draws} draws of {p} populations exceed the "
+            f"{MAX_DRAW_CELLS} draws x p cells a bootstrap may hold"
+        )
+
+
 def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: Mode,
                       wanted: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Rank bounds of `wanted`, each at the quantile of its own pair maxima
     (marginal) or all at the quantile of their max over every population.
-    Raises DomainError, before any draw, for more than MAX_DRAW_CELLS
-    draws x p cells."""
-    if cfg.draws * est.p > MAX_DRAW_CELLS:
-        raise DomainError(
-            f"{cfg.draws} draws of {est.p} populations exceed the "
-            f"{MAX_DRAW_CELLS} draws x p cells a bootstrap may hold"
-        )
+    Raises DomainError, before any draw, past `check_bootstrap_size`."""
+    check_bootstrap_size(cfg.draws, est.p)
     se = pairwise_se(est)
     z = _bootstrap_normals(est, cfg)
     crit = _critical_values(z, se, wanted if mode == "marginal" else None, cfg.coverage)

@@ -28,8 +28,8 @@ from ..errors import (
 )
 from ..numerics import DenseMatrix, FloatArray, QRFactorization, block_least_squares
 from ..ranking import TieRule, _TieRuns
+from . import variance
 from .formula import parse_formula
-from .variance import corrected_vcov
 
 INTERCEPT_NAME = "(Intercept)"
 
@@ -301,10 +301,19 @@ class RankRegressionFit:
 
 def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressionFit:
     """OLS fit of the rank-transformed design via one QR per design block
-    (per group level when grouped, else a single QR of the whole design)."""
+    (per group level when grouped, else a single QR of the whole design).
+
+    Raises DomainError for more than `variance.MAX_INFLUENCE_CELLS` n x P
+    cells, before the P x P factor or the covariance's n x P influence
+    array is allocated; a fit needs n >= P, so the bound caps both."""
     design = build_design(model, data)
-    factor, coefficients, residuals = block_least_squares(
-        design.z, design.y, design.blocks, len(design.colnames))
+    n, k = design.n, len(design.colnames)
+    if n * k > variance.MAX_INFLUENCE_CELLS:
+        raise DomainError(
+            f"{n} rows x {k} coefficients exceed the {variance.MAX_INFLUENCE_CELLS} "
+            "influence cells a corrected covariance may hold"
+        )
+    factor, coefficients, residuals = block_least_squares(design.z, design.y, design.blocks, k)
     return RankRegressionFit(
         design=design,
         qr=factor,
@@ -362,7 +371,7 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     constant response, or an estimate near 1e308 over a small one).
     """
     est = fit_result.coefficients
-    cov = corrected_vcov(fit_result)
+    cov = variance.corrected_vcov(fit_result)
     se = np.sqrt(np.diag(cov.matrix))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
         z = est / se

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import DegenerateCovariance, DomainError, NonFinite
+from ..errors import DegenerateCovariance, NonFinite
 from ..numerics import DenseMatrix, FloatArray, inverse_from_qr
 from ..ranking import _TieRuns
 
@@ -180,17 +180,12 @@ def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
     block-diagonal over the design's blocks, so each projection column
     lives on its block's columns and its residual on the block's rows.
 
-    Raises DomainError for more than MAX_INFLUENCE_CELLS n x P cells,
-    before anything of that size is allocated, and DegenerateCovariance
-    when the result is not finite (values that overflow).
+    Its n x P cells were bounded by MAX_INFLUENCE_CELLS in `fit`. Raises
+    DegenerateCovariance when the result is not finite (values that
+    overflow).
     """
     design = fit.design
     n, k = design.n, len(design.colnames)
-    if n * k > MAX_INFLUENCE_CELLS:
-        raise DomainError(
-            f"{n} rows x {k} coefficients exceed the {MAX_INFLUENCE_CELLS} "
-            "influence cells a corrected covariance may hold"
-        )
     gammas = projection_from_inverse(inverse_from_qr(fit.qr))
     rows_y = design.ties_y.m if design.ties_y is not None else 1
     rows_x = design.ties_x.m if design.ties_x is not None else 1

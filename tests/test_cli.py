@@ -13,11 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rankinfer
+import rankinfer.cli.main as main_mod
 import rankinfer.multinomcs as multinomcs_mod
 import rankinfer.rankcs as rankcs_mod
+import rankinfer.rankreg.model as model_mod
 import rankinfer.rankreg.variance as variance_mod
 from oracles import naive_rank
 from rankinfer.cli.envelope import OutputEnvelope, RunColumn, input_digest, render_csv
+from rankinfer.errors import DomainError
 from rankinfer.numerics import SeededRng
 from rankinfer.rankcs import BootstrapConfig
 from rankinfer.ranking import TieRule
@@ -663,6 +666,30 @@ class TestUpFrontBounds:
         assert invoke_cli([*args, "201"], stdin=stdin).code == 3
         assert calls == [200]
 
+    def test_populations_squared(self, invoke_cli, monkeypatch):
+        # 101 populations at 100 draws: the 10,100 draws x p cells meet the
+        # bound, the 101 x 101 cells of a covariance do not
+        monkeypatch.setattr(rankcs_mod, "MAX_DRAW_CELLS", 100 * 101)
+        diag, formed = np.diag, []
+        monkeypatch.setattr(np, "diag", lambda v, *rest: formed.append(v) or diag(v, *rest))
+        monkeypatch.setattr(main_mod, "read_covariance", None)  # never reached
+        monkeypatch.setattr(rankcs_mod, "pairwise_se", None)  # never reached
+        stdin = "e,se\n" + "".join(f"{k},1\n" for k in range(101))
+        for command in (["cs-ranks"], ["cs-taubest", "--tau", "1"], ["cs-tauworst", "--tau", "1"]):
+            for source in (["--se", "se"], ["--cov", "never-read.csv"]):
+                res = invoke_cli([*command, "--estimates", "e", *source, "--seed", "1",
+                                  "--draws", "100"], stdin=stdin)
+                assert res.code == 3, (command, source, res.stderr)
+                assert res.stdout == ""
+                assert "101 populations exceed the 10100 p x p cells" in res.stderr
+        assert formed == []
+        # library callers meet the same checks before any draw
+        monkeypatch.setattr(rankcs_mod, "_bootstrap_normals", None)  # never reached
+        for p, draws, refusal in ((101, 100, "p x p"), (3, 10_000, "draws x p")):
+            est = rankcs_mod.EstimatesWithCovariance(np.arange(float(p)), diag(np.ones(p)))
+            with pytest.raises(DomainError, match=refusal):
+                rankcs_mod.cs_ranks(est, BootstrapConfig(draws=draws))
+
     def test_multinomial_categories(self, invoke_cli, monkeypatch):
         monkeypatch.setattr(multinomcs_mod, "binom_tail", None)  # never reached
         p = multinomcs_mod.MAX_CATEGORIES + 1
@@ -674,6 +701,7 @@ class TestUpFrontBounds:
     def test_influence_cells(self, invoke_cli, monkeypatch):
         # 3 rows x 2 coefficients against a bound of 5 cells
         monkeypatch.setattr(variance_mod, "MAX_INFLUENCE_CELLS", 5)
+        monkeypatch.setattr(model_mod, "block_least_squares", None)  # never reached
         monkeypatch.setattr(variance_mod, "inverse_from_qr", None)  # never reached
         monkeypatch.setattr(variance_mod, "_fill_influence", None)  # never reached
         for formula in ("r(y) ~ r(x)", "y ~ x"):
@@ -776,8 +804,10 @@ class TestNaNFlags:
         if flag in self.LIBRARY:
             try:
                 self.LIBRARY[flag](value)
-            except ValueError:
+            except ValueError as exc:
                 assert not accepted
+                # the refusal states the library's own rule
+                assert f"Invalid value for '{flag}': {exc}" in res.stderr
             else:
                 assert accepted
 

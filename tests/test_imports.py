@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import types
@@ -14,6 +15,7 @@ import pytest
 import rankinfer
 
 README = Path(__file__).parents[1] / "README.md"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 # the directory that holds the package under test, for child interpreters
 PACKAGE_ROOT = str(Path(rankinfer.__file__).parents[1])
 
@@ -23,8 +25,8 @@ _FROM_IMPORT = re.compile(
 )
 
 
-def _python(*args, stdin=b"", stdout=subprocess.PIPE, unbuffered=None):
-    """Run the interpreter on `args`; `unbuffered` sets or clears
+def _python(*args, stdin=b"", stdout=subprocess.PIPE, unbuffered=None, cwd=None):
+    """Run the interpreter on `args` in `cwd`; `unbuffered` sets or clears
     PYTHONUNBUFFERED in the child, None leaves it as it is here."""
     env = dict(os.environ)
     if unbuffered is not None:
@@ -34,7 +36,7 @@ def _python(*args, stdin=b"", stdout=subprocess.PIPE, unbuffered=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env,
-        timeout=120,
+        cwd=cwd, timeout=120,
     )
 
 
@@ -107,6 +109,33 @@ def test_cli_import_leaves_out_unused_modules():
     assert [m for m in added if m.split(".")[:2] in (["scipy", "linalg"], ["xml", "etree"])
             or m == "rankinfer.cli.svg"] == []
     assert click == []
+
+
+TRACED = {
+    "cs-ranks": (["cs-ranks", "--estimates", "e", "--se", "se", "--seed", "1", "--label", "name"],
+                 "name,e,se\na,1,0.5\nb,2,0.5\nc,3,0.5\n"),
+    "cs-multinom": (["cs-multinom", "--column", "count", "--label", "category"],
+                    "category,count\nx,10\ny,20\nz,5\n"),
+    "ranks-against": (["ranks", "--column", "Y", "--against", "X"], "Y,X\n1,2\n2,1\n3,3\n4,4\n"),
+}
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_benchmark_run_reports_every_layer(tmp_path, name):
+    # the benchmark's spans (perfbench/spans.py) wrap the CLI's functions
+    # from outside: a traced run must still print its envelope and report
+    # every per-layer metric that BENCHMARK.json declares
+    args, data = TRACED[name]
+    (tmp_path / "in.csv").write_text(data)
+    record = tmp_path / "record.json"
+    proc = _python("-B", str(PERFBENCH / "child.py"), str(record), "1", "--",
+                   *args, "--input", "in.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["procedure"] == args[0]
+    metrics = runpy.run_path(str(PERFBENCH / "spans.py"))["layer_metrics"](
+        json.loads(record.read_text()))
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert {layer["name"] for layer in spec["per_layer"]} <= set(metrics)
 
 
 def test_package_holds_only_its_version():
