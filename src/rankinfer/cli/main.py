@@ -168,18 +168,39 @@ def _interval_table(results: dict) -> dict:
     }
 
 
-def _emit(args, envelope, csv_columns):
-    """Write the envelope, or with --format csv a table whose header is
-    the keys of `csv_columns` and whose rows zip their values; a
-    RunColumn gives its rows' float texts, written as they are."""
+def _read_input(args):
+    """The --input bytes and their table; a table with no rows is refused
+    before any column is read."""
+    raw = read_bytes(args.input_path)
+    table = parse_table(raw)
+    if table.n == 0:
+        raise InputError("data has no rows")
+    return raw, table
+
+
+def _emit(args, digest, results, csv_columns, seed=None, warnings=()):
+    """Write the envelope of `results`: its procedure is the subcommand,
+    its coverage the --coverage value (null for `ranks`, which has none).
+    With --format csv, write the warnings to stderr and a table whose
+    header is the keys of `csv_columns` and whose rows zip their values;
+    a RunColumn gives its rows' float texts, written as they are."""
     if args.out_format == "json":
+        envelope = OutputEnvelope(procedure=args.command, input_digest=digest, seed=seed,
+                                  coverage=getattr(args, "coverage", None), results=results,
+                                  warnings=tuple(warnings))
         write_text(args.output_path, envelope.to_json())
         return
-    for warning in envelope.warnings:
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     columns = [c.tolist() if isinstance(c, (np.ndarray, RunColumn)) else c
                for c in csv_columns.values()]
     write_text(args.output_path, render_csv(list(csv_columns), zip(*columns)))
+
+
+def _destination(path: str | None) -> str | None:
+    """Where `write_text(path, ...)` writes: None for stdout, else the
+    absolute path."""
+    return None if path in (None, "-") else os.path.abspath(path)
 
 
 def _value_runs(values: np.ndarray, runs: _TieRuns) -> RunColumn:
@@ -236,9 +257,8 @@ def _integer_counts(table, column: str) -> np.ndarray:
 )
 def cmd_ranks(args):
     """Integer and fractional ranks of one column."""
-    raw = read_bytes(args.input_path)
+    raw, table = _read_input(args)
     digest = input_digest(raw)
-    table = parse_table(raw)
     del raw  # the digest and the table hold all the command reads from it
     direction = "increasing" if args.increasing else "decreasing"
     rule = TieRule(args.omega, direction)
@@ -246,8 +266,6 @@ def cmd_ranks(args):
         values = table.numeric(args.column)
     else:
         values, reference = table.numeric([args.column, args.against])
-    if values.size == 0:
-        raise InputError("data has no rows")
     n = len(values)
     labels = RowNumbers(n) if args.label_col is None else table.raw(args.label_col).tolist()
     del table  # not needed while the envelope is encoded
@@ -272,14 +290,7 @@ def cmd_ranks(args):
         "irank": ivals,
         "frank": fvals,
     }
-    envelope = OutputEnvelope(
-        procedure="ranks",
-        input_digest=digest,
-        seed=None,
-        coverage=None,
-        results=results,
-    )
-    _emit(args, envelope, {
+    _emit(args, digest, results, {
         "index": range(1, n + 1),
         "label": labels,
         "value": results["values"],
@@ -294,11 +305,10 @@ def _load_estimates(args):
     number of populations is known, before any p x p array exists."""
     if (args.se_col is None) == (args.cov_path is None):
         raise InputError("provide exactly one of --se or --cov")
-    raw = read_bytes(args.input_path)
-    table = parse_table(raw)
+    if args.input_path == args.cov_path == "-":
+        raise InputError("--input and --cov cannot both read stdin; give one of them a file")
+    raw, table = _read_input(args)
     theta = table.numeric(args.estimates_col)
-    if theta.size == 0:
-        raise InputError("data has no rows")
     p = len(theta)
     check_bootstrap_size(args.draws, p)
     labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
@@ -359,18 +369,15 @@ _GAUSSIAN_FLAGS = (
 )
 def cmd_csranks(args):
     """Confidence sets for the ranks of Gaussian estimates."""
+    if args.svg_path is not None and _destination(args.svg_path) == _destination(args.output_path):
+        where = "stdout" if args.svg_path == "-" else "the same file"
+        raise InputError(f"--svg and the result would both be written to {where}; "
+                         "give -o or --svg another path")
     est, digest, labels = _load_estimates(args)
     cfg = _bootstrap(args)
     idx = _parse_indices(args.indices, est.p)
     cs = cs_ranks(est, cfg, mode="simultaneous" if args.simul else "marginal", indices=idx)
     results = {"mode": cs.mode, **_interval_columns(cs, labels)}
-    envelope = OutputEnvelope(
-        procedure="cs-ranks",
-        input_digest=digest,
-        seed=cfg.seed,
-        coverage=args.coverage,
-        results=results,
-    )
     if args.svg_path is not None:
         from .svg import interval_chart  # xml.etree loads only for a chart
 
@@ -378,7 +385,7 @@ def cmd_csranks(args):
             args.svg_path,
             interval_chart(results["labels"], results["L"], results["rank"], results["U"]),
         )
-    _emit(args, envelope, _interval_table(results))
+    _emit(args, digest, results, _interval_table(results), seed=cfg.seed)
 
 
 def _tau_command(name, chooser, doc):
@@ -401,14 +408,8 @@ def _tau_command(name, chooser, doc):
             "members": [j + 1 for j in members],
             "labels": [labels[j] for j in members],
         }
-        envelope = OutputEnvelope(
-            procedure=name,
-            input_digest=digest,
-            seed=cfg.seed,
-            coverage=args.coverage,
-            results=results,
-        )
-        _emit(args, envelope, {"index": results["members"], "label": results["labels"]})
+        _emit(args, digest, results, {"index": results["members"], "label": results["labels"]},
+              seed=cfg.seed)
 
     return _cmd
 
@@ -439,8 +440,7 @@ _tau_command(
 )
 def cmd_csranks_multinom(args):
     """Exact finite-sample confidence sets for multinomial category ranks."""
-    raw = read_bytes(args.input_path)
-    table = parse_table(raw)
+    raw, table = _read_input(args)
     column = args.column
     if column is None:
         numeric_names = [n for n in table.names if n != args.label_col]
@@ -448,8 +448,6 @@ def cmd_csranks_multinom(args):
             raise InputError("--column is required when the input has several columns")
         column = numeric_names[0]
     counts = _integer_counts(table, column)
-    if counts.size == 0:
-        raise InputError("data has no rows")
     p = len(counts)
     labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
     data = MultinomialCounts(counts, labels=tuple(labels))
@@ -462,14 +460,7 @@ def cmd_csranks_multinom(args):
         indices=idx,
     )
     results = {"mode": cs.mode, "method": args.multcorr, **_interval_columns(cs, labels)}
-    envelope = OutputEnvelope(
-        procedure="cs-multinom",
-        input_digest=input_digest(raw),
-        seed=None,
-        coverage=args.coverage,
-        results=results,
-    )
-    _emit(args, envelope, _interval_table(results))
+    _emit(args, input_digest(raw), results, _interval_table(results))
 
 
 @cli.command(
@@ -502,23 +493,14 @@ def cmd_rankreg(args):
         "vcov": summary.vcov.tolist(),
         "confint": _records(table_columns, ["name", "lower", "upper"]),
     }
-    envelope = OutputEnvelope(
-        procedure="rank-reg",
-        input_digest=digest,
-        seed=None,
-        coverage=args.coverage,
-        results=results,
-        warnings=tuple(summary.warnings),
-    )
-    _emit(args, envelope, table_columns)
+    _emit(args, digest, results, table_columns, warnings=summary.warnings)
 
 
 def _fit_input(args):
     """The input's digest and the model fitted to it. The input bytes, the
     parsed table and the data columns are freed on return, before the
     covariance, the largest allocation of the command, is formed."""
-    raw = read_bytes(args.input_path)
-    table = parse_table(raw)
+    raw, table = _read_input(args)
     try:
         model = RankRegressionModel.from_formula(args.formula, omega=args.omega)
     except FormulaError as exc:

@@ -75,6 +75,38 @@ class TestEnvelope:
         again = json.dumps(body, indent=2, ensure_ascii=False) + "\n"
         assert again == res.stdout
 
+    @pytest.mark.parametrize("args, stdin", [
+        (["ranks", "--column", "est"], ESTIMATES_CSV),
+        (["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "11"], ESTIMATES_CSV),
+        (["cs-taubest", "--estimates", "est", "--se", "se", "--tau", "1", "--seed", "11"],
+         ESTIMATES_CSV),
+        (["cs-tauworst", "--estimates", "est", "--se", "se", "--tau", "1", "--seed", "11"],
+         ESTIMATES_CSV),
+        (["cs-multinom", "--column", "count"], "count\n10\n20\n5\n"),
+        (["rank-reg", "--formula", "r(Y) ~ r(X)"],
+         "Y,X\n" + "".join(f"{v},{v % 5}\n" for v in range(12))),
+    ])
+    def test_header_rule(self, invoke_cli, args, stdin):
+        # procedure is the subcommand; only the bootstrap commands record
+        # a seed; coverage is --coverage's value, and null for ranks
+        seed = 11 if "--seed" in args else None
+        runs = [([], None)] if args[0] == "ranks" else [([], 0.95), (["--coverage", "0.9"], 0.9)]
+        for extra, coverage in runs:
+            res = invoke_cli([*args, *extra], stdin=stdin)
+            assert res.code == 0, res.stderr
+            body = parse_envelope(res.stdout)
+            assert (body["procedure"], body["seed"], body["coverage"]) == (
+                args[0], seed, coverage)
+
+    def test_csv_format_writes_warnings_to_stderr(self, invoke_cli):
+        res = invoke_cli(["rank-reg", "--formula", "r(Y) ~ r(X)", "--format", "csv"],
+                         stdin="Y,X\n" + "".join(f"{v},{v % 5}\n" for v in range(12)))
+        assert res.code == 0
+        assert res.stdout.splitlines()[0] == "name,estimate,se,z,p,lower,upper"
+        assert len(res.stdout.splitlines()) == 3
+        assert "asymptotic" in res.stderr
+        assert all(line.startswith("warning: ") for line in res.stderr.splitlines())
+
     @pytest.mark.parametrize("value", [
         float("nan"), float("inf"), [1.0, -float("inf")],
         RunColumn(np.array([1.0, float("nan")]), np.array([0, 1, 0])),
@@ -454,6 +486,20 @@ class TestCsRanks:
         body = parse_envelope(res.stdout)
         assert body["results"]["rank"] == [3, 2, 1]
 
+    def test_covariance_and_estimates_both_from_stdin_refused(self, invoke_cli, tmp_path):
+        args = ["cs-ranks", "--estimates", "est", "--cov", "-", "--seed", "5"]
+        res = invoke_cli(args, stdin=ESTIMATES_CSV)
+        assert res.code == 2
+        assert res.stderr == ("error: --input and --cov cannot both read stdin; "
+                              "give one of them a file\n")
+        # with the estimates in a file, the covariance may come from stdin
+        est = tmp_path / "est.csv"
+        est.write_text(ESTIMATES_CSV)
+        res = invoke_cli([*args, "-i", str(est)],
+                         stdin="c1,c2,c3\n0.0025,0,0\n0,0.0025,0\n0,0,0.0025\n")
+        assert res.code == 0
+        assert parse_envelope(res.stdout)["results"]["rank"] == [3, 2, 1]
+
     def test_covariance_shape_mismatch(self, invoke_cli, tmp_path):
         cov = tmp_path / "cov.csv"
         cov.write_text("c1,c2\n1,0\n0,1\n")
@@ -560,6 +606,33 @@ class TestCsRanks:
         ]
         assert len(rects) == 3
         assert len(points) == 3
+
+    @pytest.mark.parametrize("svg, output", [
+        ("-", []),
+        ("-", ["-o", "-"]),
+        ("-", ["--format", "csv"]),
+        ("chart.svg", ["-o", "./chart.svg"]),
+        ("chart.svg", ["-o", "sub/../chart.svg", "--format", "csv"]),
+    ])
+    def test_svg_and_result_on_one_destination_refused(self, invoke_cli, tmp_path,
+                                                        monkeypatch, svg, output):
+        # one destination cannot hold both documents: refused before
+        # anything is written
+        monkeypatch.chdir(tmp_path)
+        res = invoke_cli(["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1",
+                          "--svg", svg, *output], stdin=ESTIMATES_CSV)
+        assert res.code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --svg and the result")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_svg_on_stdout_with_result_in_file(self, invoke_cli, tmp_path):
+        out = tmp_path / "out.json"
+        res = invoke_cli(["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1",
+                          "--svg", "-", "-o", str(out)], stdin=ESTIMATES_CSV)
+        assert res.code == 0
+        assert ET.fromstring(res.stdout).tag.endswith("svg")
+        assert parse_envelope(out.read_text())["procedure"] == "cs-ranks"
 
     def test_csv_format_output(self, invoke_cli):
         res = invoke_cli(
@@ -948,16 +1021,21 @@ class TestCsMultinom:
 
 
 @pytest.mark.parametrize("args, stdin", [
-    (["cs-ranks", "--estimates", "est", "--se", "se"], "est,se\n"),
-    (["cs-ranks", "--estimates", "est", "--se", "se", "--simul"], "est,se\n"),
-    (["cs-taubest", "--estimates", "est", "--se", "se", "--tau", "1"], "est,se\n"),
-    (["cs-tauworst", "--estimates", "est", "--se", "se", "--tau", "1"], "est,se\n"),
+    (["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1"], "est,se\n"),
+    (["cs-ranks", "--estimates", "est", "--se", "se", "--simul", "--seed", "1"], "est,se\n"),
+    (["cs-taubest", "--estimates", "est", "--se", "se", "--tau", "1", "--seed", "1"], "est,se\n"),
+    (["cs-tauworst", "--estimates", "est", "--se", "se", "--tau", "1", "--seed", "1"],
+     "est,se\n"),
     (["cs-multinom"], "count\n"),
     (["cs-multinom", "--label", "name"], "name,count\n"),
+    (["rank-reg", "--formula", "r(Y) ~ r(X)"], "Y,X\n"),
+    # no rows is reported before a second fault: an unknown column or a
+    # malformed formula
+    (["cs-ranks", "--estimates", "missing", "--se", "se", "--seed", "1"], "est,se\n"),
+    (["rank-reg", "--formula", "r(Y) ~"], "Y,X\n"),
 ])
 def test_header_only_input_exits_2(invoke_cli, args, stdin):
-    res = invoke_cli([*args, "--seed", "1"] if args[0] != "cs-multinom" else args,
-                     stdin=stdin)
+    res = invoke_cli(args, stdin=stdin)
     assert res.code == 2
     assert res.stdout == ""
     assert "data has no rows" in res.stderr

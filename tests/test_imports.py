@@ -111,12 +111,21 @@ def test_cli_import_leaves_out_unused_modules():
     assert click == []
 
 
+_GAUSSIAN = ["--estimates", "e", "--se", "se", "--seed", "1", "--label", "name"]
+_ESTIMATES = "name,e,se\na,1,0.5\nb,2,0.5\nc,3,0.5\n"
+# name: (argv, input, spans the run must report beyond BENCHMARK.json's
+# per-layer metrics); the tau commands reach their span only through the
+# `chooser` closure cell that perfbench/spans.py rebinds
 TRACED = {
-    "cs-ranks": (["cs-ranks", "--estimates", "e", "--se", "se", "--seed", "1", "--label", "name"],
-                 "name,e,se\na,1,0.5\nb,2,0.5\nc,3,0.5\n"),
+    "cs-ranks": (["cs-ranks", *_GAUSSIAN], _ESTIMATES, set()),
+    "cs-taubest": (["cs-taubest", "--tau", "1", *_GAUSSIAN], _ESTIMATES,
+                   {"rankcs.tau_select_s"}),
+    "cs-tauworst": (["cs-tauworst", "--tau", "1", *_GAUSSIAN], _ESTIMATES,
+                    {"rankcs.tau_select_s"}),
     "cs-multinom": (["cs-multinom", "--column", "count", "--label", "category"],
-                    "category,count\nx,10\ny,20\nz,5\n"),
-    "ranks-against": (["ranks", "--column", "Y", "--against", "X"], "Y,X\n1,2\n2,1\n3,3\n4,4\n"),
+                    "category,count\nx,10\ny,20\nz,5\n", set()),
+    "ranks-against": (["ranks", "--column", "Y", "--against", "X"], "Y,X\n1,2\n2,1\n3,3\n4,4\n",
+                      set()),
 }
 
 
@@ -125,7 +134,7 @@ def test_traced_benchmark_run_reports_every_layer(tmp_path, name):
     # the benchmark's spans (perfbench/spans.py) wrap the CLI's functions
     # from outside: a traced run must still print its envelope and report
     # every per-layer metric that BENCHMARK.json declares
-    args, data = TRACED[name]
+    args, data, spans = TRACED[name]
     (tmp_path / "in.csv").write_text(data)
     record = tmp_path / "record.json"
     proc = _python("-B", str(PERFBENCH / "child.py"), str(record), "1", "--",
@@ -135,7 +144,7 @@ def test_traced_benchmark_run_reports_every_layer(tmp_path, name):
     metrics = runpy.run_path(str(PERFBENCH / "spans.py"))["layer_metrics"](
         json.loads(record.read_text()))
     spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
-    assert {layer["name"] for layer in spec["per_layer"]} <= set(metrics)
+    assert {layer["name"] for layer in spec["per_layer"]} | spans <= set(metrics)
 
 
 def test_package_holds_only_its_version():
