@@ -117,31 +117,16 @@ def _encode(value, level: int, chunks: list[str]) -> None:
     newline and indent of its level as the item separator. A RunColumn's
     rows are joined with that separator from their runs' texts. A slice
     of integral floats below 1e16 in size, and RowNumbers' rows, are
-    written from arrays of their digits.
+    written from arrays of their digits. Every list is laid out by
+    `_list`.
     """
     kind = type(value)
+    item_separator = ",\n" + _INDENT * (level + 1)
     if kind in _SCALARS:
         chunks.append(_flat_encoder(level).encode(value))
     elif kind is np.ndarray and value.dtype == np.float64 and value.ndim == 1:
-        if not value.size:
-            chunks.append("[]")
-            return
-        encoder = _flat_encoder(level + 1)
-        item_separator = ",\n" + _INDENT * (level + 1)
-        separator = "[\n" + _INDENT * (level + 1)
-        for start in range(0, value.size, _ARRAY_SLICE):
-            part = value[start:start + _ARRAY_SLICE]
-            size = np.abs(part)
-            if (size < 1e16).all() and (size == np.floor(size)).all():
-                # the repr of an integral float below 1e16 is its sign,
-                # its digits and ".0"
-                inner = _digit_texts(size.astype(np.int64), ".0" + item_separator,
-                                     np.signbit(part))[:-len(item_separator)]
-            else:
-                inner = encoder.encode(part.tolist())[1:-1]
-            chunks.append(separator + inner)
-            separator = item_separator
-        chunks.append("\n" + _INDENT * level + "]")
+        _list(chunks, level, (_float_slice(value[start:start + _ARRAY_SLICE], level + 1)
+                              for start in range(0, value.size, _ARRAY_SLICE)))
     elif kind is RunColumn:
         if 2 * value.values.size >= value.code.size:
             # with runs for half the rows or more, gathering run texts costs
@@ -151,39 +136,21 @@ def _encode(value, level: int, chunks: list[str]) -> None:
             _encode(value.values.take(value.code), level, chunks)
             return
         texts = value.texts()
-        item_separator = ",\n" + _INDENT * (level + 1)
-        separator = "[\n" + _INDENT * (level + 1)
-        for start in range(0, value.code.size, _ARRAY_SLICE):
-            rows = texts.take(value.code[start:start + _ARRAY_SLICE]).tolist()
-            chunks.append(separator + item_separator.join(rows))
-            separator = item_separator
-        chunks.append("\n" + _INDENT * level + "]")
+        codes = (value.code[start:start + _ARRAY_SLICE]
+                 for start in range(0, value.code.size, _ARRAY_SLICE))
+        _list(chunks, level, (item_separator.join(texts.take(code).tolist()) for code in codes))
     elif kind is RowNumbers:
-        if not value.n:
-            chunks.append("[]")
-            return
         # digits need no escaping, so each row is its number in quotes
-        separator = '",\n' + _INDENT * (level + 1) + '"'
-        chunks.append("[\n" + _INDENT * (level + 1) + '"')
-        for start in range(1, value.n + 1, _ARRAY_SLICE):
-            numbers = np.arange(start, min(start + _ARRAY_SLICE, value.n + 1))
-            chunks.append(_digit_texts(numbers, separator))
-        chunks[-1] = chunks[-1][:-len(separator)]
-        chunks.append('"\n' + _INDENT * level + "]")
+        tail = '"' + item_separator + '"'
+        numbers = (np.arange(start, min(start + _ARRAY_SLICE, value.n + 1))
+                   for start in range(1, value.n + 1, _ARRAY_SLICE))
+        _list(chunks, level, ('"' + _digit_texts(part, tail)[:1 - len(tail)] for part in numbers))
     elif kind is list or kind is tuple:
-        if not value:
-            chunks.append("[]")
-        elif set(map(type, value)) <= _SCALARS:
-            inner = _flat_encoder(level + 1).encode(value)
-            chunks.append("[\n" + _INDENT * (level + 1) + inner[1:-1]
-                          + "\n" + _INDENT * level + "]")
+        if set(map(type, value)) <= _SCALARS:
+            inner = _flat_encoder(level + 1).encode(value)[1:-1]
+            _list(chunks, level, [inner] if inner else [])
         else:
-            separator = "[\n" + _INDENT * (level + 1)
-            for item in value:
-                chunks.append(separator)
-                _encode(item, level + 1, chunks)
-                separator = ",\n" + _INDENT * (level + 1)
-            chunks.append("\n" + _INDENT * level + "]")
+            _list(chunks, level, (_text(item, level + 1) for item in value))
     elif kind is dict:
         if not value:
             chunks.append("{}")
@@ -194,10 +161,41 @@ def _encode(value, level: int, chunks: list[str]) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             chunks.append(separator + _flat_encoder(level).encode(key) + ": ")
             _encode(item, level + 1, chunks)
-            separator = ",\n" + _INDENT * (level + 1)
+            separator = item_separator
         chunks.append("\n" + _INDENT * level + "}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _list(chunks: list[str], level: int, slices: Iterable[str]) -> None:
+    """Append the indent=2 JSON list at nesting `level` whose items are
+    the texts in `slices`, each one or more items already joined by the
+    item separator of `level + 1`; `[]` when there is no slice."""
+    separator, closing = "[\n" + _INDENT * (level + 1), "[]"
+    for inner in slices:
+        chunks.append(separator + inner)
+        separator, closing = ",\n" + _INDENT * (level + 1), "\n" + _INDENT * level + "]"
+    chunks.append(closing)
+
+
+def _float_slice(part: np.ndarray, level: int) -> str:
+    """The items of a float64 slice joined by the item separator of
+    `level`: from digit arrays when every value is integral and below
+    1e16 in size, else by the C encoder."""
+    size = np.abs(part)
+    if (size < 1e16).all() and (size == np.floor(size)).all():
+        # the repr of an integral float below 1e16 is its sign, its
+        # digits and ".0"
+        tail = ".0,\n" + _INDENT * level
+        return _digit_texts(size.astype(np.int64), tail, np.signbit(part))[:2 - len(tail)]
+    return _flat_encoder(level).encode(part.tolist())[1:-1]
+
+
+def _text(value, level: int) -> str:
+    """The indent=2 JSON of `value` at nesting `level`, as one string."""
+    chunks: list[str] = []
+    _encode(value, level, chunks)
+    return "".join(chunks)
 
 
 def _digit_texts(values: np.ndarray, tail: str, negative: np.ndarray | None = None) -> str:

@@ -146,12 +146,11 @@ def _parse_indices(spec: str | None, p: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _interval_columns(cs, labels: list[str]) -> dict:
+def _interval_columns(cs) -> dict:
     """The `results` entries shared by the rank confidence-set commands."""
-    shown = [int(i) for i in cs.indices]
     return {
-        "indices": [i + 1 for i in shown],
-        "labels": [labels[i] for i in shown],
+        "indices": [i + 1 for i in cs.indices],
+        "labels": cs.labels,
         "L": cs.lower.astype(np.int64).tolist(),
         "rank": cs.rank.astype(np.int64).tolist(),
         "U": cs.upper.astype(np.int64).tolist(),
@@ -300,8 +299,8 @@ def cmd_ranks(args):
 
 
 def _load_estimates(args):
-    """Shared loader for the Gaussian commands; returns (est, digest,
-    labels). Refuses a bootstrap past the size bounds as soon as the
+    """Shared loader for the Gaussian commands; returns (est, digest).
+    Refuses a bootstrap past the size bounds as soon as the
     number of populations is known, before any p x p array exists."""
     if (args.se_col is None) == (args.cov_path is None):
         raise InputError("provide exactly one of --se or --cov")
@@ -311,7 +310,7 @@ def _load_estimates(args):
     theta = table.numeric(args.estimates_col)
     p = len(theta)
     check_bootstrap_size(args.draws, p)
-    labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
+    labels = RowNumbers(p) if args.label_col is None else table.raw(args.label_col)
     if args.se_col is not None:
         se = table.numeric(args.se_col)
         if np.any(se <= 0):
@@ -328,11 +327,11 @@ def _load_estimates(args):
         sigma = read_covariance(cov_raw, p)
         digest = input_digest(raw, cov_raw)
     try:
-        est = EstimatesWithCovariance(theta, sigma, labels=tuple(labels))
+        est = EstimatesWithCovariance(theta, sigma, labels=labels)
     except ValueError as exc:
         # the covariance file parsed but is unusable, e.g. not symmetric
         raise DomainError(str(exc)) from exc
-    return est, digest, labels
+    return est, digest
 
 
 def _bootstrap(args) -> BootstrapConfig:
@@ -373,11 +372,11 @@ def cmd_csranks(args):
         where = "stdout" if args.svg_path == "-" else "the same file"
         raise InputError(f"--svg and the result would both be written to {where}; "
                          "give -o or --svg another path")
-    est, digest, labels = _load_estimates(args)
+    est, digest = _load_estimates(args)
     cfg = _bootstrap(args)
     idx = _parse_indices(args.indices, est.p)
     cs = cs_ranks(est, cfg, mode="simultaneous" if args.simul else "marginal", indices=idx)
-    results = {"mode": cs.mode, **_interval_columns(cs, labels)}
+    results = {"mode": cs.mode, **_interval_columns(cs)}
     if args.svg_path is not None:
         from .svg import interval_chart  # xml.etree loads only for a chart
 
@@ -397,16 +396,15 @@ def _tau_command(name, chooser, doc):
         doc=doc,
     )
     def _cmd(args):
-        est, digest, labels = _load_estimates(args)
+        est, digest = _load_estimates(args)
         if args.tau > est.p:
             raise InputError(f"--tau {args.tau} exceeds the {est.p} populations")
         cfg = _bootstrap(args)
         result = chooser(est, cfg, args.tau)
-        members = [int(j) for j in result.members]
         results = {
             "tau": args.tau,
-            "members": [j + 1 for j in members],
-            "labels": [labels[j] for j in members],
+            "members": [j + 1 for j in result.members],
+            "labels": [result.labels[j] for j in result.members],
         }
         _emit(args, digest, results, {"index": results["members"], "label": results["labels"]},
               seed=cfg.seed)
@@ -448,9 +446,8 @@ def cmd_csranks_multinom(args):
             raise InputError("--column is required when the input has several columns")
         column = numeric_names[0]
     counts = _integer_counts(table, column)
-    p = len(counts)
-    labels = list(RowNumbers(p)) if args.label_col is None else table.raw(args.label_col).tolist()
-    data = MultinomialCounts(counts, labels=tuple(labels))
+    labels = RowNumbers(counts.size) if args.label_col is None else table.raw(args.label_col)
+    data = MultinomialCounts(counts, labels=labels)
     idx = _parse_indices(args.indices, data.p)
     cs = cs_ranks_multinomial(
         data,
@@ -459,7 +456,7 @@ def cmd_csranks_multinom(args):
         method=args.multcorr,
         indices=idx,
     )
-    results = {"mode": cs.mode, "method": args.multcorr, **_interval_columns(cs, labels)}
+    results = {"mode": cs.mode, "method": args.multcorr, **_interval_columns(cs)}
     _emit(args, input_digest(raw), results, _interval_table(results))
 
 

@@ -30,7 +30,6 @@ Mode = Literal["marginal", "simultaneous"]
 # the largest estimate.
 REPORT_RULE = TieRule(omega=0.0, direction="decreasing")
 
-_SE_FLOOR = 1e-12
 # Most draws x p cells, and p x p cells, a bootstrap runs: the draws matrix
 # or a p x p array then takes at most 1 GiB. A set's peak is about 2.5 to
 # 4.3 times the draws matrix, or 6 times a p x p array.
@@ -60,9 +59,9 @@ class EstimatesWithCovariance:
             raise ValueError("sigma_hat must be p x p")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma))):
             raise ValueError("estimates and covariance must be finite")
-        scale = max(1.0, float(np.abs(sigma).max()))
+        scale = float(np.abs(sigma).max())
         if float(np.abs(sigma - sigma.T).max()) > 1e-10 * scale:
-            raise ValueError("sigma_hat must be symmetric within 1e-10")
+            raise ValueError("sigma_hat must be symmetric within 1e-10 of its largest entry")
         if float(np.diag(sigma).min()) < 0.0:
             raise NotPSD("sigma_hat has a negative diagonal entry")
         if self.labels is not None:
@@ -140,26 +139,42 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     """Standard errors of all pairwise differences:
     se_jk = sqrt(var_j + var_k - 2 cov_jk), zero on the diagonal. Taking
     cov_jk + cov_kj for 2 cov_jk keeps the bits of a symmetric sigma_hat
-    and makes se exactly symmetric for one symmetric within tolerance."""
+    and makes se exactly symmetric for one symmetric within tolerance.
+
+    Each pair is checked by its share, se2_jk / (var_j + var_k), so the
+    checks do not depend on the units of the estimates: NotPSD below
+    -4u, DegeneratePair at 4u or less, with u = 2^-53. The bound: se2 is
+    fl(fl(a) - fl(b)) for a = var_j + var_k and b = cov_jk + cov_kj.
+    When sigma_hat is PSD, |cov_jk| <= sqrt(var_j var_k) <= a / 2, so
+    |b| <= a, and rounding the two sums moves fl(a) - fl(b) from
+    a - b >= 0 by at most u (a + |b|) <= 2u a. Twice that also covers
+    the rounding of the subtraction and of the share. So a share below
+    -4u is more than rounding makes of a PSD sigma_hat, and a share of
+    4u or less is within rounding of zero: the pair's difference may have
+    no variance at all.
+    """
     sigma = est.sigma_hat
     d = np.diag(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        se2 = d[:, None] + d[None, :] - (sigma + sigma.T)
+        share = d[:, None] + d[None, :]
+        se2 = share - (sigma + sigma.T)
     if not np.all(np.isfinite(se2)):
         raise NonFinite("a pairwise variance overflows; rescale the estimates")
-    low = float(se2.min())
-    if low < -_SE_FLOOR:
-        raise NotPSD(f"negative pairwise variance {low:.3e}; covariance is not PSD")
-    se = np.sqrt(np.clip(se2, 0.0, None))
-    np.fill_diagonal(se, 0.0)
-    off_mask = ~np.eye(est.p, dtype=bool)
-    if float(se[off_mask].min()) < _SE_FLOOR:
-        j, k = divmod(int(np.argmin(np.where(off_mask, se, np.inf))), est.p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(se2, share, out=share)  # NaN for two zero variances
+    np.fill_diagonal(share, np.inf)  # no pair
+    tol = 4 * 2.0**-53
+    low = float(np.fmin.reduce(share, axis=None))  # NaN skipped
+    if low < -tol:
+        raise NotPSD(f"a pairwise variance is {low:.3e} times var_j + var_k; "
+                     "covariance is not PSD")
+    j, k = divmod(int(np.argmin(share)), est.p)  # a NaN first
+    if not share[j, k] > tol:
         raise DegeneratePair(
             f"populations {j} and {k} have a numerically zero difference "
             "standard error; their estimates are perfectly coupled"
         )
-    return se
+    return np.sqrt(se2, out=se2)  # every pair's se2 is positive, the diagonal's 0
 
 
 def _order_index(m: int, coverage: float) -> int:
@@ -190,14 +205,19 @@ def _bootstrap_normals(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> De
 # 46 ms simultaneous), and 128 to 512 KiB took 1.4 to 2.7 times as long.
 _CHUNK_BYTES = 1 << 20
 # Fewest pair cells (draws x studentized pairs) per thread of the pair
-# pass. On float32 blocks, the screen that every in-range input takes, a
-# second thread on a 2-vCPU Xeon cost time up to about 2e7 cells (p=100
-# and 1000 draws: 9.5 against 8.1 ms; p=200: 30.8 against 30.2 ms), tied
-# at p=300 and 1000 draws (4.5e7 cells: 65 against 66 ms marginal), and
-# won at p=150 and 4000 draws (4.5e7 cells: 59 against 83 ms) and at
-# p=1000 and 1000 draws (522 against 857 ms); medians of interleaved
-# runs. The float64 pass, now only a fallback, gained from a second
-# thread from about 5e6 cells (p=130 and 1000 draws: 25 against 37 ms).
+# pass. `_critical_values` on float32 blocks, the screen that every
+# in-range input takes, on a 2-vCPU Xeon, two threads against one
+# (medians of 15 interleaved runs, marginal then simultaneous): a second
+# thread cost time at p=100 and 1000 draws (5e6 cells: 10.0 against
+# 7.6 ms, 8.0 against 6.5 ms), and won at p=100 and 4000 draws (2e7
+# cells: 26.6 against 38.3 ms, 14.1 against 23.4 ms), at p=200 and 1000
+# draws (2e7 cells: 23.2 against 29.1 ms), at p=300 and 1000 draws (4.5e7
+# cells: 43.6 against 60.0 ms, 36.8 against 50.6 ms) and at p=150 and
+# 4000 draws (4.5e7 cells: 47.4 against 69.2 ms). A pass takes a second
+# thread from 2^25 cells, so the 2e7-cell passes above run on one where
+# a second would gain; `league`'s 4.5e7-cell passes run on two. The
+# float64 pass, now only a fallback, gained from a second thread from
+# about 5e6 cells (p=130 and 1000 draws: 25 against 37 ms).
 _WORKER_CELLS = 1 << 24
 # The float32 screen of `_critical_values` bounds its error by
 # (_SCREEN_REL * max|z| + _SCREEN_ABS) / s + _SCREEN_ABS (see there).
@@ -280,10 +300,9 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
     """The pair pass over draws [start, stop), cut into equal chunks of
     at most `width` draws, into out[:, start:stop] (`se` already in
     `order`). `columns` False keeps only the running max over all pairs,
-    in out[0]. A chunk holding every draw accumulates in `out` itself;
-    any other chunk in a contiguous buffer that is copied back, because
-    the column updates on a slice of out's rows made a marginal pass at
-    p=300 and 1000 draws 5-10% slower."""
+    in out[0]. Each chunk accumulates in a contiguous buffer that is
+    copied back, because the column updates on a slice of out's rows made
+    a marginal pass at p=300 and 1000 draws 5-10% slower."""
     p = se.shape[0]
     k = out.shape[0]
     span = stop - start
@@ -292,8 +311,7 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
     buf = np.empty((p - 1) * -(-span // chunks), dtype=out.dtype)
     for a, b in zip(cuts[:-1], cuts[1:]):
         w = b - a
-        whole = w == out.shape[1]
-        acc = out if whole else np.zeros((k, w), dtype=out.dtype)
+        acc = np.zeros((k, w), dtype=out.dtype)
         zt = z[a:b].T[order]  # populations x draws, contiguous per population
         for i in range(min(k, p - 1) if columns else p - 1):
             block = buf[: (p - 1 - i) * w].reshape(p - 1 - i, w)
@@ -304,8 +322,7 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
             np.maximum(row, block.max(axis=0), out=row)
             if columns:
                 np.maximum(acc[i + 1:], block[: k - 1 - i], out=acc[i + 1:])
-        if not whole:
-            out[:, a:b] = acc
+        out[:, a:b] = acc
 
 
 def _critical_values(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int] | None,

@@ -52,8 +52,7 @@ class RankRegressionModel:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
+        TieRule(self.omega, "increasing")  # checks omega
         ranked = [name for name, is_ranked in self.regressors if is_ranked]
         if len(ranked) > 1:
             raise FormulaError(
@@ -193,7 +192,7 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     Grouped models expand every base column into one column per group
     level (group-specific intercepts included, no global intercept); z
     keeps the base columns once, and each level's block reads them on its
-    rows.
+    rows. A response that holds one value raises DegenerateCovariance.
     """
     warnings: list[str] = []
     y_raw = _numeric_column(data, model.response)
@@ -207,6 +206,14 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
             columns[name] = _numeric_column(data, name)
             if columns[name].size != n:
                 raise InputError(f"column '{name}' has inconsistent length")
+
+    if y_raw.min() == y_raw.max():
+        # every coefficient's corrected standard error is zero, or the
+        # rounding noise of a fit that is exact only in real arithmetic
+        raise DegenerateCovariance(
+            f"the response {model.response!r} holds one value, so the corrected "
+            "covariance is degenerate"
+        )
 
     rule = TieRule(omega=model.omega, direction="increasing")
     ties_y = _TieRuns.of(y_raw) if model.response_ranked else None
@@ -367,8 +374,9 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     """Coefficient table with corrected standard errors.
 
     Raises DegenerateCovariance when the covariance is not finite (from
-    `corrected_vcov`) or a z-value is not (a zero standard error, as for a
-    constant response, or an estimate near 1e308 over a small one).
+    `corrected_vcov`) or a z-value is not (a zero standard error, or an
+    estimate near 1e308 over a small one). A constant response is refused
+    before the fit, by `build_design`.
     """
     est = fit_result.coefficients
     cov = variance.corrected_vcov(fit_result)
@@ -377,8 +385,8 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
         z = est / se
     if not np.all(np.isfinite(z)):
         raise DegenerateCovariance(
-            "the corrected covariance is degenerate (a zero standard error, "
-            "e.g. from a constant response, or a z-value that overflows)"
+            "the corrected covariance is degenerate (a zero standard error "
+            "or a z-value that overflows)"
         )
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return CoefficientSummary(

@@ -1,4 +1,4 @@
-"""Release gate: twenty-three end-to-end checks, each printing one summary line.
+"""Release gate: twenty-four end-to-end checks, each printing one summary line.
 
 Run with -s (or -rP) to see the per-check lines; every check also
 asserts its own tolerance and runtime budget.
@@ -703,3 +703,32 @@ def test_c24_multinomial_sets_follow_distinct_counts():
                 assert elapsed < budget, f"p={data.p} {mode} Holm took {elapsed:.2f}s"
             lines.append(f"p={data.p}, u={u} {mode} {elapsed:.2f}s, {peak:.1f} MiB")
     _report("C24", "; ".join(lines), time.perf_counter() - t0)
+
+
+def test_c25_gaussian_pair_arrays_memory(tmp_path):
+    # cs-ranks --se --simul at p=2000 and 100 draws: the p x p arrays of
+    # the covariance, its checks, the pair standard errors and the
+    # critical values set the peak, since the draws matrix is 1.6 MB.
+    # Measured before the bound was set (2-vCPU Xeon, numpy 2.4.6, three
+    # runs): 158.2 MiB under tracemalloc, in about 1.4 s; the bound is
+    # that plus 15 %, so one more p x p float64 array (30.5 MiB) fails it
+    p = 2000
+    rng = np.random.default_rng(25)
+    source = tmp_path / "estimates.csv"
+    source.write_text("est,se\n" + "".join(
+        f"{t!r},{s!r}\n" for t, s in zip(rng.normal(size=p).tolist(),
+                                         rng.uniform(0.15, 0.35, p).tolist())))
+    target = tmp_path / "sets.json"
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli_main(["cs-ranks", "--input", str(source), "--estimates", "est", "--se", "se",
+                         "--simul", "--draws", "100", "--seed", "25", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(target.read_text())["results"]["L"]) == p
+    assert peak <= 158.2 * 1.15, f"peak {peak:.1f} MiB"
+    _report("C25", f"cs-ranks --se --simul at p=2000, 100 draws peaks at {peak:.1f} MiB",
+            time.perf_counter() - t0)

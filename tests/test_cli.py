@@ -654,6 +654,50 @@ class TestCsRanks:
         assert lines[1] == "1,1,3,3,3"
 
 
+class TestUnitScale:
+    """Gaussian sets do not depend on the units of the estimates."""
+
+    @given(k=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
+    # standard errors near 2^-40 and below, where an absolute floor of
+    # 1e-12 on se would call pairs degenerate
+    @example(k=-40, seed=0)
+    @example(k=-45, seed=1)
+    @example(k=-200, seed=2)
+    @example(k=200, seed=3)
+    @settings(deadline=None, max_examples=10,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_results_equal_across_power_of_two_scalings(self, invoke_cli, tmp_path, k, seed):
+        # theta and se scaled by 2^k, sigma by 4^k: every studentized
+        # difference keeps its bits, so every set is the same
+        p = 12
+        rng = np.random.default_rng(seed)
+        theta = rng.normal(size=p)
+        se = rng.uniform(0.15, 0.35, p)
+        factor = rng.normal(size=(p, 3))
+        sigma = 0.01 * factor @ factor.T + np.diag(se**2)
+        commands = [["cs-ranks"], ["cs-ranks", "--simul"],
+                    ["cs-taubest", "--tau", "3"], ["cs-tauworst", "--tau", "3"]]
+
+        def results(scale):
+            estimates = tmp_path / "estimates.csv"
+            estimates.write_text("est,se\n" + "".join(
+                f"{t!r},{s!r}\n" for t, s in zip((theta * scale).tolist(),
+                                                 (se * scale).tolist())))
+            cov = tmp_path / "cov.csv"
+            cov.write_text(",".join(f"c{j}" for j in range(p)) + "\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in (sigma * scale**2).tolist()))
+            out = []
+            for source in (["--se", "se"], ["--cov", str(cov)]):
+                for command in commands:
+                    res = invoke_cli([*command, "--input", str(estimates), "--estimates", "est",
+                                      *source, "--draws", "100", "--seed", str(seed)])
+                    assert res.code == 0, res.stderr
+                    out.append(parse_envelope(res.stdout)["results"])
+            return out
+
+        assert results(2.0**k) == results(1.0)
+
+
 class TestOverflowInputs:
     """Extreme but finite inputs keep the exit-code contract and put no
     numpy RuntimeWarning on stderr."""
@@ -1167,8 +1211,13 @@ class TestRankReg:
             ("Y,X\n1e308,2\n-1e308,3\n1e308,1\n4,5\n2,2\n", "Y ~ X"),
             ("Y,X,G\n1e200,2,a\n-1e200,3,a\n1e200,1,a\n4,5,a\n1,2,b\n2,3,b\n3,1,b\n5,6,b\n",
              "Y ~ (X):G"),
+            # a constant response whose fit is not exact in floating point:
+            # its standard errors are rounding noise, not zero
+            ("y,x,w\n1,1,3\n1,2,1\n1,3,2\n1,5,7\n1,4,4\n", "r(y) ~ r(x)"),
+            ("y,x,w\n1,1,3\n1,2,1\n1,3,2\n1,5,7\n1,4,4\n", "y ~ r(x) + w"),
         ],
-        ids=["constant", "constant-ranked", "overflow", "overflow-nan", "overflow-grouped"],
+        ids=["constant", "constant-ranked", "overflow", "overflow-nan", "overflow-grouped",
+             "constant-inexact-ranked", "constant-inexact"],
     )
     @pytest.mark.parametrize("out_format", ["json", "csv"])
     def test_degenerate_covariance_exit_code(self, invoke_cli, csv, formula, out_format):

@@ -51,6 +51,16 @@ class TestEstimates:
         with pytest.raises(ValueError):
             EstimatesWithCovariance(np.array([0.0, 1.0]), sigma)
 
+    def test_symmetry_tolerance_is_relative(self):
+        # 1e-10 of the largest entry, at any scale
+        for k in (-100, 0, 100):
+            scale = 4.0**k
+            ok = np.array([[1.0, 0.2], [0.2 + 5e-11, 1.0]]) * scale
+            EstimatesWithCovariance(np.zeros(2), ok)
+            with pytest.raises(ValueError, match="symmetric"):
+                EstimatesWithCovariance(np.zeros(2), np.array([[1.0, 0.2], [0.2 + 2e-10, 1.0]])
+                                        * scale)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(NotPSD):
             EstimatesWithCovariance(np.array([0.0, 1.0]), np.diag([1.0, -0.1]))
@@ -76,6 +86,28 @@ class TestPairwiseSe:
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
         est = EstimatesWithCovariance(np.array([0.0, 1.0]), sigma)
         with pytest.raises(DegeneratePair):
+            pairwise_se(est)
+
+    @pytest.mark.parametrize("k", [-100, 0, 100])
+    def test_pair_rule_is_relative(self, k):
+        # sigma = 4^k [[1, c], [c, 1]], so se2 / (var_j + var_k) = 1 - c,
+        # against 4 * 2^-53 = 2^-51 at every scale
+        def check(c):
+            sigma = np.array([[1.0, c], [c, 1.0]]) * 4.0**k
+            return pairwise_se(EstimatesWithCovariance(np.zeros(2), sigma))
+
+        se = check(1.0 - 2.0**-50)  # share 2^-50: kept
+        assert se[0, 1] == 2.0**k * np.sqrt(2.0**-49)
+        with pytest.raises(DegeneratePair):
+            check(1.0 - 2.0**-52)  # share 2^-52, within rounding of zero
+        with pytest.raises(DegeneratePair):
+            check(1.0 + 2.0**-52)  # share -2^-52, within rounding of zero
+        with pytest.raises(NotPSD):
+            check(1.0 + 2.0**-50)  # share -2^-50, below what rounding makes
+
+    def test_two_zero_variances_are_a_degenerate_pair(self):
+        est = EstimatesWithCovariance(np.zeros(3), np.diag([0.0, 1.0, 0.0]))
+        with pytest.raises(DegeneratePair, match="populations 0 and 2"):
             pairwise_se(est)
 
     def test_negative_pairwise_variance(self):
