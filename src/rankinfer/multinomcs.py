@@ -432,6 +432,5 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
         p=p,
         mode=mode,
         coverage=coverage,
-        sidedness="two-sided",
         labels=_labels_subset(data.labels, wanted),
     )

@@ -24,7 +24,7 @@ DenseMatrix = FloatArray
 _RANK_TOL = 1e-10
 # Eigenvalues above -_PSD_CLIP * max(eig) are treated as zero.
 _PSD_CLIP = 1e-8
-# Largest |s - s'| entry accepted as symmetric, relative to max(1, |s|).
+# Largest |s - s'| entry accepted as symmetric, relative to max |s|.
 _SYMMETRY_TOL = 1e-8
 
 
@@ -177,8 +177,7 @@ def cholesky_psd(s: DenseMatrix) -> DenseMatrix:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("s must be a square matrix")
     _require_finite(s, "matrix")
-    scale = max(1.0, float(np.abs(s).max()))
-    if float(np.abs(s - s.T).max()) > _SYMMETRY_TOL * scale:
+    if float(np.abs(s - s.T).max()) > _SYMMETRY_TOL * float(np.abs(s).max()):
         raise ValueError("matrix is not symmetric within tolerance")
     try:
         return np.linalg.cholesky(s)

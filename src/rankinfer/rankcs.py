@@ -4,8 +4,8 @@ Given point estimates with an estimated covariance matrix, pairwise
 differences are studentized and compared against critical values
 simulated by a parametric bootstrap from N(0, sigma_hat). Marginal sets
 cover one population's rank, simultaneous sets cover all ranks jointly,
-one-sided sets give simultaneous lower bounds, and the tau-best /
-tau-worst sets are projections of the one-sided sets.
+and the tau-best / tau-worst sets are projections of the simultaneous
+set: its lower bounds and its upper bounds.
 All of them read per-draw maxima of |Z_k - Z_j| / se_jk (`_pair_maxima`),
 screened in float32, with critical values exact to the float64 bit
 (`_critical_values`).
@@ -105,7 +105,6 @@ class RankConfidenceSet:
     p: int
     mode: Mode
     coverage: float
-    sidedness: Literal["two-sided", "lower-bounds-only"] = "two-sided"
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -116,8 +115,6 @@ class RankConfidenceSet:
             raise ValueError("bounds must lie within [1, p]")
         if np.any(self.lower > np.ceil(self.rank)) or np.any(self.upper < np.floor(self.rank)):
             raise ValueError("bounds must bracket the estimated rank")
-        if self.sidedness == "lower-bounds-only" and np.any(self.upper != self.p):
-            raise ValueError("one-sided sets must have upper bound p")
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,18 +438,6 @@ def check_bootstrap_size(draws: int, p: int) -> None:
         )
 
 
-def _bootstrap_bounds(est: EstimatesWithCovariance, cfg: BootstrapConfig, mode: Mode,
-                      wanted: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Rank bounds of `wanted`, each at the quantile of its own pair maxima
-    (marginal) or all at the quantile of their max over every population.
-    Raises DomainError, before any draw, past `check_bootstrap_size`."""
-    check_bootstrap_size(cfg.draws, est.p)
-    se = pairwise_se(est)
-    z = _bootstrap_normals(est, cfg)
-    crit = _critical_values(z, se, wanted if mode == "marginal" else None, cfg.coverage)
-    return _rank_bounds(est.theta_hat, se, wanted, crit)
-
-
 def _normalize_indices(indices: Sequence[int] | None, p: int) -> tuple[int, ...]:
     if indices is None:
         return tuple(range(p))
@@ -482,12 +467,18 @@ def cs_ranks(est: EstimatesWithCovariance, cfg: BootstrapConfig,
     marginal mode covers each requested population's rank separately at
     the configured coverage (each index gets its own critical value from
     the shared bootstrap draws); simultaneous mode covers all ranks
-    jointly with a single critical value.
+    jointly with a single critical value, the quantile of each draw's max
+    over every pair. Raises DomainError, before any draw, past
+    `check_bootstrap_size`.
     """
     if mode not in ("marginal", "simultaneous"):
         raise ValueError("mode must be 'marginal' or 'simultaneous'")
     wanted = _normalize_indices(indices, est.p)
-    lower, upper = _bootstrap_bounds(est, cfg, mode, wanted)
+    check_bootstrap_size(cfg.draws, est.p)
+    se = pairwise_se(est)
+    z = _bootstrap_normals(est, cfg)
+    crit = _critical_values(z, se, wanted if mode == "marginal" else None, cfg.coverage)
+    lower, upper = _rank_bounds(est.theta_hat, se, wanted, crit)
     ranks = irank(est.theta_hat, REPORT_RULE).values
     return RankConfidenceSet(
         indices=wanted,
@@ -497,50 +488,43 @@ def cs_ranks(est: EstimatesWithCovariance, cfg: BootstrapConfig,
         p=est.p,
         mode=mode,
         coverage=cfg.coverage,
-        sidedness="two-sided",
         labels=_labels_subset(est.labels, wanted),
     )
 
 
-def cs_ranks_lower(est: EstimatesWithCovariance, cfg: BootstrapConfig) -> RankConfidenceSet:
-    """Simultaneous lower confidence bounds on all ranks.
-
-    One-sided intervals for the pairwise differences stretch to minus
-    infinity, so upper rank bounds are always p. The max over ordered
-    pairs of (Z_k - Z_j) / se_jk is the two-sided max over unordered
-    pairs, so the lower bounds equal the simultaneous ones.
-    """
-    p = est.p
-    everyone = tuple(range(p))
-    lower, _ = _bootstrap_bounds(est, cfg, "simultaneous", everyone)
-    ranks = irank(est.theta_hat, REPORT_RULE).values
-    return RankConfidenceSet(
-        indices=everyone,
-        lower=lower,
-        rank=ranks,
-        upper=np.full(p, p, dtype=np.int64),
-        p=p,
-        mode="simultaneous",
-        coverage=cfg.coverage,
-        sidedness="lower-bounds-only",
-        labels=est.labels,
-    )
-
-
-def cs_tau_best(est: EstimatesWithCovariance, cfg: BootstrapConfig, tau: int) -> TauBestSet:
-    """Populations whose simultaneous lower rank bound does not exceed
-    tau: no population outside the set can be among the true tau best."""
+def _tau_set(est: EstimatesWithCovariance, cfg: BootstrapConfig, tau: int,
+             worst: bool) -> TauBestSet:
     if not 1 <= tau <= est.p:
         raise ValueError("tau must lie in [1, p]")
-    cs = cs_ranks_lower(est, cfg)
-    members = tuple(int(j) for j, lo in zip(cs.indices, cs.lower) if lo <= tau)
+    cs = cs_ranks(est, cfg, "simultaneous")
+    bound = est.p + 1 - cs.upper if worst else cs.lower
+    members = tuple(int(j) for j in np.flatnonzero(bound <= tau))
     return TauBestSet(tau=tau, members=members, coverage=cfg.coverage,
                       p=est.p, labels=est.labels)
 
 
+def cs_tau_best(est: EstimatesWithCovariance, cfg: BootstrapConfig, tau: int) -> TauBestSet:
+    """Populations whose simultaneous lower rank bound L_j does not exceed
+    tau: no population outside the set can be among the true tau best.
+
+    A one-sided lower set would give the same L_j: the max over ordered
+    pairs of (Z_k - Z_j) / se_jk is the two-sided max over unordered
+    pairs, so its critical value is the simultaneous one.
+    """
+    return _tau_set(est, cfg, tau, worst=False)
+
+
 def cs_tau_worst(est: EstimatesWithCovariance, cfg: BootstrapConfig, tau: int) -> TauBestSet:
-    """tau-worst set: the tau-best set of the negated estimates."""
-    negated = EstimatesWithCovariance(
-        theta_hat=-est.theta_hat, sigma_hat=est.sigma_hat, labels=est.labels
-    )
-    return cs_tau_best(negated, cfg, tau)
+    """Populations whose simultaneous upper rank bound U_j has
+    p + 1 - U_j <= tau: no population outside the set can be among the
+    true tau worst.
+
+    This is the tau-best set of the negated estimates, bit for bit.
+    Negating theta negates each difference d_jk = theta_j - theta_k
+    exactly, an overflowed one included (its infinity flips sign), and
+    rounding to nearest is symmetric, so fl(-d + h) = -fl(d - h). The
+    draws, se and the critical value do not depend on theta. So
+    -d_jk + h_jk < 0 exactly when d_jk - h_jk > 0, and the negated set's
+    lower bound is p + 1 - U_j.
+    """
+    return _tau_set(est, cfg, tau, worst=True)

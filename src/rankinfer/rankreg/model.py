@@ -192,7 +192,8 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
     Grouped models expand every base column into one column per group
     level (group-specific intercepts included, no global intercept); z
     keeps the base columns once, and each level's block reads them on its
-    rows. A response that holds one value raises DegenerateCovariance.
+    rows. A response that holds one value, overall or within one group
+    level, raises DegenerateCovariance.
     """
     warnings: list[str] = []
     y_raw = _numeric_column(data, model.response)
@@ -270,8 +271,18 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
         names = [f"{name}:{level}" for name, _ in base for level in levels]
         order = np.argsort(group_codes, kind="stable")
         ends = np.cumsum(counts)
-        blocks = tuple((order[end - count:end], slice(code, None, len(levels)))
-                       for code, (count, end) in enumerate(zip(counts, ends)))
+        starts = ends - counts
+        y_sorted = y_raw[order]
+        flat = np.minimum.reduceat(y_sorted, starts) == np.maximum.reduceat(y_sorted, starts)
+        if flat.any():
+            # the level's own columns fit its rows exactly, so its
+            # coefficients have zero corrected variance
+            raise DegenerateCovariance(
+                f"the response {model.response!r} holds one value within group level "
+                f"'{levels[int(np.argmax(flat))]}', so the corrected covariance is degenerate"
+            )
+        blocks = tuple((order[start:end], slice(code, None, len(levels)))
+                       for code, (start, end) in enumerate(zip(starts, ends)))
     # the ranked regressor is base column 0: column g of block g
     x_cols = tuple(range(len(blocks))) if x_name is not None else ()
 

@@ -37,6 +37,8 @@ COUNTRY_CSV = (
 )
 
 ESTIMATES_CSV = "name,est,se\na,0.0,0.05\nb,10.0,0.05\nc,20.0,0.05\n"
+# Y is 5 on every row of level a; `last` is the last row's Y, in level b
+LEVEL_CONSTANT_CSV = "Y,X,G\n5,1,a\n5,2,a\n5,3,a\n5,4,a\n1,2,b\n2,3,b\n3,1,b\n{last},6,b\n"
 
 
 def parse_envelope(stdout):
@@ -1215,9 +1217,16 @@ class TestRankReg:
             # its standard errors are rounding noise, not zero
             ("y,x,w\n1,1,3\n1,2,1\n1,3,2\n1,5,7\n1,4,4\n", "r(y) ~ r(x)"),
             ("y,x,w\n1,1,3\n1,2,1\n1,3,2\n1,5,7\n1,4,4\n", "y ~ r(x) + w"),
+            # a response constant within one group level: that level's own
+            # columns fit its rows exactly
+            (LEVEL_CONSTANT_CSV.format(last=7), "Y ~ (X):G"),
+            (LEVEL_CONSTANT_CSV.format(last=7), "r(Y) ~ r(X):G"),
+            (LEVEL_CONSTANT_CSV.format(last=5), "Y ~ (X):G"),
+            (LEVEL_CONSTANT_CSV.format(last=5), "r(Y) ~ r(X):G"),
         ],
         ids=["constant", "constant-ranked", "overflow", "overflow-nan", "overflow-grouped",
-             "constant-inexact-ranked", "constant-inexact"],
+             "constant-inexact-ranked", "constant-inexact", "level-constant",
+             "level-constant-ranked", "level-constant-shared", "level-constant-shared-ranked"],
     )
     @pytest.mark.parametrize("out_format", ["json", "csv"])
     def test_degenerate_covariance_exit_code(self, invoke_cli, csv, formula, out_format):

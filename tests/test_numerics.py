@@ -229,6 +229,17 @@ class TestCholeskyPSD:
         with pytest.raises(ValueError):
             cholesky_psd(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("k", [-60, -40, 0, 40])
+    def test_asymmetry_refused_in_any_units(self, k):
+        # the check is relative to max|s|, so rescaling cannot pass it
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky_psd(np.array([[1.0, 0.5], [0.4, 1.0]]) * 2.0**k)
+
+    @pytest.mark.parametrize("k", [-30, -20, 0, 20])
+    def test_factor_scales_exactly(self, k):
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(cholesky_psd(s * 4.0**k), cholesky_psd(s) * 2.0**k)
+
 
 class TestInverseNormalCdf:
     def test_against_scipy(self):

@@ -17,7 +17,6 @@ from rankinfer.rankcs import (
     RankConfidenceSet,
     TauBestSet,
     cs_ranks,
-    cs_ranks_lower,
     cs_tau_best,
     cs_tau_worst,
     pairwise_se,
@@ -524,31 +523,6 @@ class TestCsRanks:
         assert cs.p == 3
 
 
-class TestOneSided:
-    def test_upper_bounds_always_p(self):
-        rng = np.random.default_rng(3)
-        est = diag_estimates(rng.normal(size=5), np.full(5, 0.3))
-        cs = cs_ranks_lower(est, CFG)
-        assert np.all(cs.upper == 5)
-        assert cs.sidedness == "lower-bounds-only"
-
-    def test_lower_bounds_no_tighter_than_two_sided(self):
-        rng = np.random.default_rng(4)
-        est = diag_estimates(rng.normal(size=6), np.full(6, 0.25))
-        one = cs_ranks_lower(est, CFG)
-        two = cs_ranks(est, CFG, mode="simultaneous")
-        assert np.all(one.lower >= two.lower)
-
-    def test_lower_bounds_equal_simultaneous(self):
-        rng = np.random.default_rng(5)
-        factor = rng.normal(0.0, 0.2, size=(8, 3))
-        cov = factor @ factor.T + np.diag(rng.uniform(0.02, 0.08, 8))
-        est = EstimatesWithCovariance(rng.normal(size=8), (cov + cov.T) / 2.0)
-        one = cs_ranks_lower(est, CFG)
-        two = cs_ranks(est, CFG, mode="simultaneous")
-        assert np.array_equal(one.lower, two.lower)
-
-
 class TestTauSets:
     def test_clear_leader(self):
         est = diag_estimates([10.0, 0.0, -10.0], [0.01, 0.01, 0.01])
@@ -569,12 +543,31 @@ class TestTauSets:
             for tau in (1, 3, 6):
                 assert len(cs_tau_best(est, CFG, tau).members) >= tau
 
-    def test_worst_mirrors_best_of_negated(self):
+    @pytest.mark.parametrize("case", ["diagonal", "dense", "overflow"])
+    def test_worst_mirrors_best_of_negated(self, case):
+        # both tau sets read one simultaneous set: L_j for the best, and
+        # p + 1 - U_j for the worst, which is the best set of -theta
         rng = np.random.default_rng(6)
-        theta = rng.normal(size=5)
-        est = diag_estimates(theta, np.full(5, 0.4))
-        neg = diag_estimates(-theta, np.full(5, 0.4))
-        assert cs_tau_worst(est, CFG, tau=2).members == cs_tau_best(neg, CFG, tau=2).members
+        p = 8
+        theta = rng.normal(size=p)
+        cov = np.diag(np.full(p, 0.16))
+        if case != "diagonal":
+            factor = rng.normal(0.0, 0.2, size=(p, 3))
+            cov = factor @ factor.T + np.diag(rng.uniform(0.02, 0.08, p))
+            cov = (cov + cov.T) / 2.0
+        if case == "overflow":
+            # differences of opposite-signed estimates overflow to +-inf
+            theta = np.array([1.5e308, 1.4e308, -1.5e308, -1.4e308,
+                              1.5e308, 0.0, -1.5e308, 1.4e308])
+        est = EstimatesWithCovariance(theta, cov)
+        neg = EstimatesWithCovariance(-theta, cov)
+        simul = cs_ranks(est, CFG, "simultaneous")
+        for tau in range(1, p + 1):
+            best = cs_tau_best(est, CFG, tau).members
+            worst = cs_tau_worst(est, CFG, tau).members
+            assert best == tuple(np.flatnonzero(simul.lower <= tau))
+            assert worst == tuple(np.flatnonzero(p + 1 - simul.upper <= tau))
+            assert worst == cs_tau_best(neg, CFG, tau).members
 
     def test_tau_validation(self):
         est = diag_estimates([0.0, 1.0], [0.1, 0.1])
