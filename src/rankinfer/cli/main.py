@@ -278,7 +278,7 @@ def cmd_ranks(args):
         fvals = RunColumn(run_ranks / runs.n, runs.code)
     else:
         vals = values
-        ivals = irank_against(values, reference, rule).values
+        ivals = irank_against(values, reference, rule)
         fvals = ivals / len(reference)
     results = {
         "column": args.column,
@@ -307,12 +307,14 @@ def _load_estimates(args):
     if args.input_path == args.cov_path == "-":
         raise InputError("--input and --cov cannot both read stdin; give one of them a file")
     raw, table = _read_input(args)
-    theta = table.numeric(args.estimates_col)
+    if args.se_col is not None:
+        theta, se = table.numeric([args.estimates_col, args.se_col])
+    else:
+        theta = table.numeric(args.estimates_col)
     p = len(theta)
     check_bootstrap_size(args.draws, p)
     labels = RowNumbers(p) if args.label_col is None else table.raw(args.label_col)
     if args.se_col is not None:
-        se = table.numeric(args.se_col)
         if np.any(se <= 0):
             raise DomainError(f"column {args.se_col!r} must be positive standard errors")
         with np.errstate(over="ignore"):
@@ -320,6 +322,9 @@ def _load_estimates(args):
         if not np.all(np.isfinite(var)):
             raise DomainError(
                 f"column {args.se_col!r} has a standard error whose square overflows")
+        if np.any(var == 0):
+            raise DomainError(
+                f"column {args.se_col!r} has a standard error whose square underflows to 0")
         sigma = np.diag(var)
         digest = input_digest(raw)
     else:

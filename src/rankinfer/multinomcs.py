@@ -84,10 +84,6 @@ class MultinomialCounts:
     def p(self) -> int:
         return self.counts.size
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class PairwisePValueTable:
@@ -418,7 +414,7 @@ def cs_ranks_multinomial(data: MultinomialCounts, coverage: float = 0.95,
             into[:, a], out_of[a] = reject[:, :u].T, reject[:, u:]
     lower = (1 + size @ into - into.diagonal())[code[picked]]
     upper = (p - out_of @ size + out_of.diagonal())[code[picked]]
-    rank = irank(data.counts.astype(np.float64), REPORT_RULE).values[picked]
+    rank = irank(data.counts.astype(np.float64), REPORT_RULE)[picked]
     if np.any(lower > np.ceil(rank)) or np.any(upper < np.floor(rank)):
         raise DomainError(
             f"coverage {coverage} is too low: a family rejects both orders of "

@@ -479,7 +479,7 @@ def cs_ranks(est: EstimatesWithCovariance, cfg: BootstrapConfig,
     z = _bootstrap_normals(est, cfg)
     crit = _critical_values(z, se, wanted if mode == "marginal" else None, cfg.coverage)
     lower, upper = _rank_bounds(est.theta_hat, se, wanted, crit)
-    ranks = irank(est.theta_hat, REPORT_RULE).values
+    ranks = irank(est.theta_hat, REPORT_RULE)
     return RankConfidenceSet(
         indices=wanted,
         lower=lower,

@@ -15,7 +15,7 @@ sorted reference instead, since queries need not be reference values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -42,25 +42,6 @@ class TieRule:
             raise ValueError("omega must lie in [0, 1]")
         if self.direction not in ("increasing", "decreasing"):
             raise ValueError("direction must be 'increasing' or 'decreasing'")
-
-
-@dataclass(frozen=True, eq=False)
-class RankVector:
-    """Ranks for a vector of values.
-
-    kind "integer" means ranks on the 1..p scale (half-integers appear
-    for omega=0.5 ties); "fractional" means the integer ranks divided by
-    the reference length, lying in (0, 1] for in-support queries.
-    """
-
-    values: FloatArray
-    kind: Literal["integer", "fractional"]
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values.tolist())
 
 
 def _as_finite_vector(x: Sequence[float] | np.ndarray, what: str) -> FloatArray:
@@ -150,31 +131,36 @@ class _TieRuns:
         return self.run_ranks(rule).take(self.code)
 
 
-def irank_against(x, reference, rule: TieRule) -> RankVector:
-    """Integer-scale ranks of x computed against a reference vector."""
+def irank_against(x, reference, rule: TieRule) -> FloatArray:
+    """Integer-scale ranks of x computed against a reference vector: the
+    1..len(reference) scale for in-support queries, half-integers for
+    omega=0.5 ties."""
     xv = _as_finite_vector(x, "values")
     ref = _as_finite_vector(reference, "reference")
     if ref.size == 0:
         raise ValueError("reference must be nonempty")
-    return RankVector(values=_counts_against(xv, ref, rule), kind="integer")
+    return _counts_against(xv, ref, rule)
 
 
-def irank(theta, rule: TieRule) -> RankVector:
-    """Integer-scale ranks of theta within itself."""
+def irank(theta, rule: TieRule) -> FloatArray:
+    """Integer-scale ranks of theta within itself: 1..len(theta), with
+    half-integers for omega=0.5 ties."""
     tv = _as_finite_vector(theta, "values")
     if tv.size == 0:
         raise ValueError("values must be nonempty")
-    return RankVector(values=_TieRuns.of(tv).ranks(rule), kind="integer")
+    return _TieRuns.of(tv).ranks(rule)
 
 
-def frank(theta, rule: TieRule) -> RankVector:
-    """Fractional ranks: irank divided by the vector length, exactly."""
+def frank(theta, rule: TieRule) -> FloatArray:
+    """Fractional ranks: irank divided by the vector length, exactly,
+    lying in (0, 1]."""
     integer = irank(theta, rule)
-    return RankVector(values=integer.values / integer.values.size, kind="fractional")
+    return integer / integer.size
 
 
-def frank_against(x, reference, rule: TieRule) -> RankVector:
-    """Fractional ranks of x against a reference vector.
+def frank_against(x, reference, rule: TieRule) -> FloatArray:
+    """Fractional ranks of x against a reference vector: irank_against
+    divided by the reference length.
 
     Out-of-support queries return the formula value verbatim: above the
     reference support the result exceeds 1, below it the result can
@@ -182,4 +168,4 @@ def frank_against(x, reference, rule: TieRule) -> RankVector:
     """
     integer = irank_against(x, reference, rule)
     n = np.asarray(reference).size
-    return RankVector(values=integer.values / n, kind="fractional")
+    return integer / n

@@ -112,18 +112,17 @@ class DesignMatrix:
     `code::G`), or a single block of every row and column when
     ungrouped, and a block's matrix is z[rows]; the design is zero
     outside its blocks and has len(colnames) = B x len(blocks) columns.
-    `x_cols` holds the ranked regressor's column in each block, in block
-    order.
+    A ranked regressor is base column 0, so its coefficient comes first
+    among each block's columns. y holds the response's fractional ranks
+    when `ties_y` is set, its raw values otherwise.
     """
 
     z: FloatArray
     colnames: tuple[str, ...]
     y: FloatArray
-    r_y: FloatArray | None
     ties_y: _TieRuns | None
     r_x: FloatArray | None
     ties_x: _TieRuns | None
-    x_cols: tuple[int, ...]
     blocks: tuple[tuple[slice | np.ndarray, slice], ...]
     model: RankRegressionModel
     warnings: tuple[str, ...]
@@ -218,8 +217,7 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
 
     rule = TieRule(omega=model.omega, direction="increasing")
     ties_y = _TieRuns.of(y_raw) if model.response_ranked else None
-    r_y = ties_y.ranks(rule) / n if ties_y is not None else None
-    y = r_y if r_y is not None else y_raw
+    y = ties_y.ranks(rule) / n if ties_y is not None else y_raw
 
     x_name = model.ranked_regressor
     x_raw = columns[x_name] if x_name is not None else None
@@ -283,18 +281,14 @@ def build_design(model: RankRegressionModel, data: Mapping[str, object]) -> Desi
             )
         blocks = tuple((order[start:end], slice(code, None, len(levels)))
                        for code, (start, end) in enumerate(zip(starts, ends)))
-    # the ranked regressor is base column 0: column g of block g
-    x_cols = tuple(range(len(blocks))) if x_name is not None else ()
 
     return DesignMatrix(
         z=z,
         colnames=tuple(names),
         y=y,
-        r_y=r_y,
         ties_y=ties_y,
         r_x=r_x,
         ties_x=ties_x,
-        x_cols=x_cols,
         blocks=blocks,
         model=model,
         warnings=tuple(warnings),
@@ -311,10 +305,6 @@ class RankRegressionFit:
     qr: QRFactorization
     coefficients: FloatArray
     residuals: FloatArray
-
-    @property
-    def colnames(self) -> tuple[str, ...]:
-        return self.design.colnames
 
 
 def fit(model: RankRegressionModel, data: Mapping[str, object]) -> RankRegressionFit:
@@ -391,7 +381,7 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
     """
     est = fit_result.coefficients
     cov = variance.corrected_vcov(fit_result)
-    se = np.sqrt(np.diag(cov.matrix))
+    se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rejected below
         z = est / se
     if not np.all(np.isfinite(z)):
@@ -401,13 +391,13 @@ def summarize(fit_result: RankRegressionFit) -> CoefficientSummary:
         )
     p = erfc(np.abs(z) / math.sqrt(2.0))
     return CoefficientSummary(
-        names=fit_result.colnames,
+        names=fit_result.design.colnames,
         estimates=est.copy(),
         std_errors=se,
         z_values=z,
         p_values=p,
         stars=tuple(_stars(float(v)) for v in p),
-        vcov=cov.matrix,
+        vcov=cov,
         warnings=fit_result.design.warnings + (INFERENCE_WARNING,),
     )
 

@@ -11,7 +11,6 @@ the matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,15 +26,6 @@ if TYPE_CHECKING:
 # Most n x P influence cells a covariance forms: the influence array then
 # takes at most 1 GiB, and the command's peak is about 1.4 times that.
 MAX_INFLUENCE_CELLS = 1 << 27
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectedCovariance:
-    """Covariance of the coefficient vector (already divided by the
-    sample size) and the per-coefficient projection residual variances."""
-
-    matrix: DenseMatrix
-    sigma_nu2: FloatArray
 
 
 def _indicator_table(ties: _TieRuns, v: FloatArray, omega: float,
@@ -101,7 +91,7 @@ def _influence(fit: RankRegressionFit, rows: slice | np.ndarray, z_b: DenseMatri
     table_p = base
     if design.ties_y is not None:
         table_p = base + (_indicator_table(design.ties_y, nu_j, omega, rows)
-                          - float(design.r_y[rows] @ nu_j))
+                          - float(design.y[rows] @ nu_j))
     table_q = 0.0
     table_s = base / n
     if ranked_coef is not None:
@@ -170,8 +160,8 @@ def _fill_influence(h: DenseMatrix, design: DesignMatrix, tables: tuple,
         chunk += work
 
 
-def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
-    """Full corrected covariance of the coefficient vector.
+def corrected_vcov(fit: RankRegressionFit) -> DenseMatrix:
+    """Full corrected P x P covariance of the coefficient vector.
 
     Per coefficient j, the influence column is H1 + H2 + H3; entry (j, k)
     of the asymptotic covariance is the cross moment of the influence
@@ -194,12 +184,12 @@ def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
     e = np.empty(design.z.shape)  # eps * nu_j, in block column order
     sigma_nu2 = np.empty(k)
     with np.errstate(all="ignore"):  # a non-finite result is rejected below
-        for b, (rows, cols) in enumerate(design.blocks):
+        for rows, cols in design.blocks:
             z_b = design.z[rows]
             nu = z_b @ gammas[cols, cols]
             sigma_nu2[cols] = np.sum(nu * nu, axis=0) / n
-            ranked_coef = (fit.coefficients[design.x_cols[b]]
-                           if design.ties_x is not None else None)
+            # the ranked regressor's coefficient is the block's first
+            ranked_coef = fit.coefficients[cols][0] if design.ties_x is not None else None
             for local, j in enumerate(range(k)[cols]):
                 (table_p[:, j], table_q[:, j], table_s[:, j],
                  e[rows, local]) = _influence(fit, rows, z_b, gammas[cols, j], ranked_coef)
@@ -213,4 +203,4 @@ def corrected_vcov(fit: RankRegressionFit) -> CorrectedCovariance:
         raise DegenerateCovariance(
             "the corrected covariance is degenerate (values that overflow)"
         )
-    return CorrectedCovariance(matrix=matrix, sigma_nu2=sigma_nu2)
+    return matrix

@@ -245,13 +245,15 @@ def naive_corrected_vcov(fit_result, data):
 
     has_x = x_raw is not None
     if has_x:
-        # one ranked-regressor column per group level, in level order
-        membership = np.empty((n, len(design.x_cols)))
-        for idx in range(len(design.x_cols)):
+        # one ranked-regressor column per group level, in level order: the
+        # first column of each block
+        ranked_cols = [range(n_cols)[cols][0] for _, cols in design.blocks]
+        membership = np.empty((n, len(ranked_cols)))
+        for idx in range(len(ranked_cols)):
             membership[:, idx] = 1.0 if codes is None else (codes == idx)
         ind_x = indicator_matrix(x_raw, omega)
         frank_x = naive_rank(x_raw, omega) / n
-        rank_coef = membership @ beta[list(design.x_cols)]
+        rank_coef = membership @ beta[ranked_cols]
     if design.model.response_ranked:
         ind_y = indicator_matrix(y_raw, omega)
         frank_y = naive_rank(y_raw, omega) / n
@@ -268,7 +270,7 @@ def naive_corrected_vcov(fit_result, data):
             h2 = h2 - (ind_x @ w - float(frank_x @ w))
         h2 = h2 / n
         if has_x:
-            d = membership @ proj[list(design.x_cols), j]
+            d = membership @ proj[ranked_cols, j]
             weighted = d * eps
             h3 = (base + ind_x @ weighted - float(weighted @ frank_x)) / n
         else:
@@ -294,13 +296,13 @@ def _column_indicator(x, v, omega, rows):
 
 
 def loop_corrected_vcov(fit_result, data):
-    """(matrix, sigma_nu2) of the corrected covariance of a fit of
-    `data`, one length-n influence column per coefficient, block by
-    block, in the order of operations of the package's covariance: each
-    element takes the same arithmetic, so the results agree to the bit.
+    """Corrected covariance of a fit of `data`, one length-n influence
+    column per coefficient, block by block, in the order of operations of
+    the package's covariance: each element takes the same arithmetic, so
+    the results agree to the bit.
 
     Column j is h2 / n + eps * nu_j (on its block's rows) + h3, where
-    h2 = base + (I_y nu_j - r_y . nu_j) - (I_x w - r_x . w) with
+    h2 = base + (I_y nu_j - y . nu_j) - (I_x w - r_x . w) with
     w = b_x nu_j, and h3 = (base + I_x w_e - w_e . r_x) / n with
     w_e = g_j eps; each term is present when its column is ranked.
     """
@@ -319,7 +321,7 @@ def loop_corrected_vcov(fit_result, data):
     sigma_nu2 = np.empty(k)
     h = np.empty((n, k))
     with np.errstate(all="ignore"):
-        for b, (rows, cols) in enumerate(design.blocks):
+        for rows, cols in design.blocks:
             z_b = z[rows, cols]
             nu = z_b @ gammas[cols, cols]
             sigma_nu2[cols] = np.sum(nu * nu, axis=0) / n
@@ -329,12 +331,12 @@ def loop_corrected_vcov(fit_result, data):
                 nu_j = z_b @ gamma_j
                 base = float(eps @ nu_j)
                 h2 = np.full(n, base)
-                if design.r_y is not None:
+                if design.ties_y is not None:
                     h2 = h2 + (_column_indicator(y_raw, nu_j, omega, rows)
-                               - float(design.r_y[rows] @ nu_j))
+                               - float(design.y[rows] @ nu_j))
                 if design.r_x is not None:
                     r_x = design.r_x[rows]
-                    weighted = fit_result.coefficients[design.x_cols[b]] * nu_j
+                    weighted = fit_result.coefficients[cols][0] * nu_j
                     h2 = h2 - (_column_indicator(x_raw, weighted, omega, rows)
                                - float(r_x @ weighted))
                     weighted_eps = gamma_j[0] * eps
@@ -350,7 +352,7 @@ def loop_corrected_vcov(fit_result, data):
         sigma = cross / np.outer(sigma_nu2, sigma_nu2)
         matrix = sigma / n
         matrix = (matrix + matrix.T) / 2.0
-    return matrix, sigma_nu2
+    return matrix
 
 
 def spearman_rho(x, y):

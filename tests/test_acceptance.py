@@ -57,7 +57,7 @@ def test_c01_tied_rank_table():
 
     def run_all():
         return {
-            w: irank(theta, TieRule(omega=w, direction="increasing")).values
+            w: irank(theta, TieRule(omega=w, direction="increasing"))
             for w in (0.0, 0.5, 1.0)
         }
 
@@ -76,7 +76,7 @@ def test_c01_tied_rank_table():
 def test_c02_country_ranking(country_scores):
     t0 = time.perf_counter()
     names, scores = country_scores
-    ranks = irank(scores, TieRule(omega=0.0, direction="decreasing")).values
+    ranks = irank(scores, TieRule(omega=0.0, direction="decreasing"))
     by_rank = [name for _, name in sorted(zip(ranks, names))]
     assert by_rank == ["Canada", "Belgium", "Austria", "Australia", "Chile", "Colombia"]
     assert ranks.tolist() == [4, 3, 2, 1, 5, 6]
@@ -265,7 +265,7 @@ def test_c08_corrected_variance_oracle():
     ]
     for i, (with_cov, with_ties, omega) in enumerate(configs):
         f, data = _variance_check_fit(300, with_cov, with_ties, omega, seed=800 + i)
-        got = corrected_vcov(f).matrix
+        got = corrected_vcov(f)
         want = naive_corrected_vcov(f, data)
         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     elapsed = time.perf_counter() - t0
@@ -280,7 +280,7 @@ def test_c09_spearman_equivalence():
     x = rng.standard_normal(2000)
     y = 0.6 * x + rng.standard_normal(2000)
     f = fit(RankRegressionModel.from_formula("r(Y) ~ r(X)"), {"Y": y, "X": x})
-    slope = f.coefficients[list(f.colnames).index("r(X)")]
+    slope = f.coefficients[list(f.design.colnames).index("r(X)")]
     rho = spearman_rho(x, y)
     assert abs(slope - rho) <= 1e-12, (slope, rho)
     _report("C09", f"slope {slope:.6f} equals spearman rho within {abs(slope - rho):.1e}",
@@ -304,8 +304,8 @@ def test_c10_corrected_vs_homoskedastic_gap():
     k = zx.shape[1]
     sigma2 = float(f.residuals @ f.residuals) / (n - k)
     se_ols = np.sqrt(np.diag(sigma2 * inverse_from_qr(f.qr)))
-    se_corr = np.sqrt(np.diag(corrected_vcov(f).matrix))
-    slope = list(f.colnames).index("r(X)")
+    se_corr = np.sqrt(np.diag(corrected_vcov(f)))
+    slope = list(f.design.colnames).index("r(X)")
     gap = abs(se_corr[slope] / se_ols[slope] - 1.0)
     assert gap > 0.01, (se_corr[slope], se_ols[slope])
     _report(
@@ -327,15 +327,15 @@ def test_c11_grouped_equals_per_group():
     f = fit(model, {"Y": y, "X": x, "W": w, "G": groups})
 
     rule = TieRule(omega=model.omega, direction="increasing")
-    ry = irank(y, rule).values / n
-    rx = irank(x, rule).values / n
+    ry = irank(y, rule) / n
+    rx = irank(x, rule) / n
     worst = 0.0
     for level in ("a", "b", "c"):
         rows = groups == level
         zg = np.column_stack([rx[rows], w[rows], np.ones(int(rows.sum()))])
         beta, *_ = np.linalg.lstsq(zg, ry[rows], rcond=None)
         for name, got in zip((f"r(X):{level}", f"W:{level}", f"(Intercept):{level}"), beta):
-            mine = f.coefficients[list(f.colnames).index(name)]
+            mine = f.coefficients[list(f.design.colnames).index(name)]
             worst = max(worst, abs(mine - got))
     assert worst <= 1e-10, worst
     _report("C11", f"grouped fit vs per-group OLS on pooled ranks, worst {worst:.1e}",
@@ -435,7 +435,7 @@ def test_c15_grouped_fit_budget():
         f = fit(model, data)
         cov = corrected_vcov(f)
         best = min(best, time.perf_counter() - t0)
-    assert cov.matrix.shape == (300, 300)
+    assert cov.shape == (300, 300)
     assert best < 3.0, f"grouped fit + corrected_vcov at n=1e5, G=100 took {best:.2f}s"
     _report("C15", f"grouped fit + corrected vcov, n=1e5 and G=100, in {best:.2f}s", best)
 
@@ -450,7 +450,7 @@ def test_c16_grouped_vcov_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, p = f.design.n, len(f.colnames)
+    n, p = f.design.n, len(f.design.colnames)
     ratio = peak / (n * p * 8)
     assert ratio <= 1.6, f"peak {ratio:.2f} x n*P doubles"
     _report("C16", f"grouped fit + corrected vcov peak {ratio:.2f} x n*P doubles (n=1e5, P={p})",

@@ -728,6 +728,7 @@ class TestOverflowInputs:
         ("1e200", "square overflows"),
         ("1.5e154", "square overflows"),
         ("1e154", "pairwise variance overflows"),  # 1e308 + 1e308
+        ("1e-200", "square underflows"),  # two independent populations
     ])
     def test_standard_errors_that_overflow(self, invoke_cli, se, fragment):
         res = self.run_quiet(

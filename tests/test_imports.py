@@ -1,5 +1,6 @@
 """Import surface: each public name has one import path, its defining
 module, and importing the package itself loads nothing else."""
+import ast
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankinfer
@@ -164,3 +166,38 @@ def test_readme_finds_imports():
 @pytest.mark.parametrize("module,name", _readme_imports())
 def test_readme_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_readme_examples_run():
+    # the Python blocks run in order in one namespace, the regression's on
+    # seeded data; an expression followed by a `# [...]` comment must
+    # evaluate to that list
+    rng = np.random.default_rng(29)
+    namespace = {"y": rng.normal(size=200), "x": rng.normal(size=200),
+                 "w": rng.normal(size=200)}
+    documented = []
+    for block in _CODE_BLOCK.findall(README.read_text(encoding="utf-8")):
+        exec(compile(block, str(README), "exec"), namespace)
+        documented += re.findall(r"^(\S.*)\n# (\[.*\])$", block, re.MULTILINE)
+    assert documented
+    for expression, output in documented:
+        got = eval(expression, namespace)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == ast.literal_eval(output), expression
+
+
+@pytest.mark.parametrize("path", sorted(Path(rankinfer.__file__).parent.rglob("*.py")),
+                         ids=lambda path: path.relative_to(PACKAGE_ROOT).as_posix())
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}

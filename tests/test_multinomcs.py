@@ -295,7 +295,7 @@ class TestMultinomialCounts:
     def test_float_integers_accepted(self):
         counts = MultinomialCounts(np.array([1.0, 2.0]))
         assert counts.counts.dtype == np.int64
-        assert counts.total == 3
+        assert counts.counts.tolist() == [1, 2]
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):

@@ -435,7 +435,7 @@ class TestCsRanks:
         theta = np.array([3.0, 9.0, 3.0, 5.0])
         est = diag_estimates(theta, np.full(4, 0.5))
         cs = cs_ranks(est, CFG)
-        assert np.array_equal(cs.rank, irank(theta, REPORT_RULE).values)
+        assert np.array_equal(cs.rank, irank(theta, REPORT_RULE))
         assert REPORT_RULE.omega == 0.0
         assert REPORT_RULE.direction == "decreasing"
 

@@ -22,7 +22,7 @@ THETA_TABLE = np.array([3.0, 4.0, 7.0, 7.0, 10.0, 11.0, 15.0, 15.0, 15.0, 15.0])
     ],
 )
 def test_tied_scores_all_omegas(omega, expected):
-    got = irank(THETA_TABLE, TieRule(omega, "increasing")).values
+    got = irank(THETA_TABLE, TieRule(omega, "increasing"))
     assert np.array_equal(got, np.array(expected, dtype=float))
 
 
@@ -34,7 +34,7 @@ def test_matches_pairwise_counting():
         theta = rng.choice(pool, size=n)
         for omega in (0.0, 0.3, 0.5, 1.0):
             for direction in ("increasing", "decreasing"):
-                got = irank(theta, TieRule(omega, direction)).values
+                got = irank(theta, TieRule(omega, direction))
                 want = naive_rank(theta, omega, increasing=direction == "increasing")
                 assert np.allclose(got, want, atol=1e-12)
 
@@ -48,8 +48,8 @@ def test_direction_complement_identity(theta, omega):
     # rank from one end plus the omega-complement rank from the other
     # end always totals n + 1
     theta = np.asarray(theta, dtype=float)
-    inc = irank(theta, TieRule(omega, "increasing")).values
-    dec = irank(theta, TieRule(1.0 - omega, "decreasing")).values
+    inc = irank(theta, TieRule(omega, "increasing"))
+    dec = irank(theta, TieRule(1.0 - omega, "decreasing"))
     assert np.allclose(inc + dec, theta.size + 1, atol=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_direction_complement_identity(theta, omega):
 )
 @settings(deadline=None, max_examples=200)
 def test_frank_in_unit_interval(theta, omega, direction):
-    vals = frank(np.asarray(theta, dtype=float), TieRule(omega, direction)).values
+    vals = frank(np.asarray(theta, dtype=float), TieRule(omega, direction))
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0)
 
@@ -97,8 +97,8 @@ def test_tie_runs_match_search_and_naive_indicator(theta, seed):
             for omega in (0.0, 0.3, 0.5, 1.0):
                 for direction in ("increasing", "decreasing"):
                     rule = TieRule(omega, direction)
-                    assert np.array_equal(irank(theta, rule).values,
-                                          irank_against(theta, theta, rule).values)
+                    assert np.array_equal(irank(theta, rule),
+                                          irank_against(theta, theta, rule))
                 got = _indicator_table(ties, v, omega).take(ties.code)
                 assert np.abs(got - naive_indicator_matvec(theta, v, omega)).max() < 1e-12
 
@@ -130,55 +130,57 @@ def test_sorted_lookup_matches_per_query_search(case):
         for direction in ("increasing", "decreasing"):
             rule = TieRule(omega, direction)
             want = ranking_mod._blend(left, right, reference.size, rule)
-            got = irank_against(x, reference, rule).values
+            got = irank_against(x, reference, rule)
             assert got.tobytes() == want.tobytes(), (omega, direction)
 
 
 def test_frank_is_irank_over_n():
     theta = np.array([2.0, 2.0, 5.0, 1.0])
     rule = TieRule(0.5, "increasing")
-    assert np.array_equal(frank(theta, rule).values, irank(theta, rule).values / 4)
+    assert np.array_equal(frank(theta, rule), irank(theta, rule) / 4)
 
 
-def test_rank_kinds():
-    theta = np.array([1.0, 2.0])
+@pytest.mark.parametrize("rank", [irank, frank, irank_against, frank_against])
+def test_ranks_are_float_arrays(rank):
+    theta = [3, 1, 2]  # integers in, float64 out
     rule = TieRule(0.0, "increasing")
-    assert irank(theta, rule).kind == "integer"
-    assert frank(theta, rule).kind == "fractional"
-    assert len(irank(theta, rule)) == 2
-    assert list(frank(theta, rule)) == [0.5, 1.0]
+    args = (theta, [1, 2, 3, 4, 5], rule) if rank.__name__.endswith("_against") else (theta, rule)
+    got = rank(*args)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64
+    assert got.shape == (3,)
 
 
 class TestAgainstReference:
     def test_in_support_matches_self_ranking(self):
         theta = np.array([4.0, 1.0, 3.0, 3.0])
         rule = TieRule(0.5, "increasing")
-        self_ranks = irank(theta, rule).values
-        against = irank_against(theta, theta, rule).values
+        self_ranks = irank(theta, rule)
+        against = irank_against(theta, theta, rule)
         assert np.array_equal(self_ranks, against)
 
     def test_above_support_exceeds_one(self):
         ref = np.array([1.0, 2.0, 3.0])
         rule = TieRule(0.0, "increasing")
-        out = frank_against(np.array([10.0]), ref, rule).values
+        out = frank_against(np.array([10.0]), ref, rule)
         assert out[0] > 1.0
 
     def test_below_support_formula_value(self):
         ref = np.array([1.0, 2.0, 3.0])
-        out0 = frank_against(np.array([-5.0]), ref, TieRule(0.0, "increasing")).values
-        out1 = frank_against(np.array([-5.0]), ref, TieRule(1.0, "increasing")).values
+        out0 = frank_against(np.array([-5.0]), ref, TieRule(0.0, "increasing"))
+        out1 = frank_against(np.array([-5.0]), ref, TieRule(1.0, "increasing"))
         assert out0[0] == pytest.approx(1.0 / 3.0)
         assert out1[0] == 0.0
 
     def test_reference_scaling(self):
         # query ranks divide by the reference length, not the query length
         ref = np.arange(10, dtype=float)
-        out = frank_against(np.array([9.0]), ref, TieRule(1.0, "increasing")).values
+        out = frank_against(np.array([9.0]), ref, TieRule(1.0, "increasing"))
         assert out[0] == 1.0
 
     def test_decreasing_against(self):
         ref = np.array([1.0, 2.0, 2.0, 7.0])
-        got = irank_against(np.array([2.0]), ref, TieRule(1.0, "decreasing")).values
+        got = irank_against(np.array([2.0]), ref, TieRule(1.0, "decreasing"))
         # weak predecessors from above: values >= 2 is 3
         assert got[0] == 3.0
 
