@@ -383,11 +383,11 @@ def cmd_csranks(args):
     cs = cs_ranks(est, cfg, mode="simultaneous" if args.simul else "marginal", indices=idx)
     results = {"mode": cs.mode, **_interval_columns(cs)}
     if args.svg_path is not None:
-        from .svg import interval_chart  # xml.etree loads only for a chart
+        from .svg import interval_chart  # loaded by no other command
 
         write_text(
             args.svg_path,
-            interval_chart(results["labels"], results["L"], results["rank"], results["U"]),
+            interval_chart(results["labels"], results["L"], results["rank"], results["U"], cs.p),
         )
     _emit(args, digest, results, _interval_table(results), seed=cfg.seed)
 
@@ -447,6 +447,8 @@ def cmd_csranks_multinom(args):
     column = args.column
     if column is None:
         numeric_names = [n for n in table.names if n != args.label_col]
+        if not numeric_names:
+            raise InputError("no count column is left besides the --label column")
         if len(numeric_names) != 1:
             raise InputError("--column is required when the input has several columns")
         column = numeric_names[0]

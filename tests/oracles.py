@@ -424,3 +424,62 @@ def csv_columns(text, names):
                 return error("NonFinite", f"column {name!r} has a non-finite value at row {i + 2}")
         values[name] = np.array(column, dtype=np.float64)
     return ("ok", header, len(body), values, cells)
+
+
+def etree_interval_chart(labels, lower, rank, upper):
+    """The rank-interval chart of all p populations, built as an
+    ElementTree and serialized by it; the text writer must give the same
+    bytes."""
+    import xml.etree.ElementTree as ET
+
+    def fmt(v):
+        return f"{v:.2f}".rstrip("0").rstrip(".")
+
+    p = len(labels)
+    left = min(max(8 * max((len(s) for s in labels), default=1) + 14, 64), 220)
+    width = left + 420 + 16
+    height = 34 + p * 22 + 18
+
+    def sx(r):
+        if p == 1:
+            return left + 420 / 2
+        return left + (r - 0.5) / p * 420
+
+    root = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg",
+        "width": str(width),
+        "height": str(height),
+        "viewBox": f"0 0 {width} {height}",
+        "font-family": "sans-serif",
+        "font-size": "12",
+    })
+    axis_y = 34 + p * 22 + 4
+    ET.SubElement(root, "line", {
+        "x1": fmt(sx(0.5)), "y1": fmt(axis_y), "x2": fmt(sx(p + 0.5)), "y2": fmt(axis_y),
+        "stroke": "#444",
+    })
+    step = max(1, (p + 9) // 10)
+    for r in range(1, p + 1):
+        if (r - 1) % step and r != p:
+            continue
+        tick = ET.SubElement(root, "text", {
+            "x": fmt(sx(r)), "y": fmt(axis_y + 12), "text-anchor": "middle", "fill": "#444",
+        })
+        tick.text = str(r)
+    for row, j in enumerate(sorted(range(p), key=lambda j: (rank[j], j))):
+        cy = 34 + row * 22 + 22 / 2
+        name = ET.SubElement(root, "text",
+                             {"x": str(left - 8), "y": fmt(cy + 4), "text-anchor": "end"})
+        name.text = labels[j]
+        x0 = sx(lower[j])
+        x1 = sx(upper[j])
+        ET.SubElement(root, "rect", {
+            "class": "interval", "x": fmt(x0), "y": fmt(cy - 8 / 2),
+            "width": fmt(max(x1 - x0, 2.0)), "height": fmt(8), "fill": "#9ecae1",
+        })
+        ET.SubElement(root, "circle", {
+            "class": "point", "cx": fmt(sx(rank[j])), "cy": fmt(cy), "r": "3.5",
+            "fill": "#08519c",
+        })
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            + ET.tostring(root, encoding="unicode") + "\n")

@@ -609,6 +609,42 @@ class TestCsRanks:
         assert len(rects) == 3
         assert len(points) == 3
 
+    def test_subset_chart_spans_all_populations(self, invoke_cli, tmp_path):
+        # the rows are the requested populations, drawn on the ranks 1..p
+        chart = tmp_path / "chart.svg"
+        rows = "".join(f"{k},{k / 10},1\n" for k in range(300))
+        res = invoke_cli(["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1",
+                          "--draws", "100", "--indices", "1,2,3", "--svg", str(chart)],
+                         stdin="name,est,se\n" + rows)
+        assert res.code == 0, res.stderr
+        root = ET.fromstring(chart.read_text())
+        _, _, width, height = map(float, root.get("viewBox").split())
+        boxes = []
+        for el in root.iter():
+            if el.tag.endswith("rect"):
+                x, y = float(el.get("x")), float(el.get("y"))
+                boxes.append((x, y, x + float(el.get("width")), y + float(el.get("height"))))
+            elif el.tag.endswith("circle"):
+                x, y, r = float(el.get("cx")), float(el.get("cy")), float(el.get("r"))
+                boxes.append((x - r, y - r, x + r, y + r))
+        assert len(boxes) == 6
+        for x0, y0, x1, y1 in boxes:
+            assert 0 <= x0 <= x1 <= width and 0 <= y0 <= y1 <= height
+        ticks = [el.text for el in root.iter() if el.get("text-anchor") == "middle"]
+        assert ticks[-1] == "300"
+
+    def test_chart_labels_with_characters_xml_forbids(self, invoke_cli, tmp_path):
+        # drawn as U+FFFD so the chart parses; the envelope keeps the labels
+        chart = tmp_path / "chart.svg"
+        res = invoke_cli(["cs-ranks", "--estimates", "est", "--se", "se", "--seed", "1",
+                          "--label", "name", "--svg", str(chart)],
+                         stdin="name,est,se\na\x01,0,0.05\n\x00b,10,0.05\nc,20,0.05\n")
+        assert res.code == 0, res.stderr
+        root = ET.fromstring(chart.read_text(encoding="utf-8"))
+        names = [el.text for el in root.iter() if el.get("text-anchor") == "end"]
+        assert sorted(names) == ["a\ufffd", "c", "\ufffdb"]
+        assert parse_envelope(res.stdout)["results"]["labels"] == ["a\x01", "\x00b", "c"]
+
     @pytest.mark.parametrize("svg, output", [
         ("-", []),
         ("-", ["-o", "-"]),
@@ -990,6 +1026,11 @@ class TestCsMultinom:
     def test_column_required_when_ambiguous(self, invoke_cli):
         res = invoke_cli(["cs-multinom"], stdin="a,b\n1,2\n3,4\n")
         assert res.code == 2
+
+    def test_label_column_leaves_no_count_column(self, invoke_cli):
+        res = invoke_cli(["cs-multinom", "--label", "c"], stdin="c\nx\ny\n")
+        assert res.code == 2
+        assert res.stderr == "error: no count column is left besides the --label column\n"
 
     def test_label_column_resolves_ambiguity(self, invoke_cli):
         res = invoke_cli(

@@ -93,7 +93,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_leaves_out_unused_modules():
-    # the SVG writer (xml.etree) loads only with --svg; scipy.linalg has
+    # the SVG writer loads only with --svg; scipy.linalg has
     # no caller, but scipy.special itself loads it before scipy 1.17, so
     # only the modules the CLI adds to scipy.special's are checked; the
     # flags are parsed by argparse, so click is never loaded
@@ -111,6 +111,22 @@ def test_cli_import_leaves_out_unused_modules():
     assert [m for m in added if m.split(".")[:2] in (["scipy", "linalg"], ["xml", "etree"])
             or m == "rankinfer.cli.svg"] == []
     assert click == []
+
+
+def test_chart_run_loads_no_xml_module(tmp_path):
+    # the chart is written as text
+    (tmp_path / "in.csv").write_text(_ESTIMATES)
+    proc = _python(
+        "-c",
+        "import json, sys; from rankinfer.cli.main import main; "
+        "code = main(sys.argv[1:]); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'xml')]))",
+        "cs-ranks", *_GAUSSIAN, "--input", "in.csv", "-o", "out.json", "--svg", "chart.svg",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [0, []]
+    assert (tmp_path / "chart.svg").read_text().startswith("<?xml")
 
 
 _GAUSSIAN = ["--estimates", "e", "--se", "se", "--seed", "1", "--label", "name"]
