@@ -206,17 +206,16 @@ def _value_runs(values: np.ndarray, runs: _TieRuns) -> RunColumn:
     """The column as its tie runs' values. A run holding both 0.0 and
     -0.0, which compare equal but print apart, is split in two: its
     -0.0 rows get a run of their own."""
-    run_values = np.empty(runs.m)
-    run_values[runs.code] = values  # ascending, as the runs are
-    zero = int(np.searchsorted(run_values, 0.0))
-    if zero == runs.m or run_values[zero] != 0.0:
-        return RunColumn(run_values, runs.code)
+    zero = int(np.searchsorted(runs.values, 0.0))
+    if zero == runs.m or runs.values[zero] != 0.0:
+        return RunColumn(runs.values, runs.code)
     negative = np.signbit(values) & (runs.code == zero)
     count = int(np.count_nonzero(negative))
     if count in (0, runs.ends[zero] - runs.starts[zero]):
-        return RunColumn(run_values, runs.code)  # one sign only
+        return RunColumn(runs.values, runs.code)  # one sign only
+    run_values = np.append(runs.values, -0.0)
     run_values[zero] = 0.0
-    return RunColumn(np.append(run_values, -0.0), np.where(negative, runs.m, runs.code))
+    return RunColumn(run_values, np.where(negative, runs.m, runs.code))
 
 
 def _integer_counts(table, column: str) -> np.ndarray:

@@ -223,19 +223,18 @@ def _tail_quantile(q: FloatArray) -> FloatArray:
 def inverse_normal_cdf(u: FloatArray) -> FloatArray:
     """Standard normal quantile of u in (0, 1), elementwise."""
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
+    # the central rational runs on every element, tails included (its
+    # denominator stays above 1e-4 for all u in [0, 1]), then the tails
+    # are overwritten; out= keeps a 0-d u's result an array
+    q = u - 0.5
+    r = q * q
+    a0, a1, a2, a3, a4, a5 = _ND_A
+    b0, b1, b2, b3, b4 = _ND_B
+    num = ((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5
+    den = ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
+    out = np.divide(q * num, den, out=np.empty_like(u))
     lo = u < _ND_P_LOW
     hi = u > 1.0 - _ND_P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        a0, a1, a2, a3, a4, a5 = _ND_A
-        b0, b1, b2, b3, b4 = _ND_B
-        num = ((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5
-        den = ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
-        out[mid] = q * num / den
     if np.any(lo):
         out[lo] = _tail_quantile(np.sqrt(-2.0 * np.log(u[lo])))
     if np.any(hi):

@@ -33,6 +33,36 @@ def naive_rank(theta, omega, increasing=True):
     return out
 
 
+def masked_inverse_normal_cdf(u):
+    """The package's normal quantile (Acklam's rationals, its
+    coefficients) computed region by region: each of the central and the
+    two tail formulas is evaluated on its own masked elements only."""
+    from rankinfer.numerics import _ND_A, _ND_B, _ND_C, _ND_D, _ND_P_LOW
+
+    def tail(q):
+        c0, c1, c2, c3, c4, c5 = _ND_C
+        d0, d1, d2, d3 = _ND_D
+        num = ((((c0 * q + c1) * q + c2) * q + c3) * q + c4) * q + c5
+        den = (((d0 * q + d1) * q + d2) * q + d3) * q + 1.0
+        return num / den
+
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty_like(u)
+    lo = u < _ND_P_LOW
+    hi = u > 1.0 - _ND_P_LOW
+    mid = ~(lo | hi)
+    q = u[mid] - 0.5
+    r = q * q
+    a0, a1, a2, a3, a4, a5 = _ND_A
+    b0, b1, b2, b3, b4 = _ND_B
+    num = ((((a0 * r + a1) * r + a2) * r + a3) * r + a4) * r + a5
+    den = ((((b0 * r + b1) * r + b2) * r + b3) * r + b4) * r + 1.0
+    out[mid] = q * num / den
+    out[lo] = tail(np.sqrt(-2.0 * np.log(u[lo])))
+    out[hi] = -tail(np.sqrt(-2.0 * np.log(1.0 - u[hi])))
+    return out
+
+
 def indicator_matrix(x, omega):
     x = np.asarray(x, dtype=float)
     return omega * (x[:, None] <= x[None, :]) + (1.0 - omega) * (x[:, None] < x[None, :])

@@ -22,7 +22,7 @@ from rankinfer.numerics import (
     qr_decompose,
 )
 
-from oracles import exact_binom_tail, exact_binom_tails
+from oracles import exact_binom_tail, exact_binom_tails, masked_inverse_normal_cdf
 
 
 def random_design(rng, n, k):
@@ -258,6 +258,23 @@ class TestInverseNormalCdf:
     def test_symmetry(self):
         u = np.linspace(0.01, 0.49, 100)
         assert np.allclose(inverse_normal_cdf(u), -inverse_normal_cdf(1.0 - u), atol=1e-9)
+
+    def test_matches_masked_transform_bit_for_bit(self):
+        # the central rational run on every element, tails overwritten,
+        # gives the bits of each formula run on its own region: within 4
+        # ulps of both region edges, at 2^-54 (the stream's smallest
+        # value), at 1 - 2^-53 (the largest double below 1; 1 - 2^-54
+        # rounds to 1.0) and on a million draws
+        edges = []
+        for edge in (numerics._ND_P_LOW, 1.0 - numerics._ND_P_LOW):
+            below = above = edge
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+                edges += [below, above]
+            edges.append(edge)
+        u = np.concatenate([edges, [2.0**-54, np.nextafter(1.0, 0.0)],
+                            SeededRng(7).uniforms(10**6)])
+        assert inverse_normal_cdf(u).tobytes() == masked_inverse_normal_cdf(u).tobytes()
 
 
 class TestSeededRng:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankinfer import ranking as ranking_mod
+from rankinfer.cli.main import _value_runs
 from rankinfer.errors import NonFinite
 from rankinfer.ranking import TieRule, _TieRuns, frank, frank_against, irank, irank_against
 from rankinfer.rankreg.variance import _indicator_table
@@ -93,6 +94,8 @@ def test_tie_runs_match_search_and_naive_indicator(theta, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ranking_mod, "_SEARCH_TABLE_MAX", table_max)
             ties = _TieRuns.of(theta)
+            assert np.array_equal(ties.values, np.unique(theta))
+            assert np.array_equal(ties.values.take(ties.code), theta)
             assert np.array_equal(ties.code, np.searchsorted(np.unique(theta), theta))
             for omega in (0.0, 0.3, 0.5, 1.0):
                 for direction in ("increasing", "decreasing"):
@@ -118,20 +121,49 @@ def queries_and_reference(draw):
 
 
 @given(queries_and_reference())
+@example((np.array([]), np.array([1.0, 2.0])))
+@example((np.array([0.0, -0.0, 1.0, -0.0, 0.0]), np.array([-0.0, 0.0, 1.0, 0.0])))
+@example((np.array([-0.0, 0.0, 3.0]), np.array([1.0, 2.0])))
 @settings(deadline=None, max_examples=300)
 def test_sorted_lookup_matches_per_query_search(case):
-    # the counts from the sorted queries, scattered back, equal one
-    # binary search per query in query order
+    # the counts searched once per distinct query, read out by the
+    # queries' tie codes from either build, equal one binary search per
+    # query in query order; a run of 0.0 and -0.0 is one query value
     x, reference = case
     ordered = np.sort(reference)
     left = np.array([np.searchsorted(ordered, q, side="left") for q in x], dtype=np.intp)
     right = np.array([np.searchsorted(ordered, q, side="right") for q in x], dtype=np.intp)
-    for omega in (0.0, 0.5, 1.0):
-        for direction in ("increasing", "decreasing"):
-            rule = TieRule(omega, direction)
-            want = ranking_mod._blend(left, right, reference.size, rule)
-            got = irank_against(x, reference, rule)
-            assert got.tobytes() == want.tobytes(), (omega, direction)
+    for table_max in (ranking_mod._SEARCH_TABLE_MAX, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking_mod, "_SEARCH_TABLE_MAX", table_max)
+            for omega in (0.0, 0.5, 1.0):
+                for direction in ("increasing", "decreasing"):
+                    rule = TieRule(omega, direction)
+                    want = ranking_mod._blend(left, right, reference.size, rule)
+                    got = irank_against(x, reference, rule)
+                    assert got.dtype == np.float64
+                    assert got.tobytes() == want.tobytes(), (table_max, omega, direction)
+
+
+@pytest.mark.parametrize("table_max", [ranking_mod._SEARCH_TABLE_MAX, 0])
+@pytest.mark.parametrize("x,values,code", [
+    # a zero run of both signs is split: its -0.0 rows get the last run
+    ([0.0, -0.0, 0.0], [0.0, -0.0], [0, 1, 0]),
+    ([2.0, -0.0, -1.0, 0.0, 2.0], [-1.0, 0.0, 2.0, -0.0], [2, 3, 0, 1, 2]),
+    # a zero run of one sign keeps that sign in place
+    ([-0.0, 1.0, -0.0], [-0.0, 1.0], [0, 1, 0]),
+    ([0.0, 3.0, 0.0], [0.0, 3.0], [0, 1, 0]),
+    ([5.0, -2.0, 5.0], [-2.0, 5.0], [1, 0, 1]),
+])
+def test_value_runs_of_signed_zeros(monkeypatch, table_max, x, values, code):
+    # the value column's runs hold each row's bits: one value per tie run,
+    # and a second run for the -0.0 rows of a run that holds both zeros
+    monkeypatch.setattr(ranking_mod, "_SEARCH_TABLE_MAX", table_max)
+    x = np.array(x)
+    got = _value_runs(x, _TieRuns.of(x))
+    assert got.values.tobytes() == np.array(values).tobytes()
+    assert np.array_equal(got.code, code)
+    assert got.values.take(got.code).tobytes() == x.tobytes()
 
 
 def test_frank_is_irank_over_n():
