@@ -99,7 +99,9 @@ class TableData:
         numpy does not parse (e.g. '1_0', which float() accepts, or 'NA'),
         a non-finite value whose error the per-cell path words, or rows
         that numpy splits differently from the csv module."""
-        if self._data is None or not all(name in self.names for name in names):
+        # one dict, since a tuple search per name is quadratic in a wide --cov file
+        column = {name: i for i, name in enumerate(self.names)}
+        if self._data is None or not all(name in column for name in names):
             return None
         if self.n == 0:
             return np.empty((len(names), 0))
@@ -112,7 +114,7 @@ class TableData:
                 delimiter=",",
                 comments=None,
                 skiprows=1,
-                usecols=[self.names.index(name) for name in names],
+                usecols=[column[name] for name in names],
                 ndmin=2,
             )
         except ValueError:
@@ -224,7 +226,8 @@ def parse_table(source: bytes | str) -> TableData:
         delims = np.append(delims, data.size)
     ends = delims[lines]
     lengths = np.diff(ends, prepend=start - 1) - 1
-    if int(lengths.max()) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if int(lengths.max()) > limit and int(np.diff(delims, prepend=start - 1).max()) - 1 > limit:
         # let the csv module refuse the field
         return _parse_with_csv(source[start:])
     names = _header(plain[start:ends[0]].decode("utf-8").split(","))

@@ -262,9 +262,14 @@ class SeededRng:
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniforms(self, n: int) -> FloatArray:
-        """n doubles uniform on the open interval (0, 1)."""
+        """n doubles uniform on the open interval (0, 1): (k + 0.5) 2^-53
+        for integers k in [0, 2^53). From k = 2^52 on, k + 0.5 is not a
+        double and rounds to an even neighbour, so the upper half of the
+        stream keeps no half-step offset; k = 2^53 - 1 would round to 1.0,
+        and is clamped to 1 - 2^-53, the largest double below 1."""
         k = self._gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-        return (k.astype(np.float64) + 0.5) * 2.0**-53
+        u = (k.astype(np.float64) + 0.5) * 2.0**-53
+        return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
     def standard_normals(self, shape: int | tuple[int, ...]) -> FloatArray:
         """Standard normal draws via inversion of the uniform stream.

@@ -32,7 +32,7 @@ REPORT_RULE = TieRule(omega=0.0, direction="decreasing")
 
 # Most draws x p cells, and p x p cells, a bootstrap runs: the draws matrix
 # or a p x p array then takes at most 1 GiB. A set's peak is about 2.5 to
-# 4.3 times the draws matrix, or 6 times a p x p array.
+# 4.3 times the draws matrix, or 4.2 times a p x p array.
 MAX_DRAW_CELLS = 1 << 27
 
 
@@ -134,7 +134,8 @@ class TauBestSet:
 
 def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     """Standard errors of all pairwise differences:
-    se_jk = sqrt(var_j + var_k - 2 cov_jk), zero on the diagonal. Taking
+    se_jk = sqrt(var_j + var_k - 2 cov_jk), +inf on the diagonal (no
+    pair), so a self pair studentizes to 0 and never rejects. Taking
     cov_jk + cov_kj for 2 cov_jk keeps the bits of a symmetric sigma_hat
     and makes se exactly symmetric for one symmetric within tolerance.
 
@@ -154,12 +155,13 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
     d = np.diag(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         share = d[:, None] + d[None, :]
-        se2 = share - (sigma + sigma.T)
+        se2 = np.add(sigma, sigma.T)
+        np.subtract(share, se2, out=se2)
     if not np.all(np.isfinite(se2)):
         raise NonFinite("a pairwise variance overflows; rescale the estimates")
+    np.fill_diagonal(se2, np.inf)  # no pair; its share is inf too
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(se2, share, out=share)  # NaN for two zero variances
-    np.fill_diagonal(share, np.inf)  # no pair
     tol = 4 * 2.0**-53
     low = float(np.fmin.reduce(share, axis=None))  # NaN skipped
     if low < -tol:
@@ -171,7 +173,7 @@ def pairwise_se(est: EstimatesWithCovariance) -> DenseMatrix:
             f"populations {j} and {k} have a numerically zero difference "
             "standard error; their estimates are perfectly coupled"
         )
-    return np.sqrt(se2, out=se2)  # every pair's se2 is positive, the diagonal's 0
+    return np.sqrt(se2, out=se2)  # every pair's se2 is positive
 
 
 def _order_index(m: int, coverage: float) -> int:
@@ -264,7 +266,6 @@ def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
     else:
         rows = list(rows)
         order = np.concatenate([rows, np.setdiff1d(np.arange(p), rows)])
-        se = se[np.ix_(order, order)]
         out = np.zeros((len(rows), m), dtype=z.dtype)
     width = max(1, _CHUNK_BYTES // (p * z.itemsize))
     # blocks i = 0 .. led - 1 of the pass hold p - 1 - i pairs each
@@ -295,8 +296,8 @@ def _pair_maxima(z: DenseMatrix, se: DenseMatrix,
 def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseMatrix,
                  columns: bool, start: int, stop: int, width: int) -> None:
     """The pair pass over draws [start, stop), cut into equal chunks of
-    at most `width` draws, into out[:, start:stop] (`se` already in
-    `order`). `columns` False keeps only the running max over all pairs,
+    at most `width` draws, into out[:, start:stop], with the populations
+    in `order`. `columns` False keeps only the running max over all pairs,
     in out[0]. Each chunk accumulates in a contiguous buffer that is
     copied back, because the column updates on a slice of out's rows made
     a marginal pass at p=300 and 1000 draws 5-10% slower."""
@@ -314,7 +315,7 @@ def _pair_chunks(z: DenseMatrix, se: DenseMatrix, order: np.ndarray, out: DenseM
             block = buf[: (p - 1 - i) * w].reshape(p - 1 - i, w)
             np.subtract(zt[i + 1:], zt[i], out=block)
             np.abs(block, out=block)
-            np.divide(block, se[i, i + 1:, None], out=block)
+            np.divide(block, se[order[i], order[i + 1:], None], out=block)
             row = acc[i] if columns else acc[0]
             np.maximum(row, block.max(axis=0), out=row)
             if columns:
@@ -358,13 +359,12 @@ def _critical_values(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int] | None
     """
     m, p = z.shape
     k = _order_index(m, coverage)
-    others = se + np.diag(np.full(p, np.inf))  # the self pair divides to 0
-    near = others.min(axis=1)
+    near = se.min(axis=1)
     top = max(float(z.max()), -float(z.min()))
     low = float(near.min())
     # false for a NaN as well
     if not (top <= _SCREEN_MAX and top <= _SCREEN_MAX * low
-            and 2.0**-126 <= low and float(se.max()) <= 2.0**127):
+            and 2.0**-126 <= low and float(se.max(where=se < np.inf, initial=0.0)) <= 2.0**127):
         return _upper_quantile(_pair_maxima(z, se, rows), coverage)
     screen = _pair_maxima(z.astype(np.float32), se, rows)
     if rows is None:
@@ -379,22 +379,21 @@ def _critical_values(z: DenseMatrix, se: DenseMatrix, rows: Sequence[int] | None
     if 2 * draw.size > m * screen.shape[1]:
         return _upper_quantile(_pair_maxima(z, se, rows), coverage)
     if rows is None:
-        exact = _exact_maxima(z, others, np.repeat(draw, p), np.tile(np.arange(p), draw.size))
+        exact = _exact_maxima(z, se, np.repeat(draw, p), np.tile(np.arange(p), draw.size))
         exact = exact.reshape(draw.size, p).max(axis=1)
     else:
-        exact = _exact_maxima(z, others, draw, np.asarray(rows)[col])
+        exact = _exact_maxima(z, se, draw, np.asarray(rows)[col])
     ranked = np.lexsort((exact, col))
     start = np.searchsorted(col, np.arange(screen.shape[1]))
     crit = exact[ranked[start + k - 1 - below]]
     return crit if rows is not None else crit[0]
 
 
-def _exact_maxima(z: DenseMatrix, others: DenseMatrix, draws: np.ndarray,
+def _exact_maxima(z: DenseMatrix, se: DenseMatrix, draws: np.ndarray,
                   pops: np.ndarray) -> FloatArray:
     """For each (draw d, population j) of `draws` and `pops`, the max over
-    k of |z[d, k] - z[d, j]| / others[j, k], with the pair pass's own
-    subtract, abs and divide, so each pair's value has its bits.
-    `others` is se with an infinite diagonal."""
+    k of |z[d, k] - z[d, j]| / se[j, k], with the pair pass's own
+    subtract, abs and divide, so each pair's value has its bits."""
     out = np.empty(draws.size)
     step = max(1, _CHUNK_BYTES // (z.shape[1] * z.itemsize))
     for a in range(0, draws.size, step):
@@ -402,7 +401,7 @@ def _exact_maxima(z: DenseMatrix, others: DenseMatrix, draws: np.ndarray,
         block = z[d]
         np.subtract(block, z[d, j][:, None], out=block)
         np.abs(block, out=block)
-        np.divide(block, others[j], out=block)
+        np.divide(block, se[j], out=block)
         out[a:a + step] = block.max(axis=1)
     return out
 
@@ -412,15 +411,16 @@ def _rank_bounds(theta: FloatArray, se: DenseMatrix, rows: Sequence[int],
     """Rank bounds of the populations in `rows` at critical values `crit`
     (one per row, or one shared). Intervals for theta_j - theta_k entirely
     below zero push the lower bound up, entirely above zero pull the upper
-    bound down; touching zero never rejects, so the self-pair never does.
-    A sum or difference that overflows keeps its sign as an infinity, so
-    it decides each comparison as the exact value would."""
+    bound down; touching zero never rejects. Comparing d = fl(theta_j -
+    theta_k) with -h and h, h = fl(se_jk c), decides as fl(d + h) < 0 and
+    fl(d - h) > 0 do: rounded sums of doubles keep the exact sign, even
+    overflowed. The self pair's h, inf (NaN at c = 0), rejects neither way."""
     rows = list(rows)
-    with np.errstate(over="ignore"):
-        diff = theta[rows, None] - theta
+    with np.errstate(over="ignore", invalid="ignore"):
         half = se[rows] * np.reshape(crit, (-1, 1))
-        lower = np.count_nonzero(diff + half < 0.0, axis=1) + 1
-        upper = theta.size - np.count_nonzero(diff - half > 0.0, axis=1)
+        diff = theta[rows, None] - theta
+        upper = theta.size - np.count_nonzero(diff > half, axis=1)
+        lower = np.count_nonzero(diff < np.negative(half, out=half), axis=1) + 1
     return lower, upper
 
 
@@ -520,11 +520,10 @@ def cs_tau_worst(est: EstimatesWithCovariance, cfg: BootstrapConfig, tau: int) -
     true tau worst.
 
     This is the tau-best set of the negated estimates, bit for bit.
-    Negating theta negates each difference d_jk = theta_j - theta_k
-    exactly, an overflowed one included (its infinity flips sign), and
-    rounding to nearest is symmetric, so fl(-d + h) = -fl(d - h). The
-    draws, se and the critical value do not depend on theta. So
-    -d_jk + h_jk < 0 exactly when d_jk - h_jk > 0, and the negated set's
-    lower bound is p + 1 - U_j.
+    Rounding to nearest is symmetric, so negating theta negates each
+    difference d_jk = fl(theta_j - theta_k) exactly, an overflowed one
+    included, and the draws, se and the critical value do not depend on
+    theta. So -d_jk < -h_jk exactly when d_jk > h_jk, and the negated
+    set's lower bound is p + 1 - U_j.
     """
     return _tau_set(est, cfg, tau, worst=True)

@@ -1,6 +1,7 @@
 """The CLI's columnar CSV reader and JSON encoder against their references:
 per-cell reading through the csv module (`oracles.csv_columns`) and
 `json.dumps(indent=2, ensure_ascii=False)`."""
+import csv
 import io
 import json
 import math
@@ -191,6 +192,30 @@ class TestParserOracle:
         assert out.flags.c_contiguous
         assert out.tobytes() == sigma.tobytes()
         assert read_covariance("c\n2.5\n", 1).tolist() == [[2.5]]
+
+    def test_wide_rows_of_short_fields_convert_in_one_pass(self, monkeypatch):
+        # a --cov file of 7000 columns has lines above the csv module's
+        # field limit, but no field near it: it stays on the byte path
+        def per_cell(self, name):
+            raise AssertionError("converted cell by cell")
+
+        monkeypatch.setattr(cli_io.TableData, "_numeric_cells", per_cell)
+        p, rows = 7000, 3
+        sigma = np.random.default_rng(4).normal(size=(rows, p))
+        text = ",".join(f"c{j}" for j in range(p)) + "\n"
+        text += "".join(",".join(map(repr, row)) + "\n" for row in sigma.tolist())
+        assert len(text.splitlines()[1]) > csv.field_size_limit()
+        table = parse_table(text)
+        assert table._data is not None
+        assert table.numeric(table.names).T.tobytes() == sigma.tobytes()
+
+    def test_field_above_the_limit_is_refused(self, invoke_cli):
+        limit = csv.field_size_limit()
+        ok = invoke_cli(["ranks", "--column", "a"], stdin=f"a,b\n1,{'x' * limit}\n")
+        assert ok.code == 0, ok.stderr
+        res = invoke_cli(["ranks", "--column", "a"], stdin=f"a,b\n1,{'x' * (limit + 1)}\n")
+        assert res.code == 2
+        assert f"field larger than field limit ({limit})" in res.stderr
 
 
 # Characters for text cells served from byte offsets: ASCII, multi-byte

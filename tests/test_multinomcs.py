@@ -483,18 +483,23 @@ def _indices(p):
 
 @st.composite
 def knife_edges_on_repeated_counts(draw):
-    """p <= 8 counts from a pool of one to three values below 40, so that
-    most categories share a count, and alpha equal to the exact adjusted
-    p-value of one hypothesis in a family the set decides: a Holm step
-    (m - pos) P or a Bonferroni product m P of its pair's p-value P. The
-    level lies in [1/1000, 1), where 1 - (1 - alpha) in floats stays
-    within a relative 1.2e-13 of alpha, inside the settle band."""
+    """p <= 8 counts from a pool of two or three values up to 40, each
+    taken at least once, so that most categories share a count, and alpha
+    equal to the exact adjusted p-value of one hypothesis in a family the
+    set decides: a Holm step (m - pos) P or a Bonferroni product m P of
+    its pair's p-value P. The level lies in [1/1000, 1), where
+    1 - (1 - alpha) in floats stays within a relative 1.2e-13 of alpha,
+    inside the settle band. Both methods' adjusted values are at least
+    m min P, so the pool's two lowest values lie 6 to 15 apart, which
+    puts a level in range for about 85 % of the draws; the method is
+    drawn with the level."""
     p = draw(st.integers(2, 8))
-    pool = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True))
-    counts = draw(st.lists(st.sampled_from(pool), min_size=p, max_size=p))
-    assume(sum(counts) > 0)
+    low = draw(st.integers(0, 10))
+    pool = [low, low + draw(st.integers(6, 15))]
+    pool += [pool[-1] + gap for gap in draw(st.lists(st.integers(1, 15), max_size=min(p - 2, 1)))]
+    rest = draw(st.lists(st.sampled_from(pool), min_size=p - len(pool), max_size=p - len(pool)))
+    counts = draw(st.permutations(pool + rest))
     mode = draw(st.sampled_from(("marginal", "simultaneous")))
-    method = draw(st.sampled_from(("holm", "bonferroni")))
     indices = draw(_indices(p))
     if mode == "simultaneous":
         family = [(k, l) for k in range(p) for l in range(p) if k != l]
@@ -504,13 +509,14 @@ def knife_edges_on_repeated_counts(draw):
         family = [(k, j) for k in others] + [(j, k) for k in others]
     pvals = sorted(_cached_tail(counts[k], counts[k] + counts[l]) for k, l in family)
     m = len(pvals)
-    if method == "bonferroni":
-        adjusted = [m * v for v in pvals]
-    else:
-        adjusted = itertools.accumulate(((m - pos) * v for pos, v in enumerate(pvals)), max)
-    levels = sorted({a for a in adjusted if Fraction(1, 1000) <= a and float(a) < 1})
+    adjusted = {
+        "bonferroni": [m * v for v in pvals],
+        "holm": itertools.accumulate(((m - pos) * v for pos, v in enumerate(pvals)), max),
+    }
+    levels = sorted({(method, a) for method, values in adjusted.items() for a in values
+                     if Fraction(1, 1000) <= a and float(a) < 1})
     assume(levels)
-    alpha = draw(st.sampled_from(levels))
+    method, alpha = draw(st.sampled_from(levels))
     return counts, 1.0 - float(alpha), mode, method, indices
 
 

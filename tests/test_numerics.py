@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -299,6 +300,18 @@ class TestSeededRng:
         u = SeededRng(7).uniforms(100000)
         assert u.min() > 0.0
         assert u.max() < 1.0
+
+    def test_uniforms_stay_below_one_at_the_stream_top(self, monkeypatch):
+        # (2^53 - 1) + 0.5 rounds to 2^53, which would give exactly 1.0
+        rng = SeededRng(0)
+        k = np.array([0, 2**52, 2**53 - 1], dtype=np.uint64)
+        monkeypatch.setattr(rng, "_gen", types.SimpleNamespace(
+            integers=lambda low, high, size, dtype: k[:size].copy()))
+        u = rng.uniforms(3)
+        assert u.tolist() == [2.0**-54, 0.5, 1.0 - 2.0**-53]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(rng.standard_normals(3)))
 
     def test_normal_shape_and_moments(self):
         x = SeededRng(11).standard_normals(200000)

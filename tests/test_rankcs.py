@@ -79,7 +79,7 @@ class TestPairwiseSe:
         want01 = np.sqrt(4.0 + 9.0 - 2.0)
         assert se[0, 1] == pytest.approx(want01, abs=1e-15)
         assert se[1, 0] == se[0, 1]
-        assert np.all(np.diag(se) == 0.0)
+        assert np.all(np.diag(se) == np.inf)
 
     def test_perfectly_coupled_pair(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -190,6 +190,44 @@ class TestPairMaxima:
         crit = rng.uniform(0.0, 3.0, len(rows))
         lower, upper = _rank_bounds(theta, se, rows, crit)
         want_lower, want_upper = _naive_rank_bounds(theta, se, rows, crit)
+        assert lower.tolist() == want_lower
+        assert upper.tolist() == want_upper
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+           st.sampled_from(["edge", "edge", "zero"]), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_rank_bounds_at_the_knife_edge(self, p, seed, huge, simultaneous, kind, data):
+        # critical values at c = |theta_j - theta_k| / se_jk of some pair,
+        # up to 4 ulps either side, or 0; estimates near +-1.5e308 make
+        # differences overflow. c stays below half of where some se_jk c
+        # would overflow (a bootstrap's c is a few units)
+        rng = np.random.default_rng(seed)
+        scale = 1e300 if huge else 1.0
+        sigma = np.diag(rng.uniform(0.01, 1.0, p)) * scale
+        se = pairwise_se(EstimatesWithCovariance(np.zeros(p), sigma))
+        cap = np.finfo(np.float64).max / 2 / max(se[~np.eye(p, dtype=bool)].max(), 1.0)
+        if huge:
+            theta = rng.choice([-1.5e308, -1e308, 1e308, 1.5e308], p) * rng.choice([1.0, 0.75], p)
+        else:
+            theta = np.round(rng.normal(size=p), 1)  # rounding makes ties
+        rows = (list(range(p)) if simultaneous else
+                data.draw(st.permutations(range(p)).flatmap(
+                    lambda perm: st.integers(1, p).map(lambda k: perm[:k]))))
+        crit = []
+        for j in rows[:1] if simultaneous else rows:
+            c = 0.0
+            if kind == "edge":
+                k = data.draw(st.sampled_from([k for k in range(p) if k != j]))
+                ulps = data.draw(st.integers(-4, 4))
+                with np.errstate(over="ignore"):
+                    c = min(abs(theta[j] - theta[k]) / se[j, k], cap)
+                for _ in range(abs(ulps)):
+                    c = np.nextafter(c, np.inf if ulps > 0 else 0.0)
+            crit.append(float(c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_lower, want_upper = _naive_rank_bounds(
+                theta, se, rows, crit * len(rows) if simultaneous else crit)
+        lower, upper = _rank_bounds(theta, se, rows, crit[0] if simultaneous else crit)
         assert lower.tolist() == want_lower
         assert upper.tolist() == want_upper
 
@@ -337,9 +375,10 @@ class TestScreenedCriticalValues:
         assert np.array_equal(got, want)
         # the screen runs exactly where the documented range holds
         top = np.abs(z).max()
-        low = se[~np.eye(p, dtype=bool)].min()
+        pairs = se[~np.eye(p, dtype=bool)]
+        low = pairs.min()
         in_range = (top <= 2.0**125 and top / low <= 2.0**125 and 2.0**-126 <= low
-                    and se.max() <= 2.0**127)
+                    and pairs.max() <= 2.0**127)
         assert dtypes[0] == (np.float32 if in_range else np.float64)
         if abs(scale) > 125:
             assert not in_range
